@@ -26,7 +26,6 @@ from .model import (
     ErrorType,
     IntLit,
     KnowledgeIndex,
-    EMPTY_INDEX,
     NamedType,
     Proj,
     RefExpr,
@@ -38,11 +37,11 @@ from .model import (
     TypeExpr,
     UnwrapDep,
     VarRef,
-    all_know,
+    WorkingIndex,
+    add_item,
+    add_knower,
     free_vars_ordered,
-    introduce,
-    knows,
-    learn,
+    freeze,
     overlapping,
 )
 from .printer import format_stmt, format_type
@@ -155,7 +154,10 @@ def kind_of_ref(expr: RefExpr, env: dict[str, TypeExpr], binder: TypeExpr | None
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Index snapshot after one executed statement, for `explain` and tests."""
+    """Index snapshot after one executed statement, for `explain` and tests.
+
+    Recorded only when ``check_file`` is called with ``record_steps=True``.
+    """
 
     protocol: str
     path: str
@@ -170,6 +172,7 @@ class CheckResult:
     # One entry per maximal control path (ending in end, rec, or a tail
     # call); empty whenever any error-severity diagnostic was emitted.
     final_indices: list[tuple[str, KnowledgeIndex]]
+    # Both stay empty unless check_file(..., record_steps=True).
     step_log: list[StepRecord] = field(default_factory=list)
     node_indices: dict[Span, KnowledgeIndex] = field(default_factory=dict)
 
@@ -191,9 +194,10 @@ def resolve_entry(file: SourceFile) -> ProtocolDecl | None:
 
 
 class _Checker:
-    def __init__(self, file: SourceFile, disabled: frozenset[str]):
+    def __init__(self, file: SourceFile, disabled: frozenset[str], record_steps: bool):
         self.file = file
         self.disabled = disabled
+        self.record_steps = record_steps
         self.diags: list[Diagnostic] = []
         self.final: list[tuple[str, KnowledgeIndex]] = []
         self.step_log: list[StepRecord] = []
@@ -319,7 +323,7 @@ class _Checker:
 
     def check_protocol(self, proto: ProtocolDecl, binding: dict[str, str] | None, label: str) -> None:
         ctx = _ProtoCtx(self, proto, binding or {}, label)
-        ctx.check_block(proto.body, EMPTY_INDEX, label, guarded=False, origins={})
+        ctx.check_block(proto.body, {}, label, guarded=False, origins={})
 
     def enqueue_instantiation(self, name: str, args: tuple[str, ...]) -> None:
         key = (name, args)
@@ -350,18 +354,21 @@ class _ProtoCtx:
         elif role not in self.proto.participants:
             self.emit("E002", span, f"{what} '{role.name}' is not a participant of protocol '{self.proto.name}'")
 
-    def record(self, stmt: Stmt, path: str, index: KnowledgeIndex) -> None:
+    def record(self, stmt: Stmt, path: str, index: WorkingIndex) -> None:
+        if not self.checker.record_steps:
+            return
+        snapshot = freeze(index)
         if stmt.span is not None:
-            self.checker.node_indices[stmt.span] = index
+            self.checker.node_indices[stmt.span] = snapshot
         self.checker.step_log.append(
-            StepRecord(self.label, path, stmt.span or _FALLBACK_SPAN, format_stmt(stmt), index)
+            StepRecord(self.label, path, stmt.span or _FALLBACK_SPAN, format_stmt(stmt), snapshot)
         )
 
-    def finish(self, path: str, index: KnowledgeIndex) -> None:
-        self.checker.final.append((path, index))
+    def finish(self, path: str, index: WorkingIndex) -> None:
+        self.checker.final.append((path, freeze(index)))
 
     def check_block(
-        self, block: Block, index: KnowledgeIndex, path: str, guarded: bool, origins: dict[str, Span]
+        self, block: Block, index: WorkingIndex, path: str, guarded: bool, origins: dict[str, Span]
     ) -> None:
         i = 0
         while i < len(block):
@@ -376,13 +383,13 @@ class _ProtoCtx:
                 self.check_read(stmt, index, path, guarded, origins)
                 return  # successors are unreachable behind the arms
             if isinstance(stmt, NewMsg):
-                index = self.check_new_msg(stmt, index, origins)
+                self.check_new_msg(stmt, index, origins)
                 guarded = True
             elif isinstance(stmt, NewDepMsg):
-                index = self.check_new_dep(stmt, index, origins)
+                self.check_new_dep(stmt, index, origins)
                 guarded = True
             elif isinstance(stmt, Send):
-                index = self.check_send(stmt, index, origins)
+                self.check_send(stmt, index, origins)
                 guarded = True
             elif isinstance(stmt, ReadCase):
                 self.check_read(stmt, index, path, guarded, origins)
@@ -406,20 +413,22 @@ class _ProtoCtx:
         # built AST may fall through: treat it as an implicit end.
         self.finish(path, index)
 
-    def check_new_msg(self, stmt: NewMsg, index: KnowledgeIndex, origins: dict[str, Span]) -> KnowledgeIndex:
+    def check_new_msg(self, stmt: NewMsg, index: WorkingIndex, origins: dict[str, Span]) -> None:
         self.check_role(stmt.creator, stmt.span, "creator")
         self.checker.check_type(stmt.type, stmt.span)
-        return self.bind_var(stmt.var, stmt.type, stmt.creator, stmt.span, index, origins)
+        self.bind_var(stmt.var, stmt.type, stmt.creator, stmt.span, index, origins)
 
-    def check_new_dep(self, stmt: NewDepMsg, index: KnowledgeIndex, origins: dict[str, Span]) -> KnowledgeIndex:
+    def check_new_dep(self, stmt: NewDepMsg, index: WorkingIndex, origins: dict[str, Span]) -> None:
         self.check_role(stmt.creator, stmt.span, "creator")
         self.checker.check_type(stmt.rtype.payload, stmt.span)
+        deps = free_vars_ordered(stmt.rtype.predicate)
         all_bound = True
-        for v in free_vars_ordered(stmt.rtype.predicate):
-            if v not in index:
+        for v in deps:
+            item = index.get(v)
+            if item is None:
                 self.emit("E009", stmt.span, f"predicate references '{v.name}', which is not bound on this path")
                 all_bound = False
-            elif not knows(index, v, stmt.creator):
+            elif stmt.creator not in item.knowers:
                 self.emit(
                     "E004",
                     stmt.span,
@@ -427,16 +436,16 @@ class _ProtoCtx:
                     related=origins.get(v.name),
                 )
         if all_bound:
-            env = {item.var.name: item.type for item in index}
+            env = {v.name: index[v].type for v in deps}
             try:
                 result = kind_of_ref(stmt.rtype.predicate, env, stmt.rtype.payload)
                 if not isinstance(result, ErrorType) and _base(result) != "Bool":
                     self.emit("E010", stmt.span, f"refinement must be Bool, found {format_type(result)}")
             except KindError as err:
                 self.emit("E010", err.span, f"ill-kinded refinement: {err.message}")
-        return self.bind_var(stmt.var, stmt.rtype, stmt.creator, stmt.span, index, origins)
+        self.bind_var(stmt.var, stmt.rtype, stmt.creator, stmt.span, index, origins)
 
-    def bind_var(self, var, type_, creator, span, index: KnowledgeIndex, origins: dict[str, Span]) -> KnowledgeIndex:
+    def bind_var(self, var, type_, creator, span, index: WorkingIndex, origins: dict[str, Span]) -> None:
         if var in index:
             self.emit(
                 "E009",
@@ -444,45 +453,51 @@ class _ProtoCtx:
                 f"message variable '{var.name}' is already bound on this path",
                 related=origins.get(var.name),
             )
-            return learn(index, var, creator)
+            add_knower(index, var, creator)
+            return
         if span is not None:
             origins[var.name] = span
-        return introduce(index, var, type_, creator)
+        add_item(index, var, type_, creator)
 
-    def check_send(self, stmt: Send, index: KnowledgeIndex, origins: dict[str, Span]) -> KnowledgeIndex:
+    def check_send(self, stmt: Send, index: WorkingIndex, origins: dict[str, Span]) -> None:
         self.check_role(stmt.sender, stmt.span, "sender")
         self.check_role(stmt.receiver, stmt.span, "receiver")
         if stmt.sender == stmt.receiver:
             self.emit("E011", stmt.span, f"'{stmt.sender.name}' cannot send '{stmt.var.name}' to itself")
-        if stmt.var not in index:
+        item = index.get(stmt.var)
+        if item is None:
             self.emit("E009", stmt.span, f"message variable '{stmt.var.name}' is not bound on this path")
-            return index
-        if not knows(index, stmt.var, stmt.sender):
+            return
+        if stmt.sender not in item.knowers:
             self.emit(
                 "E003",
                 stmt.span,
                 f"sender '{stmt.sender.name}' does not know '{stmt.var.name}'",
                 related=origins.get(stmt.var.name),
             )
-        return learn(index, stmt.var, stmt.receiver)
+        add_knower(index, stmt.var, stmt.receiver)
 
     def check_read(
-        self, stmt: ReadCase, index: KnowledgeIndex, path: str, guarded: bool, origins: dict[str, Span]
+        self, stmt: ReadCase, index: WorkingIndex, path: str, guarded: bool, origins: dict[str, Span]
     ) -> None:
-        item = index.lookup(stmt.var)
+        item = index.get(stmt.var)
         if item is None:
             self.emit("E009", stmt.span, f"message variable '{stmt.var.name}' is not bound on this path")
-        elif not all_know(index, stmt.var, self.proto.participants):
-            missing = [r.name for r in self.proto.participants if not knows(index, stmt.var, r)]
-            self.emit(
-                "E005",
-                stmt.span,
-                f"cannot read '{stmt.var.name}': not known to every participant (missing {', '.join(missing)})",
-            )
+        else:
+            missing = [r.name for r in self.proto.participants if r not in item.knowers]
+            if missing:
+                self.emit(
+                    "E005",
+                    stmt.span,
+                    f"cannot read '{stmt.var.name}': not known to every participant (missing {', '.join(missing)})",
+                )
         self.check_coverage(stmt, item.type if item is not None else ErrorType())
         self.record(stmt, path, index)
-        for arm in stmt.arms:
-            self.check_block(arm.body, index, f"{path}/{_arm_label(arm)}", guarded, dict(origins))
+        # Every arm but the last works on a copy; the last takes this path's own.
+        last = len(stmt.arms) - 1
+        for i, arm in enumerate(stmt.arms):
+            arm_index, arm_origins = (index, origins) if i == last else (index.copy(), dict(origins))
+            self.check_block(arm.body, arm_index, f"{path}/{_arm_label(arm)}", guarded, arm_origins)
 
     def check_coverage(self, stmt: ReadCase, scrutinee: TypeExpr) -> None:
         effective = scrutinee.payload if isinstance(scrutinee, RefinedType) else scrutinee
@@ -518,7 +533,7 @@ class _ProtoCtx:
         if not has_wild:
             self.emit("E006", stmt.span, f"case over {format_type(effective)} needs a final '_' arm")
 
-    def check_call(self, stmt: Call, index: KnowledgeIndex, path: str) -> None:
+    def check_call(self, stmt: Call, index: WorkingIndex, path: str) -> None:
         callee_participants: tuple[RoleId, ...] | None = None
         param_names = {q.name for q in self.proto.params}
         if stmt.target in param_names:
@@ -600,10 +615,13 @@ def _arm_label(arm: Arm) -> str:
     return "?"
 
 
-def check_file(file: SourceFile, *, disabled: frozenset[str] = frozenset()) -> CheckResult:
+def check_file(file: SourceFile, *, disabled: frozenset[str] = frozenset(), record_steps: bool = False) -> CheckResult:
     """Check every protocol in ``file``; never raises, everything is a diagnostic.
 
     ``disabled`` suppresses the given diagnostic codes, a testing hook for
-    the rule-mutation suite, not part of the CLI surface.
+    the rule-mutation suite, not part of the CLI surface. ``record_steps``
+    fills ``step_log`` and ``node_indices`` with a snapshot after every
+    statement (what `explain` prints); without it only ``final_indices``
+    is kept, and checking stays linear in the length of a path.
     """
-    return _Checker(file, disabled).run()
+    return _Checker(file, disabled, record_steps).run()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .checker import CheckResult, StepRecord, check_file
 from .diagnostics import Diagnostic, ERROR
-from .model import KnowledgeIndex, VarId
+from .model import KnowledgeIndex
 from .parser import ParseError, ParseFailure, parse, parse_trace
 from .printer import format_source, format_type, format_value
 from .simulator import (
@@ -69,7 +69,9 @@ def _read(path: str) -> str | None:
             return fh.read()
     except OSError as err:
         print(f"sessioncheck: cannot read {path}: {err.strerror or err}", file=sys.stderr)
-        return None
+    except UnicodeDecodeError as err:
+        print(f"sessioncheck: cannot read {path}: not UTF-8 text ({err.reason} at byte {err.start})", file=sys.stderr)
+    return None
 
 
 def _print_diag(d: Diagnostic, file: str, style: _Style) -> str:
@@ -90,7 +92,7 @@ def _parse_error_json(file: str, e: ParseError) -> dict:
     }
 
 
-def _load_checked(path: str, style: _Style, out: list[str], json_diags: list[dict]):
+def _load_checked(path: str, style: _Style, out: list[str], json_diags: list[dict], record_steps: bool = False):
     """Read, parse, and check one file. Returns (file, result) or an exit code."""
     text = _read(path)
     if text is None:
@@ -102,7 +104,7 @@ def _load_checked(path: str, style: _Style, out: list[str], json_diags: list[dic
             out.append(f"{path}:{e.line}:{e.col}: {style.error('error[parse]')}: {e.message}")
             json_diags.append(_parse_error_json(path, e))
         return 2
-    result = check_file(file)
+    result = check_file(file, record_steps=record_steps)
     for d in result.diagnostics:
         out.append(_print_diag(d, path, style))
         json_diags.append(d.to_json(path))
@@ -165,8 +167,7 @@ def _print_report(report: RunReport) -> None:
             verdict = "holds" if e.verdict else "FAILS"
             print(f"refined  {e.var}: {e.predicate} {verdict}")
         elif isinstance(e, Sent):
-            item = e.index_after.lookup(VarId(e.var))
-            knowers = ", ".join(r.name for r in item.knowers) if item else "?"
+            knowers = ", ".join(r.name for r in e.knowers)
             print(f"sent     {e.var} {e.sender} -> {e.receiver}; known to {knowers}")
         elif isinstance(e, CaseTaken):
             print(f"case     {e.var} => {e.arm}")
@@ -192,7 +193,7 @@ def _print_report(report: RunReport) -> None:
 def _cmd_explain(args, style: _Style) -> int:
     text_out: list[str] = []
     json_diags: list[dict] = []
-    loaded = _load_checked(args.files[0], style, text_out, json_diags)
+    loaded = _load_checked(args.files[0], style, text_out, json_diags, record_steps=True)
     for line in text_out:
         print(line, file=sys.stderr)
     if loaded == 2:
@@ -311,7 +312,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    ap = _build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "simulate" and args.max_steps < 0:
+        ap.error(f"argument --max-steps: must be 0 or more, got {args.max_steps}")
     style = _Style(_want_color(args.color))
     if args.command == "check":
         return _cmd_check(args, style)

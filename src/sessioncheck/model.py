@@ -2,9 +2,17 @@
 
 The knowledge index is the checker's abstract state: an ordered list of
 items, one per message variable, each carrying the message type and the
-set of roles that have seen the value. All values here are immutable and
-all operations are pure, so indices can be shared freely across threads
-and snapshots can be kept without copying.
+set of roles that have seen the value.
+
+It comes in two forms. ``KnowledgeIndex`` is the frozen snapshot, a tuple
+of immutable ``KnowledgeItem`` values, and ``introduce``/``learn``/
+``knows``/``all_know`` over it are the pure reference semantics. The
+checker and the simulator instead thread one insertion-ordered working
+map (``WorkingIndex``, a dict from var to item) along each control path
+and update it in place with ``add_item`` and ``add_knower``, which behave
+like ``introduce`` and ``learn`` but cost O(1). ``freeze`` turns a working
+map into a snapshot that shares its items, so a snapshot costs one tuple
+of pointers and is made only where something reads it.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ __all__ = [
     "RefExpr",
     "KnowledgeItem",
     "KnowledgeIndex",
+    "WorkingIndex",
     "EMPTY_INDEX",
     "DuplicateVar",
     "UnknownVar",
@@ -48,6 +57,8 @@ __all__ = [
     "learn",
     "knows",
     "all_know",
+    "add_item",
+    "add_knower",
     "overlapping",
     "free_vars",
     "free_vars_ordered",
@@ -360,6 +371,9 @@ class KnowledgeIndex:
 
 EMPTY_INDEX = KnowledgeIndex()
 
+# The index of one control path while it is checked or run, updated in place.
+WorkingIndex = dict[VarId, KnowledgeItem]
+
 
 def introduce(index: KnowledgeIndex, var: VarId, type: TypeExpr, creator: RoleId) -> KnowledgeIndex:
     """Extend ``index`` with a fresh item whose only knower is the creator."""
@@ -388,6 +402,37 @@ def knows(index: KnowledgeIndex, var: VarId, role: RoleId) -> bool:
 def all_know(index: KnowledgeIndex, var: VarId, participants: Iterable[RoleId]) -> bool:
     """True iff every participant knows ``var``."""
     return all(knows(index, var, r) for r in participants)
+
+
+def add_item(working: WorkingIndex, var: VarId, type: TypeExpr, creator: RoleId) -> None:
+    """In-place ``introduce``: add a fresh item whose only knower is the creator."""
+    if var in working:
+        raise DuplicateVar(var.name)
+    working[var] = KnowledgeItem(var, type, (creator,))
+
+
+def add_knower(working: WorkingIndex, var: VarId, role: RoleId) -> None:
+    """In-place ``learn``: add ``role`` to the knowers of ``var``; idempotent.
+
+    The item is replaced, never mutated, so snapshots that share it keep
+    their contents; replacing a key keeps its place in the order.
+    """
+    item = working.get(var)
+    if item is None:
+        raise UnknownVar(var.name)
+    if role not in item.knowers:
+        working[var] = KnowledgeItem(var, item.type, item.knowers + (role,))
+
+
+def freeze(working: WorkingIndex) -> KnowledgeIndex:
+    """Snapshot of a working map, sharing its items.
+
+    Internal to the package: the map's keys already make the variables
+    unique, so the check in ``KnowledgeIndex.__post_init__`` is skipped.
+    """
+    index = object.__new__(KnowledgeIndex)
+    object.__setattr__(index, "items", tuple(working.values()))
+    return index
 
 
 def overlapping(sub: Iterable[RoleId], super: Iterable[RoleId]) -> bool:

@@ -18,21 +18,23 @@ from .model import (
     BoolLit,
     BoolOp,
     Cmp,
-    EMPTY_INDEX,
     IntLit,
     KnowledgeIndex,
     NamedType,
     Proj,
     RefExpr,
     RefinedType,
+    RoleId,
     StrLit,
     TupleType,
     TypeExpr,
     UnwrapDep,
     VarRef,
-    introduce,
-    learn,
+    WorkingIndex,
+    add_item,
+    add_knower,
     free_vars_ordered,
+    freeze,
     Span,
 )
 from .printer import format_ref, format_type, format_value
@@ -188,6 +190,8 @@ class Sent:
     receiver: str
     index_after: KnowledgeIndex
     span: Span | None = field(default=None, compare=False, repr=False)
+    # Knowers of ``var`` in ``index_after``, so text reports need no lookup.
+    knowers: tuple[RoleId, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -370,7 +374,7 @@ def run_trace(file: SourceFile, trace: Trace, *, max_steps: int = 10_000) -> Run
     proto = entry
     param_binding: dict[str, str] = {}
     bindings: dict[str, Value] = {}
-    index = EMPTY_INDEX
+    index: WorkingIndex = {}
     block = proto.body
     pos = 0
     trace_pos = 0
@@ -381,7 +385,7 @@ def run_trace(file: SourceFile, trace: Trace, *, max_steps: int = 10_000) -> Run
         proto = p
         param_binding = binding
         bindings = {}
-        index = EMPTY_INDEX
+        index = {}
         block = p.body
         pos = 0
 
@@ -417,7 +421,7 @@ def run_trace(file: SourceFile, trace: Trace, *, max_steps: int = 10_000) -> Run
                     TraceMismatch(stmt.var.name, format_type(declared), binding.value, "value does not fit the declared type"),
                 )
             bindings[stmt.var.name] = binding.value
-            index = introduce(index, stmt.var, declared, stmt.creator)
+            add_item(index, stmt.var, declared, stmt.creator)
             events.append(MsgCreated(stmt.var.name, binding.value, stmt.creator.name, stmt.span))
             if isinstance(stmt, NewDepMsg):
                 pred = stmt.rtype.predicate
@@ -443,8 +447,9 @@ def run_trace(file: SourceFile, trace: Trace, *, max_steps: int = 10_000) -> Run
             continue
 
         if isinstance(stmt, Send):
-            index = learn(index, stmt.var, stmt.receiver)
-            events.append(Sent(stmt.var.name, stmt.sender.name, stmt.receiver.name, index, stmt.span))
+            add_knower(index, stmt.var, stmt.receiver)
+            knowers = index[stmt.var].knowers
+            events.append(Sent(stmt.var.name, stmt.sender.name, stmt.receiver.name, freeze(index), stmt.span, knowers))
             pos += 1
             continue
 

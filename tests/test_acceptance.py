@@ -99,7 +99,8 @@ def test_criterion_05_monotonicity_and_frame():
     sends = 0
     for _ in range(10_000):
         file = gen_checkable_file(rng)
-        result = check_file(file)
+        result = check_file(file, record_steps=True)
+        assert result.step_log
         for prev, rec in _snapshot_pairs(result.step_log):
             assert len(rec.index_after) >= len(prev)
             for item in prev:

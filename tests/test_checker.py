@@ -334,7 +334,7 @@ entry Main
 
 
 def test_call_transparency(corpus):
-    result = check_file(parse((corpus / "server.ssn").read_text()))
+    result = check_file(parse((corpus / "server.ssn").read_text()), record_steps=True)
     call_steps = [rec for rec in result.step_log if rec.text.startswith("call ")]
     assert call_steps
     for rec in call_steps:
@@ -348,7 +348,8 @@ def test_call_transparency(corpus):
 def test_creator_self_knowledge_everywhere(corpus):
     for name in ("tcp.ssn", "server.ssn", "hoppy.ssn"):
         file = parse((corpus / name).read_text())
-        result = check_file(file)
+        result = check_file(file, record_steps=True)
+        assert result.node_indices
         for proto in file.protocols:
             for stmt in _walk_stmts(proto.body):
                 if isinstance(stmt, (NewMsg, NewDepMsg)) and stmt.span in result.node_indices:
@@ -370,6 +371,18 @@ def test_determinism(corpus):
     b = check_file(parse(text))
     assert a.diagnostics == b.diagnostics
     assert a.final_indices == b.final_indices
+
+
+def test_record_steps_cannot_change_verdict():
+    rng = random.Random(20260810)  # the generated files of acceptance criterion 04
+    for _ in range(1000):
+        file = gen_checkable_file(rng)
+        plain = check_file(file)
+        recorded = check_file(file, record_steps=True)
+        assert plain.diagnostics == recorded.diagnostics
+        assert plain.final_indices == recorded.final_indices
+        assert plain.step_log == [] and plain.node_indices == {}
+        assert recorded.step_log
 
 
 def test_oracle_agreement_sample():

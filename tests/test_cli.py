@@ -280,3 +280,40 @@ def test_check_multiple_files_in_argument_order(corpus):
     proc2 = run_cli("check", str(corpus / "tcp.ssn"), str(corpus / "charlie.ssn"), "--format", "json")
     doc = json.loads(proc2.stdout)
     assert [d["file"] for d in doc] == [str(corpus / "charlie.ssn")]
+
+
+def test_non_utf8_input_exits_two(corpus, tmp_path):
+    binary = tmp_path / "binary.ssn"
+    binary.write_bytes(b"roles A\n\xff\xfe\n")
+    runs = [
+        ("check", str(binary)),
+        ("fmt", "--check", str(binary)),
+        ("explain", str(binary)),
+        ("simulate", str(corpus / "tcp.ssn"), "--trace", str(binary)),
+    ]
+    for argv in runs:
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, argv
+        assert f"cannot read {binary}: not UTF-8 text" in proc.stderr, argv
+        assert "Traceback" not in proc.stderr, argv
+
+
+def test_simulate_negative_max_steps_is_an_argument_error(corpus):
+    sim = ("simulate", str(corpus / "tcp.ssn"), "--trace", str(corpus / "tcp_good.trace"), "--max-steps")
+    proc = run_cli(*sim, "-3")
+    assert proc.returncode == 2
+    assert "--max-steps: must be 0 or more" in proc.stderr
+    assert proc.stdout == ""
+    zero = run_cli(*sim, "0")
+    assert zero.returncode == 1
+    assert "step limit of 0 exceeded" in zero.stdout
+
+
+def test_simulate_text_names_knowers_after_each_send(corpus):
+    proc = run_cli("simulate", str(corpus / "tcp.ssn"), "--trace", str(corpus / "tcp_good.trace"))
+    sent = [line for line in proc.stdout.splitlines() if line.startswith("sent ")]
+    assert sent == [
+        "sent     m1 Alice -> Bob; known to Alice, Bob",
+        "sent     m2 Bob -> Alice; known to Bob, Alice",
+        "sent     m3 Alice -> Bob; known to Alice, Bob",
+    ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sessioncheck.model import (
@@ -23,9 +23,12 @@ from sessioncheck.model import (
     UnknownVar,
     VarId,
     VarRef,
+    add_item,
+    add_knower,
     all_know,
     free_vars,
     free_vars_ordered,
+    freeze,
     introduce,
     knows,
     learn,
@@ -208,6 +211,28 @@ def test_send_effect_frame(script, var, role):
     for a, b in changed:
         assert b.var == a.var == v and b.type == a.type
         assert b.knowers == a.knowers + (role,)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(ops)
+@example([("introduce", "m1", ALICE), ("introduce", "m1", BOB), ("learn", "m2", BOB),
+          ("learn", "m1", BOB), ("learn", "m1", BOB), ("learn", "m1", ALICE)])
+def test_in_place_helpers_match_pure_api(script):
+    idx = EMPTY_INDEX
+    working: dict = {}
+    for op, var, role in script:
+        v = VarId(var)
+        pure, in_place = (introduce, add_item) if op == "introduce" else (learn, add_knower)
+        args = (v, INT, role) if op == "introduce" else (v, role)
+        try:
+            idx = pure(idx, *args)
+        except (DuplicateVar, UnknownVar) as err:
+            with pytest.raises(type(err)):
+                in_place(working, *args)
+        else:
+            in_place(working, *args)
+        assert tuple(working.values()) == idx.items
+        assert freeze(working) == idx
 
 
 def test_item_invariants():

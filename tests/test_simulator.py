@@ -216,8 +216,9 @@ def test_simulator_matches_checker_indices(corpus):
     ]
     for ssn, tr in pairs:
         file = parse((corpus / ssn).read_text())
-        result = check_file(file)
+        result = check_file(file, record_steps=True)
         assert result.ok
+        assert result.node_indices
         report = run_trace(file, trace_of(corpus, tr))
         sent_events = [e for e in report.events if isinstance(e, Sent)]
         assert sent_events
