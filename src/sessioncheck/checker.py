@@ -44,9 +44,8 @@ from .model import (
     freeze,
     overlapping,
 )
-from .printer import format_stmt, format_type
+from .printer import format_pattern, format_stmt, format_type
 from .syntax import (
-    Arm,
     Block,
     BoolV,
     Call,
@@ -299,25 +298,19 @@ class _Checker:
         elif isinstance(t, RefinedType):
             self.check_type(t.payload, span)
 
-    def check_entry(self) -> ProtocolDecl | None:
-        if self.file.entry is not None:
-            proto = self.file.protocol(self.file.entry)
-            if proto is None:
-                self.emit("E001", _FALLBACK_SPAN, f"entry protocol '{self.file.entry}' is not declared")
-                return None
+    def check_entry(self) -> None:
+        proto = resolve_entry(self.file)
+        if proto is not None:
             if not proto.is_ground:
                 self.emit("E012", proto.span, f"entry protocol '{proto.name}' must be ground (it has protocol parameters)")
-            return proto
-        grounds = [p for p in self.file.protocols if p.is_ground]
-        if len(grounds) == 1:
-            return grounds[0]
-        if self.file.protocols:
+        elif self.file.entry is not None:
+            self.emit("E001", _FALLBACK_SPAN, f"entry protocol '{self.file.entry}' is not declared")
+        elif self.file.protocols:
             self.emit(
                 "E001",
                 _FALLBACK_SPAN,
                 "no entry declaration and the file does not have exactly one ground protocol",
             )
-        return None
 
     # -- protocol bodies -----------------------------------------------------
 
@@ -497,7 +490,7 @@ class _ProtoCtx:
         last = len(stmt.arms) - 1
         for i, arm in enumerate(stmt.arms):
             arm_index, arm_origins = (index, origins) if i == last else (index.copy(), dict(origins))
-            self.check_block(arm.body, arm_index, f"{path}/{_arm_label(arm)}", guarded, arm_origins)
+            self.check_block(arm.body, arm_index, f"{path}/{format_pattern(arm.pattern)}", guarded, arm_origins)
 
     def check_coverage(self, stmt: ReadCase, scrutinee: TypeExpr) -> None:
         effective = scrutinee.payload if isinstance(scrutinee, RefinedType) else scrutinee
@@ -600,19 +593,6 @@ def _value_kind(v) -> str:
     if isinstance(v, StrV):
         return "Str"
     return "value"
-
-
-def _arm_label(arm: Arm) -> str:
-    p = arm.pattern
-    if isinstance(p, CtorPat):
-        return p.tag
-    if isinstance(p, WildPat):
-        return "_"
-    if isinstance(p, LitPat):
-        from .printer import format_value
-
-        return format_value(p.value)
-    return "?"
 
 
 def check_file(file: SourceFile, *, disabled: frozenset[str] = frozenset(), record_steps: bool = False) -> CheckResult:

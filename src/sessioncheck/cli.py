@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .checker import CheckResult, StepRecord, check_file
-from .diagnostics import Diagnostic, ERROR
+from .diagnostics import ERROR
 from .model import KnowledgeIndex
 from .parser import ParseError, ParseFailure, parse, parse_trace
 from .printer import format_source, format_type, format_value
@@ -74,12 +74,6 @@ def _read(path: str) -> str | None:
     return None
 
 
-def _print_diag(d: Diagnostic, file: str, style: _Style) -> str:
-    tag = f"{d.severity}[{d.code}]"
-    tag = style.error(tag) if d.severity == ERROR else style.warning(tag)
-    return f"{file}:{d.span.line}:{d.span.col}: {tag}: {d.message}"
-
-
 def _parse_error_json(file: str, e: ParseError) -> dict:
     return {
         "code": "parse",
@@ -92,31 +86,34 @@ def _parse_error_json(file: str, e: ParseError) -> dict:
     }
 
 
-def _load_checked(path: str, style: _Style, out: list[str], json_diags: list[dict], record_steps: bool = False):
-    """Read, parse, and check one file. Returns (file, result) or an exit code."""
+def _diag_text(d: dict, style: _Style) -> str:
+    """The text line of one diagnostic, checker or parse, from its JSON record."""
+    tag = f"{d['severity']}[{d['code']}]"
+    tag = style.error(tag) if d["severity"] == ERROR else style.warning(tag)
+    return f"{d['file']}:{d['line']}:{d['col']}: {tag}: {d['message']}"
+
+
+def _load_checked(path: str, diags: list[dict], record_steps: bool = False):
+    """Read, parse, and check one file, appending its diagnostics' JSON records
+    to ``diags``. Returns (file, result) or an exit code."""
     text = _read(path)
     if text is None:
         return 2
     try:
         file = parse(text)
     except ParseFailure as fail:
-        for e in fail.errors:
-            out.append(f"{path}:{e.line}:{e.col}: {style.error('error[parse]')}: {e.message}")
-            json_diags.append(_parse_error_json(path, e))
+        diags.extend(_parse_error_json(path, e) for e in fail.errors)
         return 2
     result = check_file(file, record_steps=record_steps)
-    for d in result.diagnostics:
-        out.append(_print_diag(d, path, style))
-        json_diags.append(d.to_json(path))
+    diags.extend(d.to_json(path) for d in result.diagnostics)
     return file, result
 
 
 def _cmd_check(args, style: _Style) -> int:
     worst = 0
-    json_diags: list[dict] = []
-    text_out: list[str] = []
+    diags: list[dict] = []
     for path in args.files:
-        loaded = _load_checked(path, style, text_out, json_diags)
+        loaded = _load_checked(path, diags)
         if loaded == 2:
             worst = 2
             continue
@@ -124,19 +121,18 @@ def _cmd_check(args, style: _Style) -> int:
         if result.errors:
             worst = max(worst, 1)
     if args.format == "json":
-        print(json.dumps(json_diags, indent=2))
+        print(json.dumps(diags, indent=2))
     else:
-        for line in text_out:
-            print(line)
+        for d in diags:
+            print(_diag_text(d, style))
     return worst
 
 
 def _cmd_simulate(args, style: _Style) -> int:
-    text_out: list[str] = []
-    json_diags: list[dict] = []
-    loaded = _load_checked(args.files[0], style, text_out, json_diags)
-    for line in text_out:
-        print(line, file=sys.stderr)
+    diags: list[dict] = []
+    loaded = _load_checked(args.files[0], diags)
+    for d in diags:
+        print(_diag_text(d, style), file=sys.stderr)
     if loaded == 2:
         return 2
     file, result = loaded
@@ -149,7 +145,7 @@ def _cmd_simulate(args, style: _Style) -> int:
         trace = parse_trace(trace_text)
     except ParseFailure as fail:
         for e in fail.errors:
-            print(f"{args.trace}:{e.line}:{e.col}: {style.error('error[parse]')}: {e.message}", file=sys.stderr)
+            print(_diag_text(_parse_error_json(args.trace, e), style), file=sys.stderr)
         return 2
     report = run_trace(file, trace, max_steps=args.max_steps)
     if args.format == "json":
@@ -191,11 +187,10 @@ def _print_report(report: RunReport) -> None:
 
 
 def _cmd_explain(args, style: _Style) -> int:
-    text_out: list[str] = []
-    json_diags: list[dict] = []
-    loaded = _load_checked(args.files[0], style, text_out, json_diags, record_steps=True)
-    for line in text_out:
-        print(line, file=sys.stderr)
+    diags: list[dict] = []
+    loaded = _load_checked(args.files[0], diags, record_steps=True)
+    for d in diags:
+        print(_diag_text(d, style), file=sys.stderr)
     if loaded == 2:
         return 2
     _, result = loaded
@@ -267,7 +262,7 @@ def _cmd_fmt(args, style: _Style) -> int:
             file = parse(text)
         except ParseFailure as fail:
             for e in fail.errors:
-                print(f"{path}:{e.line}:{e.col}: {style.error('error[parse]')}: {e.message}", file=sys.stderr)
+                print(_diag_text(_parse_error_json(path, e), style), file=sys.stderr)
             worst = 2
             continue
         formatted = format_source(file)

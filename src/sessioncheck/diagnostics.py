@@ -42,9 +42,6 @@ class Diagnostic:
         if self.severity not in (ERROR, WARNING):
             raise ValueError(f"unknown severity {self.severity}")
 
-    def render(self, file: str) -> str:
-        return f"{file}:{self.span.line}:{self.span.col}: {self.severity}[{self.code}]: {self.message}"
-
     def to_json(self, file: str) -> dict:
         out = {
             "code": self.code,

@@ -1,11 +1,18 @@
 """Tokenizer shared by the `.ssn` and `.trace` grammars.
 
-Line comments start with ``--``; strings are double-quoted with ``\\\"``
-and ``\\\\`` escapes; newlines are plain whitespace.
+One compiled master regex of named alternatives scans the text, as in the
+"Writing a Tokenizer" recipe of the ``re`` docs: at each offset the first
+alternative that matches wins. ``skip`` takes whitespace and ``--`` line
+comments; it is the only token that can span a newline, so the column of
+every other token follows from the offset of the last newline. Strings are
+double-quoted with ``\\"`` and ``\\\\`` escapes and end at a newline. Errors
+do not stop the scan; a string with a bad escape or no closing quote
+yields no token.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 __all__ = ["Token", "LexError", "KEYWORDS", "tokenize"]
@@ -38,41 +45,37 @@ KEYWORDS = frozenset(
     ]
 )
 
-# Longest match first.
+# Longest match first. `--` is not here: it starts a comment, which `skip`
+# matches before punctuation is tried.
 _PUNCT = [
-    "->",
-    "=>",
-    "==",
-    "!=",
-    "<=",
-    "--",  # handled as comment, kept here for the scanner loop
-    "<",
-    ">",
-    "[",
-    "]",
-    "{",
-    "}",
-    "(",
-    ")",
-    ",",
-    ";",
-    ":",
-    "|",
-    "=",
-    ".",
-    "+",
-    "-",
-    "*",
-    "!",
-    "_",
+    "->", "=>", "==", "!=", "<=",
+    "<", ">", "[", "]", "{", "}", "(", ")", ",", ";", ":", "|", "=", ".", "+", "-", "*", "!", "_",
 ]
+
+# Identifiers and numbers are ASCII only: unicode letters and digits fall
+# through to `bad` instead of being accepted the way \w or \d would.
+_MASTER = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]|--[^\n]*)+)"
+    r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<int>[0-9]+)"
+    r'|(?P<string>"(?P<body>(?:\\["\\]|\\|[^"\\\n])*)(?P<close>")?)'
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+
+# Inside a string body: a backslash and the character it escapes, which is
+# empty for a backslash not followed by `"` or `\`.
+_ESCAPE = re.compile(r'\\(["\\]?)')
 
 
 @dataclass(frozen=True)
 class Token:
     kind: str  # keyword text, punct text, or one of: ident, int, string, eof
     text: str
-    value: object  # str for ident/string, int for int, None otherwise
+    # str for ident/string, int for int, None otherwise; also None for an
+    # int literal longer than the interpreter converts (the parser reports it)
+    value: object
     line: int
     col: int
     offset: int
@@ -89,103 +92,41 @@ class LexError:
     message: str
 
 
-# Identifiers and numbers are ASCII only; unicode letters or digits are
-# rejected rather than silently accepted by str.isalpha/isdigit.
-def _is_letter(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z"
-
-
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
-
-
 def tokenize(text: str) -> tuple[list[Token], list[LexError]]:
     tokens: list[Token] = []
     errors: list[LexError] = []
-    i = 0
     line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
+    line_start = 0  # offset of the first character of the current line
+    for m in _MASTER.finditer(text):
+        kind = m.lastgroup
+        start = m.start()
+        lexeme = m.group()
+        if kind == "skip":
+            newlines = lexeme.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + lexeme.rindex("\n") + 1
             continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        start_line, start_col, start_off = line, col, i
-        if _is_letter(ch):
-            j = i
-            while j < n and (_is_letter(text[j]) or _is_digit(text[j]) or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, word if kind == "ident" else None, start_line, start_col, start_off))
-            advance(j - i)
-            continue
-        if _is_digit(ch):
-            j = i
-            while j < n and _is_digit(text[j]):
-                j += 1
-            word = text[i:j]
-            tokens.append(Token("int", word, int(word), start_line, start_col, start_off))
-            advance(j - i)
-            continue
-        if ch == '"':
-            j = i + 1
-            buf: list[str] = []
-            ok = True
-            while True:
-                if j >= n or text[j] == "\n":
-                    errors.append(LexError(start_line, start_col, "unterminated string literal"))
-                    ok = False
-                    break
-                c = text[j]
-                if c == "\\":
-                    if j + 1 < n and text[j + 1] in ('"', "\\"):
-                        buf.append(text[j + 1])
-                        j += 2
-                        continue
-                    errors.append(LexError(start_line, start_col, "invalid string escape"))
-                    ok = False
-                    j += 1
-                    continue
-                if c == '"':
-                    j += 1
-                    break
-                buf.append(c)
-                j += 1
-            raw = text[i:j]
-            if ok:
-                tokens.append(Token("string", raw, "".join(buf), start_line, start_col, start_off))
-            advance(j - i)
-            continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                if p == "--":
-                    break  # unreachable; comments handled above
-                tokens.append(Token(p, p, None, start_line, start_col, start_off))
-                advance(len(p))
-                matched = True
-                break
-        if matched:
-            continue
-        errors.append(LexError(start_line, start_col, f"unexpected character {ch!r}"))
-        advance(1)
-
-    tokens.append(Token("eof", "", None, line, col, i))
+        col = start - line_start + 1
+        if kind == "word" and lexeme not in KEYWORDS:
+            tokens.append(Token("ident", lexeme, lexeme, line, col, start))
+        elif kind in ("word", "punct"):  # a keyword or punctuation token is its own kind
+            tokens.append(Token(lexeme, lexeme, None, line, col, start))
+        elif kind == "int":
+            try:
+                value = int(lexeme)
+            except ValueError:  # past sys.get_int_max_str_digits()
+                value = None
+            tokens.append(Token("int", lexeme, value, line, col, start))
+        elif kind == "bad":
+            errors.append(LexError(line, col, f"unexpected character {lexeme!r}"))
+        else:  # string
+            escapes = _ESCAPE.findall(m.group("body"))
+            bad_escapes = escapes.count("")
+            errors.extend(LexError(line, col, "invalid string escape") for _ in range(bad_escapes))
+            if m.group("close") is None:
+                errors.append(LexError(line, col, "unterminated string literal"))
+            elif not bad_escapes:
+                tokens.append(Token("string", lexeme, _ESCAPE.sub(r"\1", m.group("body")), line, col, start))
+    tokens.append(Token("eof", "", None, line, len(text) - line_start + 1, len(text)))
     return tokens, errors

@@ -47,6 +47,7 @@ __all__ = [
     "Cmp",
     "BoolOp",
     "RefExpr",
+    "BINARY_OPS",
     "KnowledgeItem",
     "KnowledgeIndex",
     "WorkingIndex",
@@ -285,6 +286,13 @@ class BoolOp:
 
 
 RefExpr = Union[IntLit, BoolLit, StrLit, VarRef, BinderRef, Proj, UnwrapDep, Arith, Cmp, BoolOp]
+
+# Binary refinement operators by precedence level, loosest first; every
+# level is left-associative, and postfix `.N` / `!` bind tighter than all.
+# This is the only encoding of precedence: the parser builds its operator
+# loop from it (`_Parser.parse_binary`) and the printer derives where it
+# needs parentheses from it (`printer._PREC`).
+BINARY_OPS = (("or",), ("and",), ("==", "!=", "<", "<="), ("+", "-"), ("*",))
 
 
 def free_vars_ordered(expr: RefExpr) -> tuple[VarId, ...]:

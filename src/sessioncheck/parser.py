@@ -28,16 +28,21 @@ Grammar sketch (statements are keyword-led; `--` comments; LL(2)):
 
 A parse error does not stop the parse: recovery skips to the next
 statement boundary (';', '}' or a top-level keyword) so several errors
-can be reported in one run.
+can be reported in one run. Input nested past the depth cap is the
+exception: it unwinds to the enclosing top-level declaration and parsing
+resumes at the next one, so the cap is reported once.
 """
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 from .lexer import Token, tokenize
 from .model import (
+    BINARY_OPS,
     Arith,
     BaseType,
     BinderRef,
@@ -122,6 +127,19 @@ class _SyntaxError(Exception):
         self.message = message
 
 
+class _NestingError(_SyntaxError):
+    """Past the depth cap: no statement-level recovery, the parser resumes at
+    the next top-level declaration, so one cause gives one error."""
+
+
+# The AST node each binary operator builds; BINARY_OPS orders them.
+_BINARY_NODES = {
+    "or": BoolOp, "and": BoolOp,
+    "==": Cmp, "!=": Cmp, "<": Cmp, "<=": Cmp,
+    "+": Arith, "-": Arith, "*": Arith,
+}
+
+
 # Depth cap on recursive descent and on operator chains. Inputs past it
 # get a parse error instead of exhausting the interpreter stack, and every
 # later AST walk (checker, printer, simulator) stays shallow as a result.
@@ -140,7 +158,7 @@ class _Parser:
         self.nesting += 1
         try:
             if self.nesting > _MAX_NESTING:
-                raise _SyntaxError(self.peek(), f"nesting deeper than {_MAX_NESTING} levels")
+                raise _NestingError(self.peek(), f"nesting deeper than {_MAX_NESTING} levels")
             yield
         finally:
             self.nesting -= 1
@@ -171,6 +189,12 @@ class _Parser:
             got = tok.text if tok.kind != "eof" else "end of input"
             raise _SyntaxError(tok, f"expected {want}, found {got!r}" if tok.kind != "eof" else f"expected {want}, found end of input")
         return self.advance()
+
+    def int_value(self, tok: Token) -> int:
+        """An int token's value; one past the interpreter's int/str digit limit is an error."""
+        if tok.value is None:
+            raise _SyntaxError(tok, f"integer literal longer than {sys.get_int_max_str_digits()} digits")
+        return tok.value
 
     def prev(self) -> Token:
         return self.tokens[max(self.pos - 1, 0)]
@@ -302,11 +326,9 @@ class _Parser:
 
     # -- statements ----------------------------------------------------------
 
-    def starts_arm(self) -> bool:
-        kind = self.peek().kind
-        if kind in _PATTERN_STARTS:
-            return True
-        return kind == "ident" and self.peek(1).kind == "=>"
+    def starts_arm(self, k: int = 0) -> bool:
+        kind = self.peek(k).kind
+        return kind in _PATTERN_STARTS or kind == "ident" and self.peek(k + 1).kind == "=>"
 
     def parse_block(self, in_arm: bool) -> Block:
         stmts: list[Stmt] = []
@@ -318,6 +340,8 @@ class _Parser:
                 break
             try:
                 stmts.append(self.parse_stmt())
+            except _NestingError:
+                raise
             except _SyntaxError as err:
                 self.record(err)
                 before = self.pos
@@ -325,15 +349,8 @@ class _Parser:
                 if self.pos == before and not self.at(";"):
                     break  # stuck on a top-level keyword; let the caller resync
             if self.at(";"):
-                if in_arm:
-                    nxt = self.peek(1).kind
-                    next_is_arm = (
-                        nxt in _PATTERN_STARTS
-                        or (nxt == "ident" and self.peek(2).kind == "=>")
-                        or nxt == "}"
-                    )
-                    if next_is_arm:
-                        break  # the ';' separates arms; leave it for the read loop
+                if in_arm and (self.starts_arm(1) or self.peek(1).kind == "}"):
+                    break  # the ';' separates arms; leave it for the read loop
                 self.advance()
                 continue
             break
@@ -436,10 +453,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return IntV(int(tok.value))
+            return IntV(self.int_value(tok))
         if tok.kind == "-" and self.peek(1).kind == "int":
             self.advance()
-            return IntV(-int(self.advance().value))
+            return IntV(-self.int_value(self.advance()))
         if tok.kind == "string":
             self.advance()
             return StrV(str(tok.value))
@@ -505,61 +522,26 @@ class _Parser:
 
     def parse_ref(self, labels: tuple[str, ...]) -> RefExpr:
         with self._nest():
-            return self.parse_or(labels)
+            return self.parse_binary(labels, 0)
 
-    def parse_or(self, labels) -> RefExpr:
+    def parse_binary(self, labels: tuple[str, ...], level: int) -> RefExpr:
+        """A left-associative chain of ``BINARY_OPS[level]`` over tighter operands."""
+        ops = BINARY_OPS[level]
+        # A partial adds no interpreter frame, so each nesting level costs one
+        # frame per precedence level and the depth cap stays within the
+        # default recursion limit.
+        if level + 1 < len(BINARY_OPS):
+            operand = partial(self.parse_binary, labels, level + 1)
+        else:
+            operand = partial(self.parse_postfix, labels)
         start = self.peek()
-        lhs = self.parse_and(labels)
+        lhs = operand()
         count = 0
-        while self.at("or"):
-            self._chain(count := count + 1)
-            self.advance()
-            rhs = self.parse_and(labels)
-            lhs = BoolOp("or", lhs, rhs, self.span_from(start))
-        return lhs
-
-    def parse_and(self, labels) -> RefExpr:
-        start = self.peek()
-        lhs = self.parse_cmp(labels)
-        count = 0
-        while self.at("and"):
-            self._chain(count := count + 1)
-            self.advance()
-            rhs = self.parse_cmp(labels)
-            lhs = BoolOp("and", lhs, rhs, self.span_from(start))
-        return lhs
-
-    def parse_cmp(self, labels) -> RefExpr:
-        start = self.peek()
-        lhs = self.parse_add(labels)
-        count = 0
-        while self.peek().kind in ("==", "!=", "<", "<="):
+        while self.peek().kind in ops:
             self._chain(count := count + 1)
             op = self.advance().kind
-            rhs = self.parse_add(labels)
-            lhs = Cmp(op, lhs, rhs, None, self.span_from(start))
-        return lhs
-
-    def parse_add(self, labels) -> RefExpr:
-        start = self.peek()
-        lhs = self.parse_mul(labels)
-        count = 0
-        while self.peek().kind in ("+", "-"):
-            self._chain(count := count + 1)
-            op = self.advance().kind
-            rhs = self.parse_mul(labels)
-            lhs = Arith(op, lhs, rhs, self.span_from(start))
-        return lhs
-
-    def parse_mul(self, labels) -> RefExpr:
-        start = self.peek()
-        lhs = self.parse_postfix(labels)
-        count = 0
-        while self.at("*"):
-            self._chain(count := count + 1)
-            self.advance()
-            rhs = self.parse_postfix(labels)
-            lhs = Arith("*", lhs, rhs, self.span_from(start))
+            rhs = operand()
+            lhs = _BINARY_NODES[op](op, lhs, rhs, span=self.span_from(start))
         return lhs
 
     def parse_postfix(self, labels) -> RefExpr:
@@ -571,9 +553,10 @@ class _Parser:
                 self._chain(count := count + 1)
                 self.advance()
                 idx = self.expect("int", "a 1-based tuple position")
-                if int(idx.value) < 1:
+                position = self.int_value(idx)
+                if position < 1:
                     raise _SyntaxError(idx, "projection positions are 1-based")
-                expr = Proj(expr, int(idx.value), self.span_from(start))
+                expr = Proj(expr, position, self.span_from(start))
             elif self.at("!"):
                 self._chain(count := count + 1)
                 self.advance()
@@ -583,19 +566,10 @@ class _Parser:
 
     def parse_atom(self, labels: tuple[str, ...]) -> RefExpr:
         tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return IntLit(int(tok.value), self.span_from(tok))
-        if tok.kind == "-" and self.peek(1).kind == "int":
-            self.advance()
-            val = self.advance()
-            return IntLit(-int(val.value), self.span_from(tok))
-        if tok.kind == "string":
-            self.advance()
-            return StrLit(str(tok.value), self.span_from(tok))
-        if tok.kind in ("true", "false"):
-            self.advance()
-            return BoolLit(tok.kind == "true", self.span_from(tok))
+        value = self.parse_literal_value()
+        if value is not None:
+            node = IntLit if isinstance(value, IntV) else StrLit if isinstance(value, StrV) else BoolLit
+            return node(value.value, self.span_from(tok))
         if tok.kind in ("literal", "next"):
             self.advance()
             self.expect("(")
@@ -639,7 +613,6 @@ def parse(text: str) -> SourceFile:
 def parse_trace(text: str) -> Trace:
     """Parse a `.trace` file; raises ParseFailure on malformed value syntax."""
     p = _Parser(text)
-    p.errors = [e for e in p.errors]  # lex errors carry over
     bindings: list[TraceBinding] = []
     while not p.at("eof"):
         try:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .model import (
+    BINARY_OPS,
     Arith,
     BaseType,
     BinderRef,
@@ -46,15 +47,12 @@ from .syntax import (
     WildPat,
 )
 
-__all__ = ["format_source", "format_type", "format_ref", "format_value", "format_stmt"]
+__all__ = ["format_source", "format_type", "format_ref", "format_value", "format_pattern", "format_stmt"]
 
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_CMP = 3
-_PREC_ADD = 4
-_PREC_MUL = 5
-_PREC_POSTFIX = 6
-_PREC_ATOM = 7
+# Binding strength of each binary operator (higher binds tighter), from the
+# one precedence table; postfix `.N` and `!` bind tighter than all of them.
+_PREC = {op: level + 1 for level, ops in enumerate(BINARY_OPS) for op in ops}
+_PREC_POSTFIX = len(BINARY_OPS) + 1
 
 
 def _escape(s: str) -> str:
@@ -131,21 +129,16 @@ def _ref(e: RefExpr, labels: tuple[str, ...], parent: int) -> str:
         if isinstance(inner, Arith) and inner.op == "+" and isinstance(inner.rhs, IntLit) and inner.rhs.value == 1:
             return f"next({_ref(inner.lhs, labels, 0)})"
         # malformed sugar tag; fall through to the plain rendering
-    if isinstance(e, Arith):
-        prec = _PREC_ADD if e.op in ("+", "-") else _PREC_MUL
-        out = f"{_ref(e.lhs, labels, prec)} {e.op} {_ref(e.rhs, labels, prec + 1)}"
-        return f"({out})" if prec < parent else out
-    if isinstance(e, Cmp):
-        out = f"{_ref(e.lhs, labels, _PREC_CMP)} {e.op} {_ref(e.rhs, labels, _PREC_CMP + 1)}"
-        return f"({out})" if _PREC_CMP < parent else out
-    if isinstance(e, BoolOp):
-        prec = _PREC_AND if e.op == "and" else _PREC_OR
+    if isinstance(e, (Arith, Cmp, BoolOp)):
+        # left-associative: only a right operand at the same level needs parentheses
+        prec = _PREC[e.op]
         out = f"{_ref(e.lhs, labels, prec)} {e.op} {_ref(e.rhs, labels, prec + 1)}"
         return f"({out})" if prec < parent else out
     raise TypeError(f"unprintable refinement: {e!r}")
 
 
-def _format_pattern(p: Pattern) -> str:
+def format_pattern(p: Pattern) -> str:
+    """A read-arm pattern as written: constructor tag, literal or `_`."""
     if isinstance(p, CtorPat):
         return p.tag
     if isinstance(p, LitPat):
@@ -191,7 +184,7 @@ def _emit_arms(arms: tuple[Arm, ...], indent: int, out: list[str]) -> None:
     pad = "  " * indent
     for i, arm in enumerate(arms):
         sep = ";" if i < len(arms) - 1 else ""
-        head = _format_pattern(arm.pattern)
+        head = format_pattern(arm.pattern)
         if len(arm.body) == 1 and not isinstance(arm.body[0], ReadCase):
             out.append(f"{pad}{head} => {format_stmt(arm.body[0])}{sep}")
         else:

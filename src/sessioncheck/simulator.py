@@ -37,7 +37,7 @@ from .model import (
     freeze,
     Span,
 )
-from .printer import format_ref, format_type, format_value
+from .printer import format_pattern, format_ref, format_type, format_value
 from .syntax import (
     BoolV,
     Call,
@@ -355,14 +355,6 @@ def _pattern_matches(pattern, value: Value) -> bool:
     return False
 
 
-def _arm_name(pattern) -> str:
-    if isinstance(pattern, WildPat):
-        return "_"
-    if isinstance(pattern, CtorPat):
-        return pattern.tag
-    return format_value(pattern.value)
-
-
 def run_trace(file: SourceFile, trace: Trace, *, max_steps: int = 10_000) -> RunReport:
     """Execute the entry protocol of a checked file against a trace."""
     entry = resolve_entry(file)
@@ -461,7 +453,7 @@ def run_trace(file: SourceFile, trace: Trace, *, max_steps: int = 10_000) -> Run
                 )
             for arm in stmt.arms:
                 if _pattern_matches(arm.pattern, value):
-                    events.append(CaseTaken(stmt.var.name, _arm_name(arm.pattern)))
+                    events.append(CaseTaken(stmt.var.name, format_pattern(arm.pattern)))
                     block = arm.body
                     pos = 0
                     break

@@ -7,10 +7,10 @@ a parse/print round trip compares structurally equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
-from .model import RefinedType, RoleId, Span, TypeExpr, VarId, VariantDecl
+from .model import RefinedType, RoleId, Span, TypeExpr, VarId, VariantDecl, _span_field
 
 __all__ = [
     "IntV",
@@ -41,10 +41,6 @@ __all__ = [
     "TraceBinding",
     "Trace",
 ]
-
-
-def _span_field():
-    return field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------

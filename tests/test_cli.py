@@ -317,3 +317,28 @@ def test_simulate_text_names_knowers_after_each_send(corpus):
         "sent     m2 Bob -> Alice; known to Bob, Alice",
         "sent     m3 Alice -> Bob; known to Alice, Bob",
     ]
+
+
+def test_integer_literal_past_the_digit_limit_is_one_parse_error(corpus, tmp_path):
+    big = "9" * 5000
+    ssn = tmp_path / "big.ssn"
+    ssn.write_text(f"roles A, B\nprotocol P [A, B] {{\n  dep d : (x : Int) where x == {big} by A;\n  send d A -> B;\n  end\n}}\n")
+    trace = tmp_path / "big.trace"
+    trace.write_text(f"m1 = (SYN, {big})\n")
+    runs = [
+        (("check", "--color", "never", str(ssn)), "stdout", f"{ssn}:3:32"),
+        (("simulate", "--color", "never", str(corpus / "tcp.ssn"), "--trace", str(trace)), "stderr", f"{trace}:1:12"),
+    ]
+    for argv, stream, where in runs:
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, argv
+        assert getattr(proc, stream) == f"{where}: error[parse]: integer literal longer than 4300 digits\n", argv
+        assert "Traceback" not in proc.stderr, argv
+    # a literal the interpreter converts still parses and prints back unchanged
+    ok = tmp_path / "ok.ssn"
+    ok.write_text(ssn.read_text().replace(big, "-" + "7" * 4000))
+    assert run_cli("fmt", str(ok)).returncode == 0
+    assert "-" + "7" * 4000 + " by A" in ok.read_text()
+    proc = run_cli("fmt", "--check", str(ok))
+    assert (proc.returncode, proc.stdout) == (0, "")
+    assert run_cli("check", str(ok)).returncode == 0

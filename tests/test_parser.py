@@ -9,7 +9,9 @@ from sessioncheck.model import (
     STR,
     Arith,
     BinderRef,
+    BoolOp,
     Cmp,
+    Span,
     IntLit,
     NamedType,
     Proj,
@@ -195,30 +197,105 @@ def test_spans_cover_statements():
     assert msg.span.length == len("msg m : Int by A")
 
 
+def test_operator_ladder_node_types_and_spans():
+    # `==` on nodes ignores spans, so walk the tree: each node starts at the
+    # first token of its precedence level and ends at its last token.
+    src = "roles A\nprotocol P [A] {\n  dep x : Bool where a or b and c == d + e * f!.1 by A;\n  end\n}"
+    pred = parse(src).protocols[0].body[0].rtype.predicate
+    a = src.splitlines()[2].index("a or") + 1
+
+    def walk(e):
+        kids = [getattr(e, f) for f in ("lhs", "rhs", "base") if hasattr(e, f)]
+        out = [(type(e).__name__, getattr(e, "op", None), e.span)]
+        for k in kids:
+            out += walk(k)
+        return out
+
+    assert walk(pred) == [
+        ("BoolOp", "or", Span(3, a, 28)),
+        ("VarRef", None, Span(3, a, 1)),
+        ("BoolOp", "and", Span(3, a + 5, 23)),
+        ("VarRef", None, Span(3, a + 5, 1)),
+        ("Cmp", "==", Span(3, a + 11, 17)),
+        ("VarRef", None, Span(3, a + 11, 1)),
+        ("Arith", "+", Span(3, a + 16, 12)),
+        ("VarRef", None, Span(3, a + 16, 1)),
+        ("Arith", "*", Span(3, a + 20, 8)),
+        ("VarRef", None, Span(3, a + 20, 1)),
+        ("Proj", None, Span(3, a + 24, 4)),
+        ("UnwrapDep", None, Span(3, a + 24, 2)),
+        ("VarRef", None, Span(3, a + 24, 1)),
+    ]
+    assert pred == BoolOp(
+        "or",
+        VarRef(VarId("a")),
+        BoolOp(
+            "and",
+            VarRef(VarId("b")),
+            Cmp(
+                "==",
+                VarRef(VarId("c")),
+                Arith("+", VarRef(VarId("d")), Arith("*", VarRef(VarId("e")), Proj(UnwrapDep(VarRef(VarId("f"))), 1))),
+            ),
+        ),
+    )
+
+
 def test_string_escapes():
     file = parse('roles A\nprotocol P [A] { dep s : Str where literal("a\\"b\\\\c") by A; end }')
     pred = file.protocols[0].body[0].rtype.predicate
     assert pred.rhs == StrLit('a"b\\c')
 
 
+DEEP_EXPR = (
+    "roles A\nprotocol P [A] { dep d : (x : Int) where x == "
+    + "(" * 5000 + "1" + ")" * 5000 + " by A; end }"
+)
+DEEP_CHAIN = (
+    "roles A\nprotocol P [A] { dep d : (x : Int) where x == "
+    + " + ".join(["1"] * 5000) + " by A; end }"
+)
+DEEP_READS = (
+    "roles A\nprotocol P [A] { msg m0 : Int by A; "
+    + "read m0 { _ => " * 2000 + "end" + " }" * 2000 + " }"
+)
+# Two arms per read: statement-level recovery at the limit would resume at
+# the wildcard arm and hit the limit a second time.
+DEEP_ARMS = (
+    "roles A\nprotocol P [A] { msg m : Int by A; "
+    + "read m { -1 => end; _ => " * 120 + "end" + " }" * 120 + " }"
+)
+
+
 def test_pathological_nesting_is_a_parse_error_not_a_crash():
-    deep_expr = (
-        "roles A\nprotocol P [A] { dep d : (x : Int) where x == "
-        + "(" * 5000 + "1" + ")" * 5000 + " by A; end }"
-    )
-    deep_chain = (
-        "roles A\nprotocol P [A] { dep d : (x : Int) where x == "
-        + " + ".join(["1"] * 5000) + " by A; end }"
-    )
-    deep_reads = (
-        "roles A\nprotocol P [A] { msg m0 : Int by A; "
-        + "read m0 { _ => " * 2000 + "end" + " }" * 2000 + " }"
-    )
-    for src in (deep_expr, deep_chain, deep_reads):
+    for src in (DEEP_EXPR, DEEP_CHAIN, DEEP_READS):
         with pytest.raises(ParseFailure):
             parse(src)
     with pytest.raises(ParseFailure):
         parse_trace("m = " + "(1, " * 5000 + "1" + ")" * 5000)
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        (DEEP_EXPR, "nesting deeper than 100 levels"),
+        (DEEP_ARMS, "nesting deeper than 100 levels"),
+        (DEEP_CHAIN, "operator chain longer than 100 terms"),
+        (DEEP_READS, "nesting deeper than 100 levels"),
+    ],
+    ids=["deep_expr", "deep_arms", "deep_chain", "deep_reads"],
+)
+def test_nesting_limit_gives_exactly_one_error(src, message):
+    # the error unwinds to the top-level declaration instead of cascading
+    # through every enclosing block and parenthesis
+    with pytest.raises(ParseFailure) as info:
+        parse(src)
+    assert len(info.value.errors) == 1
+    assert info.value.errors[0].message == message
+    # and parsing resumes at the next top-level declaration
+    with pytest.raises(ParseFailure) as info:
+        parse(src + "\nprotocol Q [A] { msg }")
+    assert [e.message for e in info.value.errors] == [message, "expected a message variable, found '}'"]
 
 
 def test_unicode_identifiers_rejected_as_parse_errors():
