@@ -1,9 +1,9 @@
 """Command-line interface: check, simulate, explain, and fmt.
 
 Exit codes are stable for CI use: 0 success, 1 the tool ran but found
-errors (diagnostics, a failed run, or fmt --check differences), 2 an
-input could not be read or parsed (and, for simulate, a file that fails
-the checker).
+errors (diagnostics, a failed run, or fmt --check differences) or stdout
+was closed before the output was written, 2 an input could not be read or
+parsed (and, for simulate, a file that fails the checker).
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .simulator import (
 
 __all__ = ["main"]
 
+_json_str = json.encoder.encode_basestring_ascii  # the C escaper, as json.dumps uses
+
 
 @dataclass
 class _Style:
@@ -63,14 +65,32 @@ def _want_color(choice: str) -> bool:
     return sys.stdout.isatty()
 
 
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s file descriptor at devnull after its reader went
+    away, so its pending output and the flush at interpreter exit cannot
+    fail again ("Note on SIGPIPE" in the signal module docs)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _warn(text: str) -> None:
+    """Print a line to stderr. A closed stderr drops it and leaves the exit
+    code as it would have been."""
+    try:
+        print(text, file=sys.stderr)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+
+
 def _read(path: str) -> str | None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as err:
-        print(f"sessioncheck: cannot read {path}: {err.strerror or err}", file=sys.stderr)
+        _warn(f"sessioncheck: cannot read {path}: {err.strerror or err}")
     except UnicodeDecodeError as err:
-        print(f"sessioncheck: cannot read {path}: not UTF-8 text ({err.reason} at byte {err.start})", file=sys.stderr)
+        _warn(f"sessioncheck: cannot read {path}: not UTF-8 text ({err.reason} at byte {err.start})")
     return None
 
 
@@ -84,6 +104,67 @@ def _parse_error_json(file: str, e: ParseError) -> dict:
         "len": 1,
         "message": e.message,
     }
+
+
+def _print_json(obj) -> None:
+    """Print ``obj`` byte for byte as ``print(json.dumps(obj, indent=2))`` would.
+
+    The stdlib encodes an indented document in pure Python and holds every
+    chunk of it before printing. This renders into one list and writes each
+    element of a list at depth 0 or 1 out as soon as it is rendered, so the
+    text of only one report event, diagnostic or explain step is held at a
+    time. Strings go through the stdlib's C escaper. It takes dict (str
+    keys), list, str, int, bool and None, and raises TypeError on anything
+    else.
+    """
+    write = sys.stdout.write
+    chunks: list[str] = []
+    append = chunks.append
+
+    def emit(o, indent: str) -> None:
+        # ``indent`` is the newline and indentation of o's own line.
+        if isinstance(o, str):
+            append(_json_str(o))
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = indent + "  "
+            sep = "{" + inner
+            for k, v in o.items():
+                append(sep + _json_str(k) + ": ")  # TypeError unless k is a str
+                emit(v, inner)
+                sep = "," + inner
+            append(indent + "}")
+        elif isinstance(o, list):
+            if not o:
+                append("[]")
+                return
+            inner = indent + "  "
+            stream = len(indent) <= 3  # the list is at depth 0 or 1
+            sep = "[" + inner
+            for item in o:
+                append(sep)
+                emit(item, inner)
+                if stream:
+                    write("".join(chunks))
+                    chunks.clear()
+                sep = "," + inner
+            append(indent + "]")
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    emit(obj, "\n")
+    append("\n")
+    write("".join(chunks))
 
 
 def _diag_text(d: dict, style: _Style) -> str:
@@ -121,7 +202,7 @@ def _cmd_check(args, style: _Style) -> int:
         if result.errors:
             worst = max(worst, 1)
     if args.format == "json":
-        print(json.dumps(diags, indent=2))
+        _print_json(diags)
     else:
         for d in diags:
             print(_diag_text(d, style))
@@ -132,7 +213,7 @@ def _cmd_simulate(args, style: _Style) -> int:
     diags: list[dict] = []
     loaded = _load_checked(args.files[0], diags)
     for d in diags:
-        print(_diag_text(d, style), file=sys.stderr)
+        _warn(_diag_text(d, style))
     if loaded == 2:
         return 2
     file, result = loaded
@@ -145,11 +226,11 @@ def _cmd_simulate(args, style: _Style) -> int:
         trace = parse_trace(trace_text)
     except ParseFailure as fail:
         for e in fail.errors:
-            print(_diag_text(_parse_error_json(args.trace, e), style), file=sys.stderr)
+            _warn(_diag_text(_parse_error_json(args.trace, e), style))
         return 2
     report = run_trace(file, trace, max_steps=args.max_steps)
     if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
+        _print_json(report.to_json())
     else:
         _print_report(report)
     return 0 if report.completed else 1
@@ -190,14 +271,14 @@ def _cmd_explain(args, style: _Style) -> int:
     diags: list[dict] = []
     loaded = _load_checked(args.files[0], diags, record_steps=True)
     for d in diags:
-        print(_diag_text(d, style), file=sys.stderr)
+        _warn(_diag_text(d, style))
     if loaded == 2:
         return 2
     _, result = loaded
     if result.errors:
         return 1
     if args.format == "json":
-        print(json.dumps(_explain_json(result), indent=2))
+        _print_json(_explain_json(result))
         return 0
     _print_explain(result)
     return 0
@@ -262,7 +343,7 @@ def _cmd_fmt(args, style: _Style) -> int:
             file = parse(text)
         except ParseFailure as fail:
             for e in fail.errors:
-                print(_diag_text(_parse_error_json(path, e), style), file=sys.stderr)
+                _warn(_diag_text(_parse_error_json(path, e), style))
             worst = 2
             continue
         formatted = format_source(file)
@@ -312,13 +393,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "simulate" and args.max_steps < 0:
         ap.error(f"argument --max-steps: must be 0 or more, got {args.max_steps}")
     style = _Style(_want_color(args.color))
-    if args.command == "check":
-        return _cmd_check(args, style)
-    if args.command == "simulate":
-        return _cmd_simulate(args, style)
-    if args.command == "explain":
-        return _cmd_explain(args, style)
-    return _cmd_fmt(args, style)
+    command = {"check": _cmd_check, "simulate": _cmd_simulate, "explain": _cmd_explain, "fmt": _cmd_fmt}
+    try:
+        code = command[args.command](args, style)
+        sys.stdout.flush()  # a closed pipe must show here, not at interpreter exit
+    except BrokenPipeError:  # stdout's: _warn absorbs stderr's
+        # The reader went away (`... | head`): exit 1 without a traceback.
+        _to_devnull(sys.stdout)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

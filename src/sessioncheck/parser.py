@@ -170,11 +170,13 @@ class _Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, k: int = 0) -> Token:
-        i = min(self.pos + k, len(self.tokens) - 1)
-        return self.tokens[i]
+        try:
+            return self.tokens[self.pos + k]
+        except IndexError:  # lookahead past the end sees the final 'eof'
+            return self.tokens[-1]
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind  # pos never passes 'eof'
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -224,6 +226,25 @@ class _Parser:
                 if depth < 0:
                     return
             self.advance()
+
+    def sync_arm(self) -> bool:
+        """Skip the rest of an arm whose head did not parse, up to the ';'
+        before the next arm or the '}' that closes the read. If neither
+        comes first, stay put and return False. Only braces nest here: an
+        arm body holds no ';' or '}' inside parentheses or brackets."""
+        start = self.pos
+        depth = 0
+        while not self.at("eof") and self.peek().kind not in _TOP_KEYWORDS:
+            kind = self.peek().kind
+            if depth == 0 and (kind == "}" or kind == ";" and self.ends_arm()):
+                return True
+            if kind == "{":
+                depth += 1
+            elif kind == "}":
+                depth -= 1
+            self.advance()
+        self.pos = start
+        return False
 
     def sync_top(self) -> None:
         while not self.at("eof") and self.peek().kind not in _TOP_KEYWORDS:
@@ -330,6 +351,10 @@ class _Parser:
         kind = self.peek(k).kind
         return kind in _PATTERN_STARTS or kind == "ident" and self.peek(k + 1).kind == "=>"
 
+    def ends_arm(self) -> bool:
+        """At a ';' that separates arms (or ends the last one)."""
+        return self.starts_arm(1) or self.peek(1).kind == "}"
+
     def parse_block(self, in_arm: bool) -> Block:
         stmts: list[Stmt] = []
         errors_before = len(self.errors)
@@ -339,7 +364,9 @@ class _Parser:
             if in_arm and self.starts_arm():
                 break
             try:
-                stmts.append(self.parse_stmt())
+                stmt = self.parse_stmt()
+                if stmt is not None:
+                    stmts.append(stmt)
             except _NestingError:
                 raise
             except _SyntaxError as err:
@@ -349,7 +376,7 @@ class _Parser:
                 if self.pos == before and not self.at(";"):
                     break  # stuck on a top-level keyword; let the caller resync
             if self.at(";"):
-                if in_arm and (self.starts_arm(1) or self.peek(1).kind == "}"):
+                if in_arm and self.ends_arm():
                     break  # the ';' separates arms; leave it for the read loop
                 self.advance()
                 continue
@@ -362,11 +389,13 @@ class _Parser:
             self.error_here("a path must finish with 'end', 'rec', 'call', or 'read'")
         return tuple(stmts)
 
-    def parse_stmt(self) -> Stmt:
+    def parse_stmt(self) -> Stmt | None:
+        """One statement, or None for a read whose every arm was skipped
+        (its errors are already recorded)."""
         with self._nest():
             return self._parse_stmt()
 
-    def _parse_stmt(self) -> Stmt:
+    def _parse_stmt(self) -> Stmt | None:
         tok = self.peek()
         kind = tok.kind
         if kind == "msg":
@@ -403,7 +432,8 @@ class _Parser:
                     break
                 arms.append(self.parse_arm())
             self.expect("}")
-            return ReadCase(var, tuple(arms), self.span_from(tok))
+            arms = [arm for arm in arms if arm is not None]
+            return ReadCase(var, tuple(arms), self.span_from(tok)) if arms else None
         if kind == "rec":
             self.advance()
             return Rec(self.span_from(tok))
@@ -429,10 +459,20 @@ class _Parser:
             return End(self.span_from(tok))
         raise _SyntaxError(tok, "expected a statement")
 
-    def parse_arm(self) -> Arm:
+    def parse_arm(self) -> Arm | None:
+        """One arm, or None when its pattern or '=>' is bad and an arm
+        boundary follows: the error is recorded and the arm skipped, so the
+        read's other arms still parse. Without a boundary the error goes
+        to statement-level recovery."""
         start = self.peek()
-        pattern = self.parse_pattern()
-        self.expect("=>")
+        try:
+            pattern = self.parse_pattern()
+            self.expect("=>")
+        except _SyntaxError as err:
+            if not self.sync_arm():
+                raise
+            self.record(err)
+            return None
         body = self.parse_block(in_arm=True)
         return Arm(pattern, body, self.span_from(start))
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import jsonschema
 
@@ -342,3 +344,40 @@ def test_integer_literal_past_the_digit_limit_is_one_parse_error(corpus, tmp_pat
     proc = run_cli("fmt", "--check", str(ok))
     assert (proc.returncode, proc.stdout) == (0, "")
     assert run_cli("check", str(ok)).returncode == 0
+
+
+def test_closed_stdout_exits_one_without_a_traceback(corpus, tmp_path):
+    # far more output than a pipe buffers, so writes go on after the reader
+    # has gone
+    rounds = 'cmd = Echo\nwelcome = "Welcome to Echo!"\nrequest = "hi"\nreply = "hi"\n' * 300
+    trace = tmp_path / "long.trace"
+    trace.write_text(rounds + "cmd = Quit\n")
+    argv = ["simulate", str(corpus / "server.ssn"), "--trace", str(trace), "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sessioncheck", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    try:
+        assert proc.stdout.read(12) == b'{\n  "status"'
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert stderr == b""
+
+
+def test_closed_stderr_keeps_the_exit_code(tmp_path):
+    # an unparsable file exits 2 even when its diagnostic cannot be written
+    bad = tmp_path / "bad.ssn"
+    bad.write_text("roles A\nprotocol P [A] { msg }\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for argv in (["simulate", str(bad), "--trace", str(bad)], ["fmt", str(bad)], ["explain", str(bad)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "sessioncheck", *argv], stdout=subprocess.PIPE, stderr=write_end, timeout=60
+            )
+            assert (proc.returncode, proc.stdout) == (2, b""), argv
+    finally:
+        os.close(write_end)

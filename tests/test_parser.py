@@ -298,6 +298,31 @@ def test_nesting_limit_gives_exactly_one_error(src, message):
     assert [e.message for e in info.value.errors] == [message, "expected a message variable, found '}'"]
 
 
+BAD_ARM = "roles A, B\nprotocol P [A, B] {\n  msg m : Int by A;\n  send m A -> B;\n  read m { %s }\n}\n"
+
+
+@pytest.mark.parametrize(
+    "arms, errors",
+    [
+        ("1.5 => end; _ => end", [(5, 13, "expected '=>', found '.'")]),
+        ("9" * 5000 + " => end; _ => end", [(5, 12, "integer literal longer than 4300 digits")]),
+        ("1.5 => msg x : Int by A; send x A -> B; read x { _ => end }; 2 => end", [(5, 13, "expected '=>', found '.'")]),
+        ("0 => end; 1.5 => end", [(5, 23, "expected '=>', found '.'")]),
+        ("1.5 => end", [(5, 13, "expected '=>', found '.'")]),
+        ("", [(5, 13, "expected a pattern (constructor tag, literal, or '_')")]),
+        ("1.5 => end; 2.5 => end; _ => end", [(5, 13, "expected '=>', found '.'"), (5, 25, "expected '=>', found '.'")]),
+    ],
+    ids=["float", "long_literal", "long_arm", "last_arm", "only_arm", "no_arm", "two_bad_arms"],
+)
+def test_bad_read_arm_pattern_gives_one_error_per_arm(arms, errors):
+    # recovery skips to the next arm inside the read; the read's '}' is not
+    # taken for the protocol's, so nothing cascades to the top level
+    with pytest.raises(ParseFailure) as info:
+        parse(BAD_ARM % arms + "protocol Q [A] { msg }\n")
+    got = [(e.line, e.col, e.message) for e in info.value.errors]
+    assert got == errors + [(7, 22, "expected a message variable, found '}'")]
+
+
 def test_unicode_identifiers_rejected_as_parse_errors():
     # str.isalpha/isdigit accept these; the lexer must not
     for src in ("roles Alicé", "roles A\nprotocol P [A] { msg m : Int by A; send m¹ A -> B; end }"):
