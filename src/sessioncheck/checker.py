@@ -171,9 +171,8 @@ class CheckResult:
     # One entry per maximal control path (ending in end, rec, or a tail
     # call); empty whenever any error-severity diagnostic was emitted.
     final_indices: list[tuple[str, KnowledgeIndex]]
-    # Both stay empty unless check_file(..., record_steps=True).
+    # Empty unless check_file(..., record_steps=True).
     step_log: list[StepRecord] = field(default_factory=list)
-    node_indices: dict[Span, KnowledgeIndex] = field(default_factory=dict)
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -200,10 +199,7 @@ class _Checker:
         self.diags: list[Diagnostic] = []
         self.final: list[tuple[str, KnowledgeIndex]] = []
         self.step_log: list[StepRecord] = []
-        self.node_indices: dict[Span, KnowledgeIndex] = {}
         self.role_names = {r.name for r in file.roles}
-        self.variants = {v.name: v for v in file.variants}
-        self.protocols = {p.name: p for p in file.protocols}
         self.instantiated: set[tuple[str, tuple[str, ...]]] = set()
         self.queue: list[tuple[str, tuple[str, ...]]] = []
 
@@ -224,7 +220,7 @@ class _Checker:
                 self.check_protocol(proto, binding=None, label=proto.name)
         while self.queue:
             name, args = self.queue.pop(0)
-            proto = self.protocols[name]
+            proto = self.file.protocol(name)
             binding = dict(zip((q.name for q in proto.params), args))
             self.check_protocol(proto, binding=binding, label=f"{name}<{', '.join(args)}>")
         for proto in self.file.protocols:
@@ -240,7 +236,6 @@ class _Checker:
             diagnostics=deduped,
             final_indices=[] if has_errors else self.final,
             step_log=self.step_log,
-            node_indices=self.node_indices,
         )
 
     # -- declaration-level checks -------------------------------------------
@@ -274,7 +269,7 @@ class _Checker:
                 if q.name in seen_params:
                     self.emit("E001", q.span or p.span, f"duplicate parameter '{q.name}'")
                 seen_params.add(q.name)
-                if q.name in self.protocols:
+                if self.file.protocol(q.name) is not None:
                     self.emit("E001", q.span or p.span, f"parameter '{q.name}' shadows a declared protocol")
                 self.check_role_list(q.signature, q.span or p.span, f"parameter '{q.name}'")
             self.check_role_list(p.participants, p.span, f"protocol '{p.name}'")
@@ -290,7 +285,7 @@ class _Checker:
 
     def check_type(self, t: TypeExpr, span: Span | None) -> None:
         if isinstance(t, NamedType):
-            if t.name not in self.variants:
+            if self.file.variant(t.name) is None:
                 self.emit("E001", t.span or span, f"unknown type '{t.name}'")
         elif isinstance(t, TupleType):
             for e in t.elems:
@@ -316,7 +311,7 @@ class _Checker:
 
     def check_protocol(self, proto: ProtocolDecl, binding: dict[str, str] | None, label: str) -> None:
         ctx = _ProtoCtx(self, proto, binding or {}, label)
-        ctx.check_block(proto.body, {}, label, guarded=False, origins={})
+        ctx.check_block(proto.body, {}, label, guarded=False)
 
     def enqueue_instantiation(self, name: str, args: tuple[str, ...]) -> None:
         key = (name, args)
@@ -348,21 +343,15 @@ class _ProtoCtx:
             self.emit("E002", span, f"{what} '{role.name}' is not a participant of protocol '{self.proto.name}'")
 
     def record(self, stmt: Stmt, path: str, index: WorkingIndex) -> None:
-        if not self.checker.record_steps:
-            return
-        snapshot = freeze(index)
-        if stmt.span is not None:
-            self.checker.node_indices[stmt.span] = snapshot
-        self.checker.step_log.append(
-            StepRecord(self.label, path, stmt.span or _FALLBACK_SPAN, format_stmt(stmt), snapshot)
-        )
+        if self.checker.record_steps:
+            self.checker.step_log.append(
+                StepRecord(self.label, path, stmt.span or _FALLBACK_SPAN, format_stmt(stmt), freeze(index))
+            )
 
     def finish(self, path: str, index: WorkingIndex) -> None:
         self.checker.final.append((path, freeze(index)))
 
-    def check_block(
-        self, block: Block, index: WorkingIndex, path: str, guarded: bool, origins: dict[str, Span]
-    ) -> None:
+    def check_block(self, block: Block, index: WorkingIndex, path: str, guarded: bool) -> None:
         i = 0
         while i < len(block):
             stmt = block[i]
@@ -373,19 +362,19 @@ class _ProtoCtx:
                 continue
             if isinstance(stmt, ReadCase) and not last:
                 self.emit("E007", stmt.span, "'read' must be the last statement on its path")
-                self.check_read(stmt, index, path, guarded, origins)
+                self.check_read(stmt, index, path, guarded)
                 return  # successors are unreachable behind the arms
             if isinstance(stmt, NewMsg):
-                self.check_new_msg(stmt, index, origins)
+                self.check_new_msg(stmt, index)
                 guarded = True
             elif isinstance(stmt, NewDepMsg):
-                self.check_new_dep(stmt, index, origins)
+                self.check_new_dep(stmt, index)
                 guarded = True
             elif isinstance(stmt, Send):
-                self.check_send(stmt, index, origins)
+                self.check_send(stmt, index)
                 guarded = True
             elif isinstance(stmt, ReadCase):
-                self.check_read(stmt, index, path, guarded, origins)
+                self.check_read(stmt, index, path, guarded)
                 return
             elif isinstance(stmt, Rec):
                 if not guarded:
@@ -406,12 +395,12 @@ class _ProtoCtx:
         # built AST may fall through: treat it as an implicit end.
         self.finish(path, index)
 
-    def check_new_msg(self, stmt: NewMsg, index: WorkingIndex, origins: dict[str, Span]) -> None:
+    def check_new_msg(self, stmt: NewMsg, index: WorkingIndex) -> None:
         self.check_role(stmt.creator, stmt.span, "creator")
         self.checker.check_type(stmt.type, stmt.span)
-        self.bind_var(stmt.var, stmt.type, stmt.creator, stmt.span, index, origins)
+        self.bind_var(stmt.var, stmt.type, stmt.creator, stmt.span, index)
 
-    def check_new_dep(self, stmt: NewDepMsg, index: WorkingIndex, origins: dict[str, Span]) -> None:
+    def check_new_dep(self, stmt: NewDepMsg, index: WorkingIndex) -> None:
         self.check_role(stmt.creator, stmt.span, "creator")
         self.checker.check_type(stmt.rtype.payload, stmt.span)
         deps = free_vars_ordered(stmt.rtype.predicate)
@@ -426,7 +415,7 @@ class _ProtoCtx:
                     "E004",
                     stmt.span,
                     f"'{stmt.var.name}' depends on '{v.name}', whose value creator '{stmt.creator.name}' does not know",
-                    related=origins.get(v.name),
+                    related=item.origin,
                 )
         if all_bound:
             env = {v.name: index[v].type for v in deps}
@@ -436,23 +425,22 @@ class _ProtoCtx:
                     self.emit("E010", stmt.span, f"refinement must be Bool, found {format_type(result)}")
             except KindError as err:
                 self.emit("E010", err.span, f"ill-kinded refinement: {err.message}")
-        self.bind_var(stmt.var, stmt.rtype, stmt.creator, stmt.span, index, origins)
+        self.bind_var(stmt.var, stmt.rtype, stmt.creator, stmt.span, index)
 
-    def bind_var(self, var, type_, creator, span, index: WorkingIndex, origins: dict[str, Span]) -> None:
-        if var in index:
+    def bind_var(self, var, type_, creator, span, index: WorkingIndex) -> None:
+        item = index.get(var)
+        if item is not None:
             self.emit(
                 "E009",
                 span,
                 f"message variable '{var.name}' is already bound on this path",
-                related=origins.get(var.name),
+                related=item.origin,
             )
             add_knower(index, var, creator)
             return
-        if span is not None:
-            origins[var.name] = span
-        add_item(index, var, type_, creator)
+        add_item(index, var, type_, creator, span)
 
-    def check_send(self, stmt: Send, index: WorkingIndex, origins: dict[str, Span]) -> None:
+    def check_send(self, stmt: Send, index: WorkingIndex) -> None:
         self.check_role(stmt.sender, stmt.span, "sender")
         self.check_role(stmt.receiver, stmt.span, "receiver")
         if stmt.sender == stmt.receiver:
@@ -466,13 +454,11 @@ class _ProtoCtx:
                 "E003",
                 stmt.span,
                 f"sender '{stmt.sender.name}' does not know '{stmt.var.name}'",
-                related=origins.get(stmt.var.name),
+                related=item.origin,
             )
         add_knower(index, stmt.var, stmt.receiver)
 
-    def check_read(
-        self, stmt: ReadCase, index: WorkingIndex, path: str, guarded: bool, origins: dict[str, Span]
-    ) -> None:
+    def check_read(self, stmt: ReadCase, index: WorkingIndex, path: str, guarded: bool) -> None:
         item = index.get(stmt.var)
         if item is None:
             self.emit("E009", stmt.span, f"message variable '{stmt.var.name}' is not bound on this path")
@@ -489,8 +475,8 @@ class _ProtoCtx:
         # Every arm but the last works on a copy; the last takes this path's own.
         last = len(stmt.arms) - 1
         for i, arm in enumerate(stmt.arms):
-            arm_index, arm_origins = (index, origins) if i == last else (index.copy(), dict(origins))
-            self.check_block(arm.body, arm_index, f"{path}/{format_pattern(arm.pattern)}", guarded, arm_origins)
+            arm_index = index if i == last else index.copy()
+            self.check_block(arm.body, arm_index, f"{path}/{format_pattern(arm.pattern)}", guarded)
 
     def check_coverage(self, stmt: ReadCase, scrutinee: TypeExpr) -> None:
         effective = scrutinee.payload if isinstance(scrutinee, RefinedType) else scrutinee
@@ -498,7 +484,7 @@ class _ProtoCtx:
         if isinstance(effective, ErrorType):
             return
         if isinstance(effective, NamedType):
-            decl = self.checker.variants.get(effective.name)
+            decl = self.checker.file.variant(effective.name)
             if decl is None:
                 return  # unresolved type was already reported at the binding site
             covered: set[str] = set()
@@ -533,12 +519,12 @@ class _ProtoCtx:
             if stmt.args:
                 self.emit("E001", stmt.span, f"protocol parameter '{stmt.target}' takes no arguments")
             if self.binding and stmt.target in self.binding:
-                callee_participants = self.checker.protocols[self.binding[stmt.target]].participants
+                callee_participants = self.checker.file.protocol(self.binding[stmt.target]).participants
             else:
                 sig = next(q.signature for q in self.proto.params if q.name == stmt.target)
                 callee_participants = sig
         else:
-            decl = self.checker.protocols.get(stmt.target)
+            decl = self.checker.file.protocol(stmt.target)
             if decl is None:
                 self.emit("E001", stmt.span, f"unknown protocol '{stmt.target}'")
             else:
@@ -552,7 +538,7 @@ class _ProtoCtx:
                 elif decl.params:
                     ok = True
                     for arg_name, param in zip(stmt.args, decl.params):
-                        arg = self.checker.protocols.get(arg_name)
+                        arg = self.checker.file.protocol(arg_name)
                         if arg is None:
                             self.emit("E001", stmt.span, f"unknown protocol '{arg_name}'")
                             ok = False
@@ -600,8 +586,8 @@ def check_file(file: SourceFile, *, disabled: frozenset[str] = frozenset(), reco
 
     ``disabled`` suppresses the given diagnostic codes, a testing hook for
     the rule-mutation suite, not part of the CLI surface. ``record_steps``
-    fills ``step_log`` and ``node_indices`` with a snapshot after every
-    statement (what `explain` prints); without it only ``final_indices``
-    is kept, and checking stays linear in the length of a path.
+    fills ``step_log`` with a snapshot after every statement (what
+    `explain` prints); without it only ``final_indices`` is kept, and
+    checking stays linear in the length of a path.
     """
     return _Checker(file, disabled, record_steps).run()

@@ -3,7 +3,8 @@
 Exit codes are stable for CI use: 0 success, 1 the tool ran but found
 errors (diagnostics, a failed run, or fmt --check differences) or stdout
 was closed before the output was written, 2 an input could not be read or
-parsed (and, for simulate, a file that fails the checker).
+parsed (and, for simulate, a file that fails the checker or has no
+protocol to run).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .checker import CheckResult, StepRecord, check_file
+from .checker import CheckResult, StepRecord, check_file, resolve_entry
 from .diagnostics import ERROR
 from .model import KnowledgeIndex
 from .parser import ParseError, ParseFailure, parse, parse_trace
@@ -219,6 +220,9 @@ def _cmd_simulate(args, style: _Style) -> int:
     file, result = loaded
     if result.errors:
         return 2  # a file that fails the checker is never executed
+    if resolve_entry(file) is None:  # it passed the checker, so it declares no protocol
+        _warn(f"sessioncheck: {args.files[0]}: no entry protocol to simulate")
+        return 2
     trace_text = _read(args.trace)
     if trace_text is None:
         return 2

@@ -339,11 +339,15 @@ class KnowledgeItem:
 
     ``knowers`` is an insertion-ordered, duplicate-free set: order is
     preserved so diagnostics and reports print deterministically.
+    ``origin`` is where the message was created on this path, the secondary
+    span of E003, E004 and E009; like every span it takes no part in
+    equality.
     """
 
     var: VarId
     type: TypeExpr
     knowers: tuple[RoleId, ...]
+    origin: Span | None = _span_field()
 
     def __post_init__(self) -> None:
         if not self.knowers:
@@ -397,7 +401,7 @@ def learn(index: KnowledgeIndex, var: VarId, role: RoleId) -> KnowledgeIndex:
         raise UnknownVar(var.name)
     if role in item.knowers:
         return index
-    updated = KnowledgeItem(item.var, item.type, item.knowers + (role,))
+    updated = KnowledgeItem(item.var, item.type, item.knowers + (role,), item.origin)
     return KnowledgeIndex(tuple(updated if it.var == var else it for it in index.items))
 
 
@@ -412,11 +416,13 @@ def all_know(index: KnowledgeIndex, var: VarId, participants: Iterable[RoleId]) 
     return all(knows(index, var, r) for r in participants)
 
 
-def add_item(working: WorkingIndex, var: VarId, type: TypeExpr, creator: RoleId) -> None:
+def add_item(
+    working: WorkingIndex, var: VarId, type: TypeExpr, creator: RoleId, origin: Span | None = None
+) -> None:
     """In-place ``introduce``: add a fresh item whose only knower is the creator."""
     if var in working:
         raise DuplicateVar(var.name)
-    working[var] = KnowledgeItem(var, type, (creator,))
+    working[var] = KnowledgeItem(var, type, (creator,), origin)
 
 
 def add_knower(working: WorkingIndex, var: VarId, role: RoleId) -> None:
@@ -429,7 +435,7 @@ def add_knower(working: WorkingIndex, var: VarId, role: RoleId) -> None:
     if item is None:
         raise UnknownVar(var.name)
     if role not in item.knowers:
-        working[var] = KnowledgeItem(var, item.type, item.knowers + (role,))
+        working[var] = KnowledgeItem(var, item.type, item.knowers + (role,), item.origin)
 
 
 def freeze(working: WorkingIndex) -> KnowledgeIndex:

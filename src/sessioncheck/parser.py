@@ -36,9 +36,7 @@ resumes at the next one, so the cap is reported once.
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 
 from .lexer import Token, tokenize
 from .model import (
@@ -138,6 +136,7 @@ _BINARY_NODES = {
     "==": Cmp, "!=": Cmp, "<": Cmp, "<=": Cmp,
     "+": Arith, "-": Arith, "*": Arith,
 }
+_BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_OPS) for op in ops}
 
 
 # Depth cap on recursive descent and on operator chains. Inputs past it
@@ -146,22 +145,28 @@ _BINARY_NODES = {
 _MAX_NESTING = 100
 
 
+def _nested(parse):
+    """Make ``parse(p, ...)`` run one nesting level deeper, raising
+    _NestingError at the current token past the depth cap."""
+
+    def nested(p: _Parser, *args):
+        p.nesting += 1
+        try:
+            if p.nesting > _MAX_NESTING:
+                raise _NestingError(p.peek(), f"nesting deeper than {_MAX_NESTING} levels")
+            return parse(p, *args)
+        finally:
+            p.nesting -= 1
+
+    return nested
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens, lex_errors = tokenize(text)
         self.pos = 0
         self.nesting = 0
         self.errors: list[ParseError] = [ParseError(e.line, e.col, e.message) for e in lex_errors]
-
-    @contextmanager
-    def _nest(self):
-        self.nesting += 1
-        try:
-            if self.nesting > _MAX_NESTING:
-                raise _NestingError(self.peek(), f"nesting deeper than {_MAX_NESTING} levels")
-            yield
-        finally:
-            self.nesting -= 1
 
     def _chain(self, count: int) -> None:
         if count > _MAX_NESTING:
@@ -389,13 +394,10 @@ class _Parser:
             self.error_here("a path must finish with 'end', 'rec', 'call', or 'read'")
         return tuple(stmts)
 
+    @_nested
     def parse_stmt(self) -> Stmt | None:
         """One statement, or None for a read whose every arm was skipped
         (its errors are already recorded)."""
-        with self._nest():
-            return self._parse_stmt()
-
-    def _parse_stmt(self) -> Stmt | None:
         tok = self.peek()
         kind = tok.kind
         if kind == "msg":
@@ -507,11 +509,8 @@ class _Parser:
 
     # -- types ---------------------------------------------------------------
 
+    @_nested
     def parse_type(self) -> TypeExpr:
-        with self._nest():
-            return self._parse_type()
-
-    def _parse_type(self) -> TypeExpr:
         tok = self.peek()
         if tok.kind in ("Int", "Bool", "Str"):
             self.advance()
@@ -560,27 +559,28 @@ class _Parser:
 
     # -- refinement expressions -----------------------------------------------
 
+    @_nested
     def parse_ref(self, labels: tuple[str, ...]) -> RefExpr:
-        with self._nest():
-            return self.parse_binary(labels, 0)
+        return self.parse_binary(labels, 0)
 
-    def parse_binary(self, labels: tuple[str, ...], level: int) -> RefExpr:
-        """A left-associative chain of ``BINARY_OPS[level]`` over tighter operands."""
-        ops = BINARY_OPS[level]
-        # A partial adds no interpreter frame, so each nesting level costs one
-        # frame per precedence level and the depth cap stays within the
-        # default recursion limit.
-        if level + 1 < len(BINARY_OPS):
-            operand = partial(self.parse_binary, labels, level + 1)
-        else:
-            operand = partial(self.parse_postfix, labels)
+    def parse_binary(self, labels: tuple[str, ...], floor: int) -> RefExpr:
+        """Operators of level ``floor`` or tighter over postfix operands
+        (precedence climbing), every level left-associative.
+
+        A right operand takes only the operators tighter than its own, so
+        the levels met in one call never rise: each level's operators form
+        one chain, counted against the cap, and every node's span starts at
+        its chain's first token.
+        """
         start = self.peek()
-        lhs = operand()
-        count = 0
-        while self.peek().kind in ops:
+        lhs = self.parse_postfix(labels)
+        chain_level, count = floor, 0
+        while (level := _BINARY_LEVEL.get(self.peek().kind, -1)) >= floor:
+            if level != chain_level:
+                chain_level, count = level, 0
             self._chain(count := count + 1)
             op = self.advance().kind
-            rhs = operand()
+            rhs = self.parse_binary(labels, level + 1)
             lhs = _BINARY_NODES[op](op, lhs, rhs, span=self.span_from(start))
         return lhs
 
@@ -668,12 +668,8 @@ def parse_trace(text: str) -> Trace:
     return Trace(tuple(bindings))
 
 
+@_nested
 def _parse_value(p: _Parser) -> Value:
-    with p._nest():
-        return _parse_value_inner(p)
-
-
-def _parse_value_inner(p: _Parser) -> Value:
     tok = p.peek()
     lit = p.parse_literal_value()
     if lit is not None:

@@ -207,6 +207,8 @@ class SourceFile:
     protocols: tuple[ProtocolDecl, ...] = ()
     entry: str | None = None  # None when the file relies on the default rule
 
+    # The only name lookups: every module resolves a type or protocol name
+    # here, so a name declared twice (an E001) means its first declaration.
     def variant(self, name: str) -> VariantDecl | None:
         for v in self.variants:
             if v.name == name:

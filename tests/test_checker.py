@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from conftest import check_source
 from gen import gen_checkable_file
 from oracle import comparable_index, oracle_check
@@ -88,6 +90,68 @@ protocol P [A, B, C] {
 }
 """
     assert codes(check_source(src)) == ["E003"]
+
+
+def test_related_span_is_the_binding_on_this_path():
+    # E003 and E009 point back at where the message was created; each arm
+    # of a read binds its own 'x', and its diagnostics point at that arm's
+    # binding, not the other's
+    src = """roles A, B
+protocol P [A, B] {
+  msg c : Bool by A;
+  send c A -> B;
+  read c {
+    true =>
+      msg x : Int by A;
+      send x B -> A;
+      msg x : Int by B;
+      end;
+    _ =>
+      msg x : Int by B;
+      send x A -> B;
+      msg x : Int by A;
+      end
+  }
+}
+"""
+    result = check_source(src)
+    found = [(d.code, d.span.line, d.related.line, d.related.col, d.related.length) for d in result.errors]
+    assert found == [
+        ("E003", 8, 7, 7, 16),
+        ("E009", 9, 7, 7, 16),
+        ("E003", 13, 12, 7, 16),
+        ("E009", 14, 12, 7, 16),
+    ]
+
+
+DUPLICATE_TYPE = """roles A, B
+type T = X | Y
+type T = Z
+protocol P [A, B] {
+  msg m : T by A;
+  send m A -> B;
+  read m { X => end; Y => end }
+}
+"""
+
+DUPLICATE_PROTOCOL = """roles A, B, C
+protocol Sub [A, B] { end }
+protocol Sub [B, C] { end }
+protocol Main [A, B] { call Sub }
+entry Main
+"""
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [(DUPLICATE_TYPE, "duplicate type 'T'"), (DUPLICATE_PROTOCOL, "duplicate protocol 'Sub'")],
+    ids=["type", "protocol"],
+)
+def test_first_declaration_of_a_name_wins(src, message):
+    # the duplicate is one E001, and every use of the name means the first
+    # declaration: no E006/E001 from the second 'T', no E008 from the second 'Sub'
+    result = check_source(src)
+    assert [(d.code, d.span.line, d.message) for d in result.diagnostics] == [("E001", 3, message)]
 
 
 def test_dep_requires_creator_knowledge():
@@ -349,12 +413,17 @@ def test_creator_self_knowledge_everywhere(corpus):
     for name in ("tcp.ssn", "server.ssn", "hoppy.ssn"):
         file = parse((corpus / name).read_text())
         result = check_file(file, record_steps=True)
-        assert result.node_indices
-        for proto in file.protocols:
-            for stmt in _walk_stmts(proto.body):
-                if isinstance(stmt, (NewMsg, NewDepMsg)) and stmt.span in result.node_indices:
-                    idx = result.node_indices[stmt.span]
-                    assert knows(idx, stmt.var, stmt.creator)
+        creations = {
+            stmt.span: stmt
+            for proto in file.protocols
+            for stmt in _walk_stmts(proto.body)
+            if isinstance(stmt, (NewMsg, NewDepMsg))
+        }
+        checked = [rec for rec in result.step_log if rec.span in creations]
+        assert checked
+        for rec in checked:
+            stmt = creations[rec.span]
+            assert knows(rec.index_after, stmt.var, stmt.creator)
 
 
 def _walk_stmts(block):
@@ -381,7 +450,7 @@ def test_record_steps_cannot_change_verdict():
         recorded = check_file(file, record_steps=True)
         assert plain.diagnostics == recorded.diagnostics
         assert plain.final_indices == recorded.final_indices
-        assert plain.step_log == [] and plain.node_indices == {}
+        assert plain.step_log == []
         assert recorded.step_log
 
 

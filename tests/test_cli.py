@@ -381,3 +381,17 @@ def test_closed_stderr_keeps_the_exit_code(tmp_path):
             assert (proc.returncode, proc.stdout) == (2, b""), argv
     finally:
         os.close(write_end)
+
+
+def test_simulate_file_without_a_protocol_exits_two(tmp_path):
+    # such a file passes check, but there is nothing to run; the trace is
+    # never read
+    for name, text in (("empty.ssn", ""), ("roles.ssn", "roles A\n")):
+        ssn = tmp_path / name
+        ssn.write_text(text)
+        assert run_cli("check", str(ssn)).returncode == 0
+        for fmt in ("text", "json"):
+            proc = run_cli("simulate", str(ssn), "--trace", str(tmp_path / "missing.trace"), "--format", fmt)
+            assert proc.returncode == 2, (name, fmt)
+            assert proc.stdout == ""
+            assert proc.stderr == f"sessioncheck: {ssn}: no entry protocol to simulate\n"
