@@ -10,7 +10,8 @@ protocol to run).
 from __future__ import annotations
 
 import argparse
-import json
+import functools
+import json  # perfbench/tracing.py wraps cli.json.dumps
 import os
 import sys
 from dataclasses import dataclass
@@ -38,8 +39,6 @@ from .simulator import (
 )
 
 __all__ = ["main"]
-
-_json_str = json.encoder.encode_basestring_ascii  # the C escaper, as json.dumps uses
 
 
 @dataclass
@@ -107,67 +106,6 @@ def _parse_error_json(file: str, e: ParseError) -> dict:
     }
 
 
-def _print_json(obj) -> None:
-    """Print ``obj`` byte for byte as ``print(json.dumps(obj, indent=2))`` would.
-
-    The stdlib encodes an indented document in pure Python and holds every
-    chunk of it before printing. This renders into one list and writes each
-    element of a list at depth 0 or 1 out as soon as it is rendered, so the
-    text of only one report event, diagnostic or explain step is held at a
-    time. Strings go through the stdlib's C escaper. It takes dict (str
-    keys), list, str, int, bool and None, and raises TypeError on anything
-    else.
-    """
-    write = sys.stdout.write
-    chunks: list[str] = []
-    append = chunks.append
-
-    def emit(o, indent: str) -> None:
-        # ``indent`` is the newline and indentation of o's own line.
-        if isinstance(o, str):
-            append(_json_str(o))
-        elif isinstance(o, dict):
-            if not o:
-                append("{}")
-                return
-            inner = indent + "  "
-            sep = "{" + inner
-            for k, v in o.items():
-                append(sep + _json_str(k) + ": ")  # TypeError unless k is a str
-                emit(v, inner)
-                sep = "," + inner
-            append(indent + "}")
-        elif isinstance(o, list):
-            if not o:
-                append("[]")
-                return
-            inner = indent + "  "
-            stream = len(indent) <= 3  # the list is at depth 0 or 1
-            sep = "[" + inner
-            for item in o:
-                append(sep)
-                emit(item, inner)
-                if stream:
-                    write("".join(chunks))
-                    chunks.clear()
-                sep = "," + inner
-            append(indent + "]")
-        elif o is None:
-            append("null")
-        elif o is True:
-            append("true")
-        elif o is False:
-            append("false")
-        elif isinstance(o, int):
-            append(int.__repr__(o))
-        else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    emit(obj, "\n")
-    append("\n")
-    write("".join(chunks))
-
-
 def _diag_text(d: dict, style: _Style) -> str:
     """The text line of one diagnostic, checker or parse, from its JSON record."""
     tag = f"{d['severity']}[{d['code']}]"
@@ -203,7 +141,9 @@ def _cmd_check(args, style: _Style) -> int:
         if result.errors:
             worst = max(worst, 1)
     if args.format == "json":
-        _print_json(diags)
+        from .jsonout import write_diagnostics  # only JSON runs load the writers
+
+        write_diagnostics(diags)
     else:
         for d in diags:
             print(_diag_text(d, style))
@@ -234,7 +174,9 @@ def _cmd_simulate(args, style: _Style) -> int:
         return 2
     report = run_trace(file, trace, max_steps=args.max_steps)
     if args.format == "json":
-        _print_json(report.to_json())
+        from .jsonout import write_report  # only JSON runs load the writers
+
+        write_report(report)
     else:
         _print_report(report)
     return 0 if report.completed else 1
@@ -282,7 +224,9 @@ def _cmd_explain(args, style: _Style) -> int:
     if result.errors:
         return 1
     if args.format == "json":
-        _print_json(_explain_json(result))
+        from .jsonout import write_explain  # only JSON runs load the writers
+
+        write_explain(result)
         return 0
     _print_explain(result)
     return 0
@@ -363,7 +307,11 @@ def _cmd_fmt(args, style: _Style) -> int:
     return worst
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs more
+    than an in-process ``check`` of a small file, and parsing leaves it
+    unchanged."""
     ap = argparse.ArgumentParser(prog="sessioncheck", description="Check and simulate value-dependent global session descriptions.")
     sub = ap.add_subparsers(dest="command", required=True)
 

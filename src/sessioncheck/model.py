@@ -429,13 +429,21 @@ def add_knower(working: WorkingIndex, var: VarId, role: RoleId) -> None:
     """In-place ``learn``: add ``role`` to the knowers of ``var``; idempotent.
 
     The item is replaced, never mutated, so snapshots that share it keep
-    their contents; replacing a key keeps its place in the order.
+    their contents; replacing a key keeps its place in the order. The new
+    item is valid by construction (``role`` is not among the old, already
+    checked knowers), so it is built, like ``freeze``'s snapshot, without
+    ``KnowledgeItem.__post_init__``.
     """
     item = working.get(var)
     if item is None:
         raise UnknownVar(var.name)
     if role not in item.knowers:
-        working[var] = KnowledgeItem(var, item.type, item.knowers + (role,), item.origin)
+        grown = object.__new__(KnowledgeItem)
+        object.__setattr__(grown, "var", var)
+        object.__setattr__(grown, "type", item.type)
+        object.__setattr__(grown, "knowers", item.knowers + (role,))
+        object.__setattr__(grown, "origin", item.origin)
+        working[var] = grown
 
 
 def freeze(working: WorkingIndex) -> KnowledgeIndex:

@@ -395,3 +395,45 @@ def test_simulate_file_without_a_protocol_exits_two(tmp_path):
             assert proc.returncode == 2, (name, fmt)
             assert proc.stdout == ""
             assert proc.stderr == f"sessioncheck: {ssn}: no entry protocol to simulate\n"
+
+
+def test_one_parser_per_process_gives_what_a_fresh_parser_gives(corpus, capsys, monkeypatch):
+    from sessioncheck import cli
+
+    def c(name: str) -> str:
+        return str(corpus / name)
+
+    sim = ("simulate", c("tcp.ssn"), "--trace", c("tcp_good.trace"))
+    runs = [
+        ["check", c("tcp.ssn")],
+        [*sim, "--format", "json"],
+        ["explain", "--format", "json", c("server.ssn")],
+        ["fmt", "--check", c("tcp.ssn")],
+        ["check", "--format", "json", "--color", "always", c("charlie.ssn")],
+        [*sim, "--report", "json"],
+        [*sim, "--max-steps", "-1"],
+        ["explain", c("tcp.ssn")],
+        [*sim, "--report", "text", "--max-steps", "3"],
+        ["check", "--color", "always", c("charlie.ssn"), c("tcp.ssn")],
+        ["check", "--format", "xml", c("tcp.ssn")],
+        [*sim],
+        ["frobnicate"],
+        ["check", "--format", "json", c("hoppy.ssn")],
+    ]
+
+    def outcome(argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    shared = [outcome(argv) for argv in runs + runs]  # each call on the parser of the one before
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)  # a new parser per call
+    fresh = [outcome(argv) for argv in runs + runs]
+    assert shared == fresh
+    codes = [code for code, _, _ in shared[: len(runs)]]
+    assert codes == [0, 0, 0, 0, 1, 0, 2, 0, 1, 1, 2, 0, 2, 0]
+    assert "--max-steps: must be 0 or more, got -1" in shared[6][2]

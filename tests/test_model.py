@@ -19,6 +19,7 @@ from sessioncheck.model import (
     NamedType,
     Proj,
     RoleId,
+    Span,
     TupleType,
     UnknownVar,
     VarId,
@@ -233,6 +234,29 @@ def test_in_place_helpers_match_pure_api(script):
             in_place(working, *args)
         assert tuple(working.values()) == idx.items
         assert freeze(working) == idx
+
+
+
+sends = st.lists(st.tuples(st.sampled_from([M1, M2, VarId("m3")]), roles), max_size=20)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(sends)
+def test_add_knower_then_freeze_equals_learn(sends):
+    """``add_knower`` builds its item without ``KnowledgeItem.__post_init__``;
+    every snapshot must still equal ``learn``'s, which checks its items."""
+    working: dict = {}
+    for i, (var, creator) in enumerate(((M1, ALICE), (M2, BOB), (VarId("m3"), CHARLIE))):
+        add_item(working, var, PACKET_INT, creator, Span(i + 1, 1))
+    idx = KnowledgeIndex(tuple(working.values()))
+    for var, role in sends:
+        idx = learn(idx, var, role)
+        add_knower(working, var, role)
+        snapshot = freeze(working)
+        assert snapshot == idx and hash(snapshot) == hash(idx)
+        assert [it.origin for it in snapshot] == [it.origin for it in idx]
+        for it in snapshot:
+            assert KnowledgeItem(it.var, it.type, it.knowers, it.origin) == it  # passes the skipped check
 
 
 def test_item_invariants():
