@@ -23,7 +23,6 @@ from .model import (
     Arith,
     BoolLit,
     Cmp,
-    ErrorType,
     IntLit,
     KnowledgeIndex,
     NamedType,
@@ -47,11 +46,9 @@ from .model import (
 from .printer import format_pattern, format_stmt, format_type
 from .syntax import (
     Block,
-    BoolV,
     Call,
     CtorPat,
     End,
-    IntV,
     LitPat,
     NewDepMsg,
     NewMsg,
@@ -60,9 +57,9 @@ from .syntax import (
     Rec,
     Send,
     SourceFile,
-    StrV,
     Stmt,
     WildPat,
+    VALUE_KINDS,
 )
 
 __all__ = ["CheckResult", "StepRecord", "KindError", "check_file", "kind_of_ref", "resolve_entry"]
@@ -88,7 +85,7 @@ def kind_of_ref(expr: RefExpr, env: dict[str, TypeExpr], binder: TypeExpr | None
 
     ``env`` maps message variables to their declared types; ``binder`` is
     the payload type of the refined value, or None outside a refinement.
-    ErrorType (checker recovery) is permissive: it flows through every rule.
+    Both only ever hold declared types.
     """
     if isinstance(expr, IntLit):
         return INT
@@ -106,8 +103,6 @@ def kind_of_ref(expr: RefExpr, env: dict[str, TypeExpr], binder: TypeExpr | None
         return binder
     if isinstance(expr, Proj):
         base = kind_of_ref(expr.base, env, binder)
-        if isinstance(base, ErrorType):
-            return base
         if not isinstance(base, TupleType):
             raise KindError(expr.span, f"projection needs a tuple, found {format_type(base)}")
         if expr.index > len(base.elems):
@@ -115,22 +110,18 @@ def kind_of_ref(expr: RefExpr, env: dict[str, TypeExpr], binder: TypeExpr | None
         return base.elems[expr.index - 1]
     if isinstance(expr, UnwrapDep):
         base = kind_of_ref(expr.base, env, binder)
-        if isinstance(base, ErrorType):
-            return base
         if not isinstance(base, RefinedType):
             raise KindError(expr.span, f"'!' unwraps refined values only, found {format_type(base)}")
         return base.payload
     if isinstance(expr, Arith):
         for side in (expr.lhs, expr.rhs):
             k = kind_of_ref(side, env, binder)
-            if not isinstance(k, ErrorType) and _base(k) != "Int":
+            if _base(k) != "Int":
                 raise KindError(side.span or expr.span, f"'{expr.op}' needs Int operands, found {format_type(k)}")
         return INT
     if isinstance(expr, Cmp):
         lk = kind_of_ref(expr.lhs, env, binder)
         rk = kind_of_ref(expr.rhs, env, binder)
-        if isinstance(lk, ErrorType) or isinstance(rk, ErrorType):
-            return BOOL
         if expr.op in ("<", "<="):
             for k, side in ((lk, expr.lhs), (rk, expr.rhs)):
                 if _base(k) != "Int":
@@ -145,7 +136,7 @@ def kind_of_ref(expr: RefExpr, env: dict[str, TypeExpr], binder: TypeExpr | None
     if isinstance(expr, BoolOp):
         for side in (expr.lhs, expr.rhs):
             k = kind_of_ref(side, env, binder)
-            if not isinstance(k, ErrorType) and _base(k) != "Bool":
+            if _base(k) != "Bool":
                 raise KindError(side.span or expr.span, f"'{expr.op}' needs Bool operands, found {format_type(k)}")
         return BOOL
     raise TypeError(f"not a refinement expression: {expr!r}")
@@ -217,15 +208,13 @@ class _Checker:
         self.check_entry()
         for proto in self.file.protocols:
             if proto.is_ground:
-                self.check_protocol(proto, binding=None, label=proto.name)
+                self.check_protocol(proto)
         while self.queue:
             name, args = self.queue.pop(0)
-            proto = self.file.protocol(name)
-            binding = dict(zip((q.name for q in proto.params), args))
-            self.check_protocol(proto, binding=binding, label=f"{name}<{', '.join(args)}>")
+            self.check_protocol(self.file.protocol(name), args)
         for proto in self.file.protocols:
             if not proto.is_ground and not any(name == proto.name for name, _ in self.instantiated):
-                self.check_protocol(proto, binding={}, label=proto.name)
+                self.check_protocol(proto)
         self.diags.sort(key=lambda d: (d.span.line, d.span.col, d.code, d.message))
         deduped: list[Diagnostic] = []
         for d in self.diags:
@@ -241,47 +230,33 @@ class _Checker:
     # -- declaration-level checks -------------------------------------------
 
     def check_declarations(self) -> None:
-        seen_roles: set[str] = set()
-        for r in self.file.roles:
-            if r.name in seen_roles:
-                self.emit("E001", r.span, f"duplicate role '{r.name}'")
-            seen_roles.add(r.name)
-        seen_types: set[str] = set()
+        for r in _repeats(self.file.roles):
+            self.emit("E001", r.span, f"duplicate role '{r.name}'")
+        for v in _repeats(self.file.variants):
+            self.emit("E001", v.span, f"duplicate type '{v.name}'")
         for v in self.file.variants:
-            if v.name in seen_types:
-                self.emit("E001", v.span, f"duplicate type '{v.name}'")
-            seen_types.add(v.name)
-            tags: set[str] = set()
+            for c in _repeats(v.ctors, key=lambda c: c.tag):
+                self.emit("E001", c.span or v.span, f"duplicate constructor '{c.tag}' in type '{v.name}'")
             for c in v.ctors:
-                if c.tag in tags:
-                    self.emit("E001", c.span or v.span, f"duplicate constructor '{c.tag}' in type '{v.name}'")
-                tags.add(c.tag)
                 if c.payload is not None:
                     self.check_type(c.payload, c.span or v.span)
-        seen_protos: set[str] = set()
+        for p in _repeats(self.file.protocols):
+            self.emit("E001", p.span, f"duplicate protocol '{p.name}'")
         for p in self.file.protocols:
-            if p.name in seen_protos:
-                self.emit("E001", p.span, f"duplicate protocol '{p.name}'")
-            seen_protos.add(p.name)
-        for p in self.file.protocols:
-            seen_params: set[str] = set()
+            for q in _repeats(p.params):
+                self.emit("E001", q.span or p.span, f"duplicate parameter '{q.name}'")
             for q in p.params:
-                if q.name in seen_params:
-                    self.emit("E001", q.span or p.span, f"duplicate parameter '{q.name}'")
-                seen_params.add(q.name)
                 if self.file.protocol(q.name) is not None:
                     self.emit("E001", q.span or p.span, f"parameter '{q.name}' shadows a declared protocol")
                 self.check_role_list(q.signature, q.span or p.span, f"parameter '{q.name}'")
             self.check_role_list(p.participants, p.span, f"protocol '{p.name}'")
 
     def check_role_list(self, roles: tuple[RoleId, ...], span: Span | None, where: str) -> None:
-        seen: set[str] = set()
         for r in roles:
             if r.name not in self.role_names:
                 self.emit("E001", span, f"unknown role '{r.name}' in {where}")
-            if r.name in seen:
-                self.emit("E001", span, f"duplicate participant '{r.name}' in {where}")
-            seen.add(r.name)
+        for r in _repeats(roles):
+            self.emit("E001", span, f"duplicate participant '{r.name}' in {where}")
 
     def check_type(self, t: TypeExpr, span: Span | None) -> None:
         if isinstance(t, NamedType):
@@ -309,9 +284,11 @@ class _Checker:
 
     # -- protocol bodies -----------------------------------------------------
 
-    def check_protocol(self, proto: ProtocolDecl, binding: dict[str, str] | None, label: str) -> None:
-        ctx = _ProtoCtx(self, proto, binding or {}, label)
-        ctx.check_block(proto.body, {}, label, guarded=False)
+    def check_protocol(self, proto: ProtocolDecl, args: tuple[str, ...] = ()) -> None:
+        """Check one body: an instantiation's when ``args`` name the protocol
+        arguments, else the declared one."""
+        label = f"{proto.name}<{', '.join(args)}>" if args else proto.name
+        _ProtoCtx(self, proto, label, bool(args)).check_block(proto.body, {}, label, guarded=False)
 
     def enqueue_instantiation(self, name: str, args: tuple[str, ...]) -> None:
         key = (name, args)
@@ -324,13 +301,13 @@ class _Checker:
 class _ProtoCtx:
     checker: _Checker
     proto: ProtocolDecl
-    binding: dict[str, str]  # param name -> protocol name; empty outside monomorphization
     label: str
+    instance: bool  # an instantiation: its diagnostics name it
 
     def emit(
         self, code: str, span: Span | None, message: str, severity: str = ERROR, related: Span | None = None
     ) -> None:
-        if self.binding:
+        if self.instance:
             message = f"{message} [in {self.label}]"
         self.checker.emit(code, span, message, severity, related)
 
@@ -421,7 +398,7 @@ class _ProtoCtx:
             env = {v.name: index[v].type for v in deps}
             try:
                 result = kind_of_ref(stmt.rtype.predicate, env, stmt.rtype.payload)
-                if not isinstance(result, ErrorType) and _base(result) != "Bool":
+                if _base(result) != "Bool":
                     self.emit("E010", stmt.span, f"refinement must be Bool, found {format_type(result)}")
             except KindError as err:
                 self.emit("E010", err.span, f"ill-kinded refinement: {err.message}")
@@ -460,7 +437,7 @@ class _ProtoCtx:
 
     def check_read(self, stmt: ReadCase, index: WorkingIndex, path: str, guarded: bool) -> None:
         item = index.get(stmt.var)
-        if item is None:
+        if item is None:  # nothing to check the arms against
             self.emit("E009", stmt.span, f"message variable '{stmt.var.name}' is not bound on this path")
         else:
             missing = [r.name for r in self.proto.participants if r not in item.knowers]
@@ -470,7 +447,7 @@ class _ProtoCtx:
                     stmt.span,
                     f"cannot read '{stmt.var.name}': not known to every participant (missing {', '.join(missing)})",
                 )
-        self.check_coverage(stmt, item.type if item is not None else ErrorType())
+            self.check_coverage(stmt, item.type)
         self.record(stmt, path, index)
         # Every arm but the last works on a copy; the last takes this path's own.
         last = len(stmt.arms) - 1
@@ -481,8 +458,6 @@ class _ProtoCtx:
     def check_coverage(self, stmt: ReadCase, scrutinee: TypeExpr) -> None:
         effective = scrutinee.payload if isinstance(scrutinee, RefinedType) else scrutinee
         has_wild = any(isinstance(a.pattern, WildPat) for a in stmt.arms)
-        if isinstance(effective, ErrorType):
-            return
         if isinstance(effective, NamedType):
             decl = self.checker.file.variant(effective.name)
             if decl is None:
@@ -506,7 +481,7 @@ class _ProtoCtx:
             if isinstance(arm.pattern, CtorPat):
                 self.emit("E010", arm.pattern.span or stmt.span, f"constructor pattern cannot match values of type {format_type(effective)}")
             elif isinstance(arm.pattern, LitPat):
-                got = _value_kind(arm.pattern.value)
+                got = VALUE_KINDS.get(type(arm.pattern.value), "value")
                 if expected is None or got != expected:
                     self.emit("E010", arm.pattern.span or stmt.span, f"pattern of kind {got} cannot match values of type {format_type(effective)}")
         if not has_wild:
@@ -518,11 +493,8 @@ class _ProtoCtx:
         if stmt.target in param_names:
             if stmt.args:
                 self.emit("E001", stmt.span, f"protocol parameter '{stmt.target}' takes no arguments")
-            if self.binding and stmt.target in self.binding:
-                callee_participants = self.checker.file.protocol(self.binding[stmt.target]).participants
-            else:
-                sig = next(q.signature for q in self.proto.params if q.name == stmt.target)
-                callee_participants = sig
+            # An instantiation's argument has exactly its parameter's signature.
+            callee_participants = next(q.signature for q in self.proto.params if q.name == stmt.target)
         else:
             decl = self.checker.file.protocol(stmt.target)
             if decl is None:
@@ -567,18 +539,19 @@ class _ProtoCtx:
         self.finish(f"{path}{suffix}", index)
 
 
+def _repeats(items, key=lambda item: item.name) -> list:
+    """The items whose key an earlier item already has, in order."""
+    seen = set()
+    repeats = []
+    for item in items:
+        if key(item) in seen:
+            repeats.append(item)
+        seen.add(key(item))
+    return repeats
+
+
 def _roles(roles: tuple[RoleId, ...]) -> str:
     return ", ".join(r.name for r in roles)
-
-
-def _value_kind(v) -> str:
-    if isinstance(v, IntV):
-        return "Int"
-    if isinstance(v, BoolV):
-        return "Bool"
-    if isinstance(v, StrV):
-        return "Str"
-    return "value"
 
 
 def check_file(file: SourceFile, *, disabled: frozenset[str] = frozenset(), record_steps: bool = False) -> CheckResult:

@@ -3,8 +3,8 @@
 Exit codes are stable for CI use: 0 success, 1 the tool ran but found
 errors (diagnostics, a failed run, or fmt --check differences) or stdout
 was closed before the output was written, 2 an input could not be read or
-parsed (and, for simulate, a file that fails the checker or has no
-protocol to run).
+parsed, or fmt could not write a file back (and, for simulate, a file that
+fails the checker or has no protocol to run).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import functools
 import json  # perfbench/tracing.py wraps cli.json.dumps
 import os
 import sys
-from dataclasses import dataclass
 
 from .checker import CheckResult, StepRecord, check_file, resolve_entry
 from .diagnostics import ERROR
@@ -39,20 +38,6 @@ from .simulator import (
 )
 
 __all__ = ["main"]
-
-
-@dataclass
-class _Style:
-    on: bool
-
-    def paint(self, text: str, code: str) -> str:
-        return f"\x1b[{code}m{text}\x1b[0m" if self.on else text
-
-    def error(self, text: str) -> str:
-        return self.paint(text, "31")
-
-    def warning(self, text: str) -> str:
-        return self.paint(text, "33")
 
 
 def _want_color(choice: str) -> bool:
@@ -106,10 +91,12 @@ def _parse_error_json(file: str, e: ParseError) -> dict:
     }
 
 
-def _diag_text(d: dict, style: _Style) -> str:
-    """The text line of one diagnostic, checker or parse, from its JSON record."""
+def _diag_text(d: dict, color: bool) -> str:
+    """The text line of one diagnostic, checker or parse, from its JSON record;
+    ``color`` paints its tag red for an error, yellow for a warning."""
     tag = f"{d['severity']}[{d['code']}]"
-    tag = style.error(tag) if d["severity"] == ERROR else style.warning(tag)
+    if color:
+        tag = f"\x1b[{'31' if d['severity'] == ERROR else '33'}m{tag}\x1b[0m"
     return f"{d['file']}:{d['line']}:{d['col']}: {tag}: {d['message']}"
 
 
@@ -129,7 +116,7 @@ def _load_checked(path: str, diags: list[dict], record_steps: bool = False):
     return file, result
 
 
-def _cmd_check(args, style: _Style) -> int:
+def _cmd_check(args, color: bool) -> int:
     worst = 0
     diags: list[dict] = []
     for path in args.files:
@@ -146,15 +133,15 @@ def _cmd_check(args, style: _Style) -> int:
         write_diagnostics(diags)
     else:
         for d in diags:
-            print(_diag_text(d, style))
+            print(_diag_text(d, color))
     return worst
 
 
-def _cmd_simulate(args, style: _Style) -> int:
+def _cmd_simulate(args, color: bool) -> int:
     diags: list[dict] = []
     loaded = _load_checked(args.files[0], diags)
     for d in diags:
-        _warn(_diag_text(d, style))
+        _warn(_diag_text(d, color))
     if loaded == 2:
         return 2
     file, result = loaded
@@ -170,7 +157,7 @@ def _cmd_simulate(args, style: _Style) -> int:
         trace = parse_trace(trace_text)
     except ParseFailure as fail:
         for e in fail.errors:
-            _warn(_diag_text(_parse_error_json(args.trace, e), style))
+            _warn(_diag_text(_parse_error_json(args.trace, e), color))
         return 2
     report = run_trace(file, trace, max_steps=args.max_steps)
     if args.format == "json":
@@ -213,11 +200,11 @@ def _print_report(report: RunReport) -> None:
         print(f"status: trace mismatch on '{s.var}': expected {s.expected}, got {got} ({s.note})")
 
 
-def _cmd_explain(args, style: _Style) -> int:
+def _cmd_explain(args, color: bool) -> int:
     diags: list[dict] = []
     loaded = _load_checked(args.files[0], diags, record_steps=True)
     for d in diags:
-        _warn(_diag_text(d, style))
+        _warn(_diag_text(d, color))
     if loaded == 2:
         return 2
     _, result = loaded
@@ -280,7 +267,7 @@ def _explain_json(result: CheckResult) -> dict:
     }
 
 
-def _cmd_fmt(args, style: _Style) -> int:
+def _cmd_fmt(args, color: bool) -> int:
     worst = 0
     for path in args.files:
         text = _read(path)
@@ -291,7 +278,7 @@ def _cmd_fmt(args, style: _Style) -> int:
             file = parse(text)
         except ParseFailure as fail:
             for e in fail.errors:
-                _warn(_diag_text(_parse_error_json(path, e), style))
+                _warn(_diag_text(_parse_error_json(path, e), color))
             worst = 2
             continue
         formatted = format_source(file)
@@ -301,8 +288,13 @@ def _cmd_fmt(args, style: _Style) -> int:
             print(f"would reformat {path}")
             worst = max(worst, 1)
         else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(formatted)
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(formatted)
+            except OSError as err:
+                _warn(f"sessioncheck: cannot write {path}: {err.strerror or err}")
+                worst = 2
+                continue
             print(f"reformatted {path}")
     return worst
 
@@ -344,10 +336,10 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.command == "simulate" and args.max_steps < 0:
         ap.error(f"argument --max-steps: must be 0 or more, got {args.max_steps}")
-    style = _Style(_want_color(args.color))
+    color = _want_color(args.color)
     command = {"check": _cmd_check, "simulate": _cmd_simulate, "explain": _cmd_explain, "fmt": _cmd_fmt}
     try:
-        code = command[args.command](args, style)
+        code = command[args.command](args, color)
         sys.stdout.flush()  # a closed pipe must show here, not at interpreter exit
     except BrokenPipeError:  # stdout's: _warn absorbs stderr's
         # The reader went away (`... | head`): exit 1 without a traceback.

@@ -7,15 +7,21 @@ comments; it is the only token that can span a newline, so the column of
 every other token follows from the offset of the last newline. Strings are
 double-quoted with ``\\"`` and ``\\\\`` escapes and end at a newline. Errors
 do not stop the scan; a string with a bad escape or no closing quote
-yields no token.
+yields no token. A lex error is a ``ParseError``, the one error record of
+the front end, so the parser adds it to its own list as it stands.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
-__all__ = ["Token", "LexError", "KEYWORDS", "tokenize"]
+__all__ = ["Token", "ParseError", "IDENT", "KEYWORDS", "tokenize"]
+
+# An identifier (role, variable, type, tag, protocol or label name); the
+# model checks RoleId and VarId names against the same pattern.
+IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 
 KEYWORDS = frozenset(
     [
@@ -56,7 +62,7 @@ _PUNCT = [
 # through to `bad` instead of being accepted the way \w or \d would.
 _MASTER = re.compile(
     r"(?P<skip>(?:[ \t\r\n]|--[^\n]*)+)"
-    r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<word>" + IDENT + ")"
     r"|(?P<int>[0-9]+)"
     r'|(?P<string>"(?P<body>(?:\\["\\]|\\|[^"\\\n])*)(?P<close>")?)'
     r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")"
@@ -69,8 +75,7 @@ _MASTER = re.compile(
 _ESCAPE = re.compile(r'\\(["\\]?)')
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword text, punct text, or one of: ident, int, string, eof
     text: str
     # str for ident/string, int for int, None otherwise; also None for an
@@ -86,15 +91,18 @@ class Token:
 
 
 @dataclass(frozen=True)
-class LexError:
+class ParseError:
     line: int
     col: int
     message: str
 
+    def __str__(self) -> str:
+        return f"{self.line}:{self.col}: {self.message}"
 
-def tokenize(text: str) -> tuple[list[Token], list[LexError]]:
+
+def tokenize(text: str) -> tuple[list[Token], list[ParseError]]:
     tokens: list[Token] = []
-    errors: list[LexError] = []
+    errors: list[ParseError] = []
     line = 1
     line_start = 0  # offset of the first character of the current line
     for m in _MASTER.finditer(text):
@@ -119,13 +127,13 @@ def tokenize(text: str) -> tuple[list[Token], list[LexError]]:
                 value = None
             tokens.append(Token("int", lexeme, value, line, col, start))
         elif kind == "bad":
-            errors.append(LexError(line, col, f"unexpected character {lexeme!r}"))
+            errors.append(ParseError(line, col, f"unexpected character {lexeme!r}"))
         else:  # string
             escapes = _ESCAPE.findall(m.group("body"))
             bad_escapes = escapes.count("")
-            errors.extend(LexError(line, col, "invalid string escape") for _ in range(bad_escapes))
+            errors.extend(ParseError(line, col, "invalid string escape") for _ in range(bad_escapes))
             if m.group("close") is None:
-                errors.append(LexError(line, col, "unterminated string literal"))
+                errors.append(ParseError(line, col, "unterminated string literal"))
             elif not bad_escapes:
                 tokens.append(Token("string", lexeme, _ESCAPE.sub(r"\1", m.group("body")), line, col, start))
     tokens.append(Token("eof", "", None, line, len(text) - line_start + 1, len(text)))

@@ -13,6 +13,10 @@ and update it in place with ``add_item`` and ``add_knower``, which behave
 like ``introduce`` and ``learn`` but cost O(1). ``freeze`` turns a working
 map into a snapshot that shares its items, so a snapshot costs one tuple
 of pointers and is made only where something reads it.
+
+Payload types are only the four the parser builds (``BaseType``,
+``TupleType``, ``NamedType``, ``RefinedType``): every indexed type is a
+declared one, so the checker needs no placeholder type for recovery.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Union
+
+from .lexer import IDENT
 
 __all__ = [
     "Span",
@@ -29,7 +35,6 @@ __all__ = [
     "TupleType",
     "NamedType",
     "RefinedType",
-    "ErrorType",
     "TypeExpr",
     "INT",
     "BOOL",
@@ -65,7 +70,7 @@ __all__ = [
     "free_vars_ordered",
 ]
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_IDENT_RE = re.compile(IDENT + r"\Z")
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,11 @@ def _span_field():
     return field(default=None, compare=False, repr=False)
 
 
+def _check_name(name: str, what: str) -> None:
+    if not _IDENT_RE.match(name):
+        raise ValueError(f"invalid {what} name: {name!r}")
+
+
 @dataclass(frozen=True)
 class RoleId:
     """A named protocol participant; equality is exact name equality."""
@@ -88,8 +98,7 @@ class RoleId:
     name: str
 
     def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.name):
-            raise ValueError(f"invalid role name: {self.name!r}")
+        _check_name(self.name, "role")
 
     def __str__(self) -> str:
         return self.name
@@ -102,8 +111,7 @@ class VarId:
     name: str
 
     def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.name):
-            raise ValueError(f"invalid variable name: {self.name!r}")
+        _check_name(self.name, "variable")
 
     def __str__(self) -> str:
         return self.name
@@ -163,14 +171,7 @@ class RefinedType:
             raise ValueError("component labels must match a tuple payload of the same arity")
 
 
-@dataclass(frozen=True)
-class ErrorType:
-    """Placeholder type produced by checker recovery; never parsed or printed."""
-
-    span: Span | None = _span_field()
-
-
-TypeExpr = Union[BaseType, TupleType, NamedType, RefinedType, ErrorType]
+TypeExpr = Union[BaseType, TupleType, NamedType, RefinedType]
 
 INT = BaseType("Int")
 BOOL = BaseType("Bool")

@@ -36,9 +36,8 @@ resumes at the next one, so the cap is reported once.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
-from .lexer import Token, tokenize
+from .lexer import ParseError, Token, tokenize
 from .model import (
     BINARY_OPS,
     Arith,
@@ -96,18 +95,7 @@ from .syntax import (
 __all__ = ["ParseError", "ParseFailure", "parse", "parse_trace"]
 
 _TOP_KEYWORDS = ("roles", "type", "protocol", "entry")
-_STMT_KEYWORDS = ("msg", "dep", "send", "read", "rec", "call", "end")
 _PATTERN_STARTS = ("int", "string", "true", "false", "_", "-")
-
-
-@dataclass(frozen=True)
-class ParseError:
-    line: int
-    col: int
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.line}:{self.col}: {self.message}"
 
 
 class ParseFailure(Exception):
@@ -163,10 +151,9 @@ def _nested(parse):
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens, lex_errors = tokenize(text)
+        self.tokens, self.errors = tokenize(text)
         self.pos = 0
         self.nesting = 0
-        self.errors: list[ParseError] = [ParseError(e.line, e.col, e.message) for e in lex_errors]
 
     def _chain(self, count: int) -> None:
         if count > _MAX_NESTING:
@@ -196,6 +183,17 @@ class _Parser:
             got = tok.text if tok.kind != "eof" else "end of input"
             raise _SyntaxError(tok, f"expected {want}, found {got!r}" if tok.kind != "eof" else f"expected {want}, found end of input")
         return self.advance()
+
+    def ident(self, what: str) -> str:
+        return str(self.expect("ident", what).value)
+
+    def comma_list(self, parse_one) -> list:
+        """``x (',' x)*``: one or more results of ``parse_one()``."""
+        out = [parse_one()]
+        while self.at(","):
+            self.advance()
+            out.append(parse_one())
+        return out
 
     def int_value(self, tok: Token) -> int:
         """An int token's value; one past the interpreter's int/str digit limit is an error."""
@@ -274,10 +272,10 @@ class _Parser:
                     protocols.append(self.parse_protocol())
                 elif kind == "entry":
                     tok = self.advance()
-                    name = self.expect("ident", "a protocol name").value
+                    name = self.ident("a protocol name")
                     if entry_seen:
                         self.errors.append(ParseError(tok.line, tok.col, "duplicate entry declaration"))
-                    entry = str(name)
+                    entry = name
                     entry_seen = True
                 else:
                     raise _SyntaxError(self.peek(), "expected 'roles', 'type', 'protocol', or 'entry'")
@@ -288,17 +286,16 @@ class _Parser:
 
     def parse_roles(self) -> list[RoleDecl]:
         self.expect("roles")
-        out = []
-        while True:
+
+        def role() -> RoleDecl:
             tok = self.expect("ident", "a role name")
-            out.append(RoleDecl(str(tok.value), Span(tok.line, tok.col, len(tok.text))))
-            if not self.at(","):
-                return out
-            self.advance()
+            return RoleDecl(str(tok.value), Span(tok.line, tok.col, len(tok.text)))
+
+        return self.comma_list(role)
 
     def parse_typedecl(self) -> VariantDecl:
         start = self.expect("type")
-        name = str(self.expect("ident", "a type name").value)
+        name = self.ident("a type name")
         self.expect("=")
         ctors = [self.parse_ctor()]
         while self.at("|"):
@@ -311,44 +308,37 @@ class _Parser:
         payload: TypeExpr | None = None
         if self.at("("):
             self.advance()
-            elems = [self.parse_type()]
-            while self.at(","):
-                self.advance()
-                elems.append(self.parse_type())
+            elems = self.comma_list(self.parse_type)
             self.expect(")")
             payload = elems[0] if len(elems) == 1 else TupleType(tuple(elems))
         return Ctor(str(tok.value), payload, self.span_from(tok))
 
     def parse_protocol(self) -> ProtocolDecl:
         start = self.expect("protocol")
-        name = str(self.expect("ident", "a protocol name").value)
+        name = self.ident("a protocol name")
+
+        def param() -> ProtoParam:
+            tok = self.expect("ident", "a parameter name")
+            self.expect(":")
+            self.expect("protocol")
+            return ProtoParam(str(tok.value), self.parse_role_list(), Span(tok.line, tok.col, len(tok.text)))
+
         params: list[ProtoParam] = []
         if self.at("<"):
             self.advance()
-            while True:
-                ptok = self.expect("ident", "a parameter name")
-                self.expect(":")
-                self.expect("protocol")
-                sig = self.parse_role_list("[", "]")
-                params.append(ProtoParam(str(ptok.value), sig, Span(ptok.line, ptok.col, len(ptok.text))))
-                if not self.at(","):
-                    break
-                self.advance()
+            params = self.comma_list(param)
             self.expect(">")
-        participants = self.parse_role_list("[", "]")
+        participants = self.parse_role_list()
         self.expect("{")
         body = self.parse_block(in_arm=False)
         self.expect("}")
         return ProtocolDecl(name, tuple(params), participants, body, self.span_from(start))
 
-    def parse_role_list(self, open_: str, close: str) -> tuple[RoleId, ...]:
-        self.expect(open_)
-        out = [RoleId(str(self.expect("ident", "a role name").value))]
-        while self.at(","):
-            self.advance()
-            out.append(RoleId(str(self.expect("ident", "a role name").value)))
-        self.expect(close)
-        return tuple(out)
+    def parse_role_list(self) -> tuple[RoleId, ...]:
+        self.expect("[")
+        roles = self.comma_list(lambda: RoleId(self.ident("a role name")))
+        self.expect("]")
+        return tuple(roles)
 
     # -- statements ----------------------------------------------------------
 
@@ -400,32 +390,24 @@ class _Parser:
         (its errors are already recorded)."""
         tok = self.peek()
         kind = tok.kind
-        if kind == "msg":
+        if kind in ("msg", "dep"):
             self.advance()
-            var = VarId(str(self.expect("ident", "a message variable").value))
+            var = VarId(self.ident("a message variable"))
             self.expect(":")
-            type_ = self.parse_type()
+            type_ = self.parse_type() if kind == "msg" else self.parse_refined_type()
             self.expect("by")
-            creator = RoleId(str(self.expect("ident", "a role name").value))
-            return NewMsg(var, type_, creator, self.span_from(tok))
-        if kind == "dep":
-            self.advance()
-            var = VarId(str(self.expect("ident", "a message variable").value))
-            self.expect(":")
-            rtype = self.parse_refined_type()
-            self.expect("by")
-            creator = RoleId(str(self.expect("ident", "a role name").value))
-            return NewDepMsg(var, rtype, creator, self.span_from(tok))
+            creator = RoleId(self.ident("a role name"))
+            return (NewMsg if kind == "msg" else NewDepMsg)(var, type_, creator, self.span_from(tok))
         if kind == "send":
             self.advance()
-            var = VarId(str(self.expect("ident", "a message variable").value))
-            sender = RoleId(str(self.expect("ident", "the sending role").value))
+            var = VarId(self.ident("a message variable"))
+            sender = RoleId(self.ident("the sending role"))
             self.expect("->")
-            receiver = RoleId(str(self.expect("ident", "the receiving role").value))
+            receiver = RoleId(self.ident("the receiving role"))
             return Send(var, sender, receiver, self.span_from(tok))
         if kind == "read":
             self.advance()
-            var = VarId(str(self.expect("ident", "a message variable").value))
+            var = VarId(self.ident("a message variable"))
             self.expect("{")
             arms = [self.parse_arm()]
             while self.at(";"):
@@ -441,14 +423,11 @@ class _Parser:
             return Rec(self.span_from(tok))
         if kind == "call":
             self.advance()
-            target = str(self.expect("ident", "a protocol name").value)
+            target = self.ident("a protocol name")
             args: list[str] = []
             if self.at("("):
                 self.advance()
-                args.append(str(self.expect("ident", "a protocol name").value))
-                while self.at(","):
-                    self.advance()
-                    args.append(str(self.expect("ident", "a protocol name").value))
+                args = self.comma_list(lambda: self.ident("a protocol name"))
                 self.expect(")")
             then_rec = False
             if self.at("then"):
@@ -520,10 +499,7 @@ class _Parser:
             return NamedType(str(tok.value), Span(tok.line, tok.col, len(tok.text)))
         if tok.kind == "(":
             self.advance()
-            elems = [self.parse_type()]
-            while self.at(","):
-                self.advance()
-                elems.append(self.parse_type())
+            elems = self.comma_list(self.parse_type)
             self.expect(")", "',' or ')' in tuple type")
             if len(elems) < 2:
                 raise _SyntaxError(tok, "tuple type needs at least two components")
@@ -536,20 +512,17 @@ class _Parser:
         payload: TypeExpr
         if start.kind == "(" and self.peek(1).kind == "ident" and self.peek(2).kind == ":":
             self.advance()
-            names: list[str] = []
-            types: list[TypeExpr] = []
-            while True:
-                names.append(str(self.expect("ident", "a component label").value))
+
+            def component() -> tuple[str, TypeExpr]:
+                label = self.ident("a component label")
                 self.expect(":")
-                types.append(self.parse_type())
-                if not self.at(","):
-                    break
-                self.advance()
+                return label, self.parse_type()
+
+            labels, types = zip(*self.comma_list(component))
             self.expect(")")
-            labels = tuple(names)
             if len(set(labels)) != len(labels):
                 raise _SyntaxError(start, "component labels must be distinct")
-            payload = types[0] if len(types) == 1 else TupleType(tuple(types))
+            payload = types[0] if len(types) == 1 else TupleType(types)
         else:
             labels = ()
             payload = self.parse_type()
@@ -678,20 +651,14 @@ def _parse_value(p: _Parser) -> Value:
         p.advance()
         if p.at("("):
             p.advance()
-            args = [_parse_value(p)]
-            while p.at(","):
-                p.advance()
-                args.append(_parse_value(p))
+            args = p.comma_list(lambda: _parse_value(p))
             p.expect(")")
             arg = args[0] if len(args) == 1 else TupleV(tuple(args))
             return ConV(str(tok.value), arg)
         return ConV(str(tok.value))
     if tok.kind == "(":
         p.advance()
-        items = [_parse_value(p)]
-        while p.at(","):
-            p.advance()
-            items.append(_parse_value(p))
+        items = p.comma_list(lambda: _parse_value(p))
         p.expect(")", "',' or ')' in tuple value")
         if len(items) < 2:
             raise _SyntaxError(tok, "tuple value needs at least two components")

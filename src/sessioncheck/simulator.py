@@ -20,7 +20,6 @@ from .model import (
     Cmp,
     IntLit,
     KnowledgeIndex,
-    NamedType,
     Proj,
     RefExpr,
     RefinedType,
@@ -45,7 +44,6 @@ from .syntax import (
     CtorPat,
     End,
     IntV,
-    LitPat,
     NewDepMsg,
     NewMsg,
     ProtocolDecl,
@@ -58,6 +56,7 @@ from .syntax import (
     TupleV,
     Value,
     WildPat,
+    VALUE_KINDS,
 )
 
 __all__ = [
@@ -143,24 +142,22 @@ def value_matches_type(value: Value, type_: TypeExpr, file: SourceFile) -> bool:
     if isinstance(type_, RefinedType):
         return value_matches_type(value, type_.payload, file)
     if isinstance(type_, BaseType):
-        return isinstance(value, {"Int": IntV, "Bool": BoolV, "Str": StrV}[type_.kind])
+        return VALUE_KINDS.get(type(value)) == type_.kind
     if isinstance(type_, TupleType):
         return (
             isinstance(value, TupleV)
             and len(value.items) == len(type_.elems)
             and all(value_matches_type(v, t, file) for v, t in zip(value.items, type_.elems))
         )
-    if isinstance(type_, NamedType):
-        decl = file.variant(type_.name)
-        if decl is None or not isinstance(value, ConV):
-            return False
-        ctor = decl.ctor(value.tag)
-        if ctor is None:
-            return False
-        if ctor.payload is None:
-            return value.arg is None
-        return value.arg is not None and value_matches_type(value.arg, ctor.payload, file)
-    return False
+    decl = file.variant(type_.name)  # a NamedType
+    if decl is None or not isinstance(value, ConV):
+        return False
+    ctor = decl.ctor(value.tag)
+    if ctor is None:
+        return False
+    if ctor.payload is None:
+        return value.arg is None
+    return value.arg is not None and value_matches_type(value.arg, ctor.payload, file)
 
 
 # ---------------------------------------------------------------------------
@@ -336,23 +333,12 @@ def _status_json(s: Status) -> dict:
 # Execution
 
 
-@dataclass
-class _Frame:
-    """Continuation pushed by a call: where to go when the callee ends."""
-
-    proto: ProtocolDecl
-    binding: dict[str, str]
-    loop: bool  # True for `call X then rec`
-
-
 def _pattern_matches(pattern, value: Value) -> bool:
     if isinstance(pattern, WildPat):
         return True
     if isinstance(pattern, CtorPat):
         return isinstance(value, ConV) and value.tag == pattern.tag
-    if isinstance(pattern, LitPat):
-        return pattern.value == value
-    return False
+    return pattern.value == value  # a LitPat
 
 
 def run_trace(file: SourceFile, trace: Trace, *, max_steps: int = 10_000) -> RunReport:
@@ -362,7 +348,9 @@ def run_trace(file: SourceFile, trace: Trace, *, max_steps: int = 10_000) -> Run
         raise ValueError("file has no entry protocol; run the checker first")
 
     events: list[Event] = []
-    stack: list[_Frame] = []
+    # The callers to loop back into when a callee ends, one per `call ...
+    # then rec` in progress; a plain `call` is a tail call and leaves none.
+    loops: list[tuple[ProtocolDecl, dict[str, str]]] = []
     proto = entry
     param_binding: dict[str, str] = {}
     bindings: dict[str, Value] = {}
@@ -474,7 +462,8 @@ def run_trace(file: SourceFile, trace: Trace, *, max_steps: int = 10_000) -> Run
             callee = file.protocol(target)
             if callee is None:
                 raise ValueError(f"call target '{stmt.target}' did not resolve; run the checker first")
-            stack.append(_Frame(proto, param_binding, stmt.then_rec))
+            if stmt.then_rec:
+                loops.append((proto, param_binding))
             events.append(Called(callee.name))
             new_binding = dict(zip((q.name for q in callee.params), stmt.args))
             enter(callee, new_binding)
@@ -482,14 +471,11 @@ def run_trace(file: SourceFile, trace: Trace, *, max_steps: int = 10_000) -> Run
 
         if isinstance(stmt, End):
             events.append(Ended(proto.name))
-            while stack:
-                frame = stack.pop()
-                if frame.loop:
-                    events.append(Recursed(frame.proto.name))
-                    enter(frame.proto, frame.binding)
-                    break
-            else:
+            if not loops:
                 return RunReport(events, Completed())
+            caller, caller_binding = loops.pop()
+            events.append(Recursed(caller.name))
+            enter(caller, caller_binding)
             continue
 
         raise TypeError(f"not a statement: {stmt!r}")

@@ -19,6 +19,7 @@ __all__ = [
     "TupleV",
     "ConV",
     "Value",
+    "VALUE_KINDS",
     "CtorPat",
     "LitPat",
     "WildPat",
@@ -74,6 +75,10 @@ class ConV:
 
 
 Value = Union[IntV, BoolV, StrV, TupleV, ConV]
+
+# The base type of each literal value: what a literal pattern can match,
+# and what a trace value of a base type must be.
+VALUE_KINDS = {IntV: "Int", BoolV: "Bool", StrV: "Str"}
 
 
 # ---------------------------------------------------------------------------

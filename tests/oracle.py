@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from sessioncheck.checker import KindError, kind_of_ref
-from sessioncheck.model import BaseType, ErrorType, NamedType, RefinedType, free_vars_ordered
+from sessioncheck.model import BaseType, NamedType, RefinedType, free_vars_ordered
 from sessioncheck.printer import format_value
 from sessioncheck.syntax import (
     Call,
@@ -130,10 +130,10 @@ def oracle_check(file: SourceFile):
         return type_.payload if isinstance(type_, RefinedType) else type_
 
     def coverage(stmt: ReadCase, scrutinee):
-        eff = effective(scrutinee) if scrutinee is not None else ErrorType()
-        has_wild = any(isinstance(a.pattern, WildPat) for a in stmt.arms)
-        if isinstance(eff, ErrorType):
+        if scrutinee is None:
             return
+        eff = effective(scrutinee)
+        has_wild = any(isinstance(a.pattern, WildPat) for a in stmt.arms)
         if isinstance(eff, NamedType):
             decl = variants.get(eff.name)
             if decl is None:
@@ -190,9 +190,7 @@ def oracle_check(file: SourceFile):
                     env = {v.name: t for v, t, _ in _creates(prefix)}
                     try:
                         result = kind_of_ref(stmt.rtype.predicate, env, stmt.rtype.payload)
-                        if not (isinstance(result, BaseType) and result.kind == "Bool") and not isinstance(
-                            result, ErrorType
-                        ):
+                        if not (isinstance(result, BaseType) and result.kind == "Bool"):
                             fail()
                     except KindError:
                         fail()

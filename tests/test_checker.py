@@ -463,3 +463,147 @@ def test_oracle_agreement_sample():
         assert result.ok == accepted
         if accepted:
             assert [(lbl, comparable_index(idx)) for lbl, idx in result.final_indices] == finals
+
+
+# ---------------------------------------------------------------------------
+# Exact diagnostics of the declaration, call and refinement rules
+
+# source -> every diagnostic as (code, line, col, message)
+EXACT = {
+    "duplicate role": (
+        "roles A, B, A\nprotocol P [A, B] { msg x : Int by A; send x A -> B; end }\n",
+        [("E001", 1, 13, "duplicate role 'A'")],
+    ),
+    "duplicate constructor": (
+        "roles A, B\ntype T = X | Y | X\nprotocol P [A, B] { msg x : T by A; send x A -> B; end }\n",
+        [("E001", 2, 18, "duplicate constructor 'X' in type 'T'")],
+    ),
+    "duplicate parameter": (
+        "roles A, B\nprotocol Q [A, B] { end }\n"
+        "protocol P<q : protocol[A, B], q : protocol[A]> [A, B] { call q }\n"
+        "protocol M [A, B] { call P(Q, Q) }\nentry M\n",
+        [
+            ("E001", 3, 32, "duplicate parameter 'q'"),
+            ("E008", 4, 21, "'Q' has participants [A, B] but parameter 'q' declares [A]"),
+        ],
+    ),
+    "parameter shadows a protocol": (
+        "roles A, B\nprotocol Q [A, B] { end }\nprotocol P<Q : protocol[A, B]> [A, B] { call Q }\nentry Q\n",
+        [("E001", 3, 12, "parameter 'Q' shadows a declared protocol")],
+    ),
+    "participant list": (
+        "roles A, B\nprotocol P [A, C, A] { end }\n",
+        [
+            ("E001", 2, 1, "duplicate participant 'A' in protocol 'P'"),
+            ("E001", 2, 1, "unknown role 'C' in protocol 'P'"),
+        ],
+    ),
+    "parameter signature": (
+        "roles A, B\nprotocol Q [A, B] { end }\nprotocol P<q : protocol[B, D, B]> [A, B] { call q }\nentry Q\n",
+        [
+            ("E001", 3, 12, "duplicate participant 'B' in parameter 'q'"),
+            ("E001", 3, 12, "unknown role 'D' in parameter 'q'"),
+            ("E008", 3, 44, "callee participants [B, D, B] do not appear in order within [A, B]"),
+        ],
+    ),
+    "unknown type": (
+        "roles A, B\ntype T = X(Nope) | Y\nprotocol P [A, B] { msg x : (Int, Missing) by A; send x A -> B; end }\n",
+        [("E001", 2, 12, "unknown type 'Nope'"), ("E001", 3, 35, "unknown type 'Missing'")],
+    ),
+    "read over an unknown type": (
+        "roles A, B\nprotocol P [A, B] { msg t : Nope by A; send t A -> B; read t { X => end } }\n",
+        [("E001", 2, 29, "unknown type 'Nope'")],
+    ),
+    "undeclared entry": (
+        "roles A, B\nprotocol P [A, B] { end }\nentry Nowhere\n",
+        [("E001", 1, 1, "entry protocol 'Nowhere' is not declared")],
+    ),
+    "unknown callee": (
+        "roles A, B\nprotocol P [A, B] { call Nowhere }\n",
+        [("E001", 2, 21, "unknown protocol 'Nowhere'")],
+    ),
+    "unknown protocol argument": (
+        "roles A, B\nprotocol Q<q : protocol[A, B]> [A, B] { call q }\nprotocol P [A, B] { call Q(Nowhere) }\nentry P\n",
+        [("E001", 3, 21, "unknown protocol 'Nowhere'")],
+    ),
+    "parameter called with arguments": (
+        "roles A, B\nprotocol R [A, B] { end }\nprotocol Q<q : protocol[A, B]> [A, B] { call q(R) }\n"
+        "protocol P [A, B] { call Q(R) }\nentry P\n",
+        [("E001", 3, 41, "protocol parameter 'q' takes no arguments [in Q<R>]")],
+    ),
+    "no such constructor": (
+        "roles A, B\ntype T = X | Y\n"
+        "protocol P [A, B] { msg t : T by A; send t A -> B; read t { X => end; Z => end; _ => end } }\n",
+        [("E001", 3, 71, "'T' has no constructor 'Z'")],
+    ),
+    "predicate names an unbound variable": (
+        "roles A, B\nprotocol P [A, B] { dep y : (v : Int) where v == ghost by A; send y A -> B; end }\n",
+        [("E009", 2, 21, "predicate references 'ghost', which is not bound on this path")],
+    ),
+    "refinement not Bool": (
+        "roles A, B\nprotocol P [A, B] { msg x : Int by A; dep y : (v : Int) where v + x by A; send y A -> B; end }\n",
+        [("E010", 2, 39, "refinement must be Bool, found Int")],
+    ),
+    "inside an instantiation": (
+        "roles Alice, Bob, Carol\n"
+        "protocol Auth [Alice, Bob] { msg secret : Str by Alice; send secret Alice -> Bob; end }\n"
+        "protocol Hoppy<body : protocol[Alice, Bob]> [Alice, Bob] {\n"
+        "  msg creds : Str by Carol;\n  send creds Alice -> Bob;\n  call body\n}\n"
+        "protocol Main [Alice, Bob] { call Hoppy(Auth) }\nentry Main\n",
+        [
+            ("E002", 4, 3, "creator 'Carol' is not a participant of protocol 'Hoppy' [in Hoppy<Auth>]"),
+            ("E003", 5, 3, "sender 'Alice' does not know 'creds' [in Hoppy<Auth>]"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT))
+def test_exact_diagnostics(name):
+    src, expected = EXACT[name]
+    result = check_source(src)
+    assert [(d.code, d.span.line, d.span.col, d.message) for d in result.diagnostics] == expected
+    assert all(d.severity == ERROR for d in result.diagnostics)
+
+
+REFINED_PAIR = """roles A, B
+protocol P [A, B] {
+  dep p : (lo : Int, hi : Int) where lo < hi by A;
+  msg n : Int by A;
+  dep q : (v : Int) where %s by A;
+  send q A -> B;
+  end
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "predicate, message",
+    [
+        ("v == p!.2", None),
+        ("p!.1 < v and v < p!.2", None),
+        ("v == p.2", "projection needs a tuple, found (lo : Int, hi : Int) where lo < hi"),
+        ("v == p!.3", "position 3 exceeds tuple arity 2"),
+        ("v == n!", "'!' unwraps refined values only, found Int"),
+        ("v == p!", "'==' compares Int/Bool/Str values, found (Int, Int)"),
+        ("v == n.1", "projection needs a tuple, found Int"),
+    ],
+)
+def test_projection_and_unwrap_of_a_refined_tuple(predicate, message):
+    result = check_source(REFINED_PAIR % predicate)
+    expected = [] if message is None else [("E010", 5, 32, f"ill-kinded refinement: {message}")]
+    assert [(d.code, d.span.line, d.span.col, d.message) for d in result.diagnostics] == expected
+
+
+def test_a_repeated_parameter_name_calls_with_its_first_signature():
+    # Both arguments fit their own parameter, so Hub<X, Y> is checked; inside
+    # it `q` means the first `q`, whose participants [A, C] fit Hub's.
+    src = (
+        "roles A, B, C\nprotocol X [A, C] { end }\nprotocol Y [B, C] { end }\n"
+        "protocol Hub<q : protocol[A, C], q : protocol[B, C]> [A, C] { call q }\n"
+        "protocol M [A, B, C] { call Hub(X, Y) }\nentry M\n"
+    )
+    result = check_source(src)
+    assert [(d.code, d.span.line, d.span.col, d.message) for d in result.diagnostics] == [
+        ("E001", 4, 34, "duplicate parameter 'q'")
+    ]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import jsonschema
+import pytest
 
 from conftest import run_cli
 
@@ -437,3 +438,64 @@ def test_one_parser_per_process_gives_what_a_fresh_parser_gives(corpus, capsys, 
     codes = [code for code, _, _ in shared[: len(runs)]]
     assert codes == [0, 0, 0, 0, 1, 0, 2, 0, 1, 1, 2, 0, 2, 0]
     assert "--max-steps: must be 0 or more, got -1" in shared[6][2]
+
+
+def test_simulate_text_prints_constructor_values(corpus, tmp_path, capsys):
+    from sessioncheck import cli
+
+    assert cli.main(["simulate", str(corpus / "server.ssn"), "--trace", str(corpus / "server_math.trace")]) == 0
+    assert "created  op = Add(2, 3) by Alice\n" in capsys.readouterr().out
+    ssn = tmp_path / "one.ssn"
+    ssn.write_text("roles A, B\ntype T = X | Y(Int)\nprotocol P [A, B] { msg t : T by A; send t A -> B; end }\n")
+    trace = tmp_path / "one.trace"
+    trace.write_text("t = Y(4)")
+    assert cli.main(["simulate", str(ssn), "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "created  t = Y(4) by A"
+    trace.write_text("t = X")
+    assert cli.main(["simulate", str(ssn), "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "created  t = X by A"
+
+
+@pytest.mark.parametrize(
+    "failure, reason",
+    [
+        ("open", PermissionError(13, "Permission denied")),
+        ("write", OSError(28, "No space left on device")),
+        ("open", OSError("no strerror")),
+    ],
+)
+def test_fmt_reports_a_file_it_cannot_write_and_goes_on(tmp_path, capsys, monkeypatch, failure, reason):
+    from sessioncheck import cli
+
+    messy = "roles  A\nprotocol P [A] {  end  }"
+    bad, good = tmp_path / "bad.ssn", tmp_path / "good.ssn"
+    bad.write_text(messy)
+    good.write_text(messy)
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            raise reason
+
+    def fake_open(path, mode="r", **kwargs):
+        if path == str(bad) and "w" in mode:
+            if failure == "open":
+                raise reason
+            return FullDisk(real_open(path, mode, **kwargs))
+        return real_open(path, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    assert cli.main(["fmt", str(bad), str(good)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"sessioncheck: cannot write {bad}: {reason.strerror or reason}\n"
+    assert out == f"reformatted {good}\n"
+    assert good.read_text() == "roles A\n\nprotocol P [A] {\n  end\n}\n"

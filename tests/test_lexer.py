@@ -46,7 +46,7 @@ def test_exact_tokens_and_errors(src):
     assert [(e.line, e.col, e.message) for e in errors] == CASES[src][1]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.sampled_from(list('"\\-\t\r\n\x0b\x00é aZ_19(=<>!.') + ["--", "roles", "\r\n"])).map("".join))
 def test_token_text_and_position_match_its_offset(src):
     tokens, _ = tokenize(src)

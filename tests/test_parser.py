@@ -168,6 +168,39 @@ def test_missing_terminator_rejected():
     assert any("finish" in e.message for e in exc.value.errors)
 
 
+@pytest.mark.parametrize(
+    "fn, src, errors",
+    [
+        (parse, "roles A\nprotocol P [A] { msg x : (Int) by A; end }", ["2:26: tuple type needs at least two components"]),
+        (parse, "roles A\nprotocol P [A] { }", ["2:18: expected a statement"]),
+        (
+            parse,
+            "roles A\nprotocol P [A] { dep x : (v : (Int, Int)) where v.0 == 1 by A; end }",
+            ["2:51: projection positions are 1-based"],
+        ),
+        (parse, "roles A, \nprotocol P [A] { end }", ["2:1: expected a role name, found 'protocol'"]),
+        (parse, "roles A\nprotocol P<q : protocol[A], > [A] { end }", ["2:29: expected a parameter name, found '>'"]),
+        (
+            parse,
+            "roles A\nprotocol P [A] { call Q(R,) }",
+            ["2:27: expected a protocol name, found ')'", "2:27: expected '}', found ')'"],
+        ),
+        (
+            parse,
+            "roles A\nprotocol P [A] { dep x : (a : Int, ) where a == 1 by A; end }",
+            ["2:36: expected a component label, found ')'", "2:36: expected '}', found ')'"],
+        ),
+        (parse_trace, "x = (1)", ["1:5: tuple value needs at least two components"]),
+        (parse_trace, "x = C(1,)", ["1:9: expected a value"]),
+        (parse_trace, "x = (1 2)", ["1:8: expected ',' or ')' in tuple value, found '2'"]),
+    ],
+)
+def test_exact_parse_errors(fn, src, errors):
+    with pytest.raises(ParseFailure) as exc:
+        fn(src)
+    assert [str(e) for e in exc.value.errors] == errors
+
+
 def test_non_tail_terminator_is_parsed_not_rejected():
     file = parse("roles A\nprotocol P [A] { end; end }")
     assert file.protocols[0].body == (End(), End())

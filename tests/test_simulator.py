@@ -22,7 +22,7 @@ from sessioncheck.simulator import (
     eval_ref,
     run_trace,
 )
-from sessioncheck.syntax import ConV, IntV, StrV, TupleV
+from sessioncheck.syntax import BoolV, ConV, IntV, StrV, TupleV
 
 
 # ---------------------------------------------------------------------------
@@ -224,3 +224,162 @@ def test_simulator_matches_checker_indices(corpus):
         for e in sent_events:
             at_send = [rec.index_after for rec in result.step_log if rec.span == e.span]
             assert e.index_after in at_send, (ssn, tr)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation, arm selection and trace typing, exactly
+
+
+def test_eval_remaining_operators():
+    from sessioncheck.model import Arith, BinderRef, BoolLit, Cmp, IntLit, StrLit, UnwrapDep
+
+    assert eval_ref(Arith("-", IntLit(5), IntLit(7)), {}, None) == IntV(-2)
+    assert eval_ref(Arith("*", IntLit(6), IntLit(7)), {}, None) == IntV(42)
+    assert eval_ref(Cmp("!=", StrLit("a"), StrLit("b")), {}, None) == BoolV(True)
+    assert eval_ref(Cmp("!=", IntLit(1), IntLit(1)), {}, None) == BoolV(False)
+    assert eval_ref(Cmp("<=", IntLit(2), IntLit(2)), {}, None) == BoolV(True)
+    assert eval_ref(BoolLit(True), {}, None) == BoolV(True)
+    assert eval_ref(BoolLit(False), {}, None) == BoolV(False)
+    assert eval_ref(UnwrapDep(BinderRef()), {}, IntV(3)) == IntV(3)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda m: m.VarRef(VarId("missing")), "variable 'missing' has no value"),
+        (lambda m: m.BinderRef(), "no refined value in scope"),
+        (lambda m: m.Proj(m.VarRef(VarId("pair")), 3), "cannot take position 3 of (1, \"a\")"),
+        (lambda m: m.Proj(m.IntLit(1), 1), "cannot take position 1 of 1"),
+        (lambda m: m.Arith("-", m.StrLit("a"), m.IntLit(1)), "'-' needs integers"),
+        (lambda m: m.Arith("*", m.IntLit(1), m.BoolLit(True)), "'*' needs integers"),
+        (lambda m: m.Cmp("<", m.StrLit("a"), m.IntLit(1)), "'<' needs integers"),
+        (lambda m: m.BoolOp("and", m.IntLit(1), m.BoolLit(True)), "'and' needs booleans"),
+        (lambda m: m.BoolOp("or", m.BoolLit(True), m.StrLit("x")), "'or' needs booleans"),
+    ],
+)
+def test_each_eval_error(build, message):
+    from sessioncheck import model
+
+    with pytest.raises(EvalError) as err:
+        eval_ref(build(model), {"pair": TupleV((IntV(1), StrV("a")))}, None)
+    assert str(err.value) == message
+
+
+# A plain call inside a looping callee is a tail call: when Inner ends, the
+# run goes straight back to the loop in Outer, with no event for Middle.
+NESTED_CALLS = """roles A, B
+protocol Inner [A, B] { msg i : Int by A; send i A -> B; end }
+protocol Middle [A, B] { msg m : Int by A; send m A -> B; call Inner }
+protocol Outer [A, B] {
+  msg c : Bool by A;
+  send c A -> B;
+  read c { true => call Middle then rec; _ => end }
+}
+entry Outer
+"""
+
+
+def event_names(report):
+    return [
+        (type(e).__name__, e.protocol if isinstance(e, (Called, Ended, Recursed)) else e.var)
+        for e in report.events
+    ]
+
+
+def test_plain_call_inside_a_looping_callee():
+    file = parse(NESTED_CALLS)
+    assert check_file(file).diagnostics == []
+    report = run_trace(file, parse_trace("c = true\nm = 1\ni = 2\nc = true\nm = 3\ni = 4\nc = false"))
+    round_ = [
+        ("MsgCreated", "c"), ("Sent", "c"), ("CaseTaken", "c"),
+        ("Called", "Middle"), ("MsgCreated", "m"), ("Sent", "m"),
+        ("Called", "Inner"), ("MsgCreated", "i"), ("Sent", "i"),
+        ("Ended", "Inner"), ("Recursed", "Outer"),
+    ]
+    last = [("MsgCreated", "c"), ("Sent", "c"), ("CaseTaken", "c"), ("Ended", "Outer")]
+    assert event_names(report) == round_ + round_ + last
+    assert [e.arm for e in report.events if isinstance(e, CaseTaken)] == ["true", "true", "_"]
+    assert report.status == Completed()
+
+
+LITERAL_ARMS = """roles A, B
+protocol P [A, B] {
+  msg n : Int by A;
+  msg s : Str by A;
+  send n A -> B;
+  send s A -> B;
+  read n {
+    -2 => read s { "hi" => end; _ => end };
+    7 => end;
+    _ => end
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "trace, arms",
+    [
+        ('n = -2\ns = "hi"', ["-2", '"hi"']),
+        ('n = -2\ns = "ho"', ["-2", "_"]),
+        ('n = 7\ns = "hi"', ["7"]),
+        ('n = 8\ns = "hi"', ["_"]),
+    ],
+)
+def test_literal_and_wildcard_arms(trace, arms):
+    file = parse(LITERAL_ARMS)
+    assert check_file(file).diagnostics == []
+    report = run_trace(file, parse_trace(trace))
+    assert [e.arm for e in report.events if isinstance(e, CaseTaken)] == arms
+    assert report.status == Completed()
+
+
+def test_unchecked_reads_end_in_a_mismatch():
+    no_arm = parse("roles A, B\nprotocol P [A, B] { msg n : Int by A; read n { 1 => end } }")
+    report = run_trace(no_arm, parse_trace("n = 2"))
+    assert report.status == TraceMismatch("n", "a matching arm", IntV(2), "no case arm matches the value")
+    no_value = parse("roles A, B\nprotocol P [A, B] { read n { _ => end } }")
+    report = run_trace(no_value, parse_trace(""))
+    assert report.status == TraceMismatch("n", "bound message", None, "read of a variable with no value")
+    assert report.events == []
+
+
+TYPED = """roles A, B
+type T = X | Y(Int) | Z(Int, Str)
+protocol P [A, B] { msg v : %s by A; send v A -> B; end }
+"""
+
+
+@pytest.mark.parametrize(
+    "type_, value, fits",
+    [
+        ("Int", "1", True),
+        ("Int", '"1"', False),
+        ("Bool", "1", False),
+        ("Bool", "false", True),
+        ("Str", "true", False),
+        ("(Int, Str)", '(1, "a")', True),
+        ("(Int, Str)", "(1, 2)", False),
+        ("(Int, Str)", '(1, "a", 3)', False),
+        ("(Int, Str)", "1", False),
+        ("T", "X", True),
+        ("T", "Y(4)", True),
+        ("T", 'Z(4, "a")', True),
+        ("T", "W", False),
+        ("T", "X(1)", False),
+        ("T", "Y", False),
+        ("T", 'Y("a")', False),
+        ("T", "Z(4)", False),
+        ("T", "4", False),
+    ],
+)
+def test_trace_value_against_its_declared_type(type_, value, fits):
+    file = parse(TYPED % type_)
+    assert check_file(file).diagnostics == []
+    report = run_trace(file, parse_trace(f"v = {value}"))
+    if fits:
+        assert report.status == Completed()
+    else:
+        got = parse_trace(f"v = {value}").bindings[0].value
+        assert report.status == TraceMismatch("v", type_, got, "value does not fit the declared type")
+        assert report.events == []
