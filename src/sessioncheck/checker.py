@@ -329,45 +329,33 @@ class _ProtoCtx:
         self.checker.final.append((path, freeze(index)))
 
     def check_block(self, block: Block, index: WorkingIndex, path: str, guarded: bool) -> None:
-        i = 0
-        while i < len(block):
-            stmt = block[i]
+        for i, stmt in enumerate(block):
             last = i == len(block) - 1
-            if isinstance(stmt, (Rec, Call, End)) and not last:
-                self.emit("E007", stmt.span, f"'{format_stmt(stmt).split()[0]}' must be the last statement on its path")
-                i += 1  # drop the stray terminator, keep checking the successors
-                continue
-            if isinstance(stmt, ReadCase) and not last:
-                self.emit("E007", stmt.span, "'read' must be the last statement on its path")
+            if isinstance(stmt, ReadCase):
+                if not last:
+                    self.emit("E007", stmt.span, "'read' must be the last statement on its path")
                 self.check_read(stmt, index, path, guarded)
                 return  # successors are unreachable behind the arms
-            if isinstance(stmt, NewMsg):
-                self.check_new_msg(stmt, index)
-                guarded = True
-            elif isinstance(stmt, NewDepMsg):
-                self.check_new_dep(stmt, index)
-                guarded = True
-            elif isinstance(stmt, Send):
-                self.check_send(stmt, index)
-                guarded = True
-            elif isinstance(stmt, ReadCase):
-                self.check_read(stmt, index, path, guarded)
-                return
-            elif isinstance(stmt, Rec):
-                if not guarded:
-                    self.emit("E007", stmt.span, "unguarded recursion: the loop exchanges no messages", WARNING)
-                self.record(stmt, path, index)
-                self.finish(f"{path} (rec)", index)
-                return
-            elif isinstance(stmt, Call):
+            if isinstance(stmt, (Rec, Call, End)) and not last:
+                self.emit("E007", stmt.span, f"'{format_stmt(stmt).split()[0]}' must be the last statement on its path")
+                continue  # drop the stray terminator, keep checking the successors
+            if isinstance(stmt, Call):
                 self.check_call(stmt, index, path)
                 return
-            elif isinstance(stmt, End):
+            if isinstance(stmt, (Rec, End)):
+                if isinstance(stmt, Rec) and not guarded:
+                    self.emit("E007", stmt.span, "unguarded recursion: the loop exchanges no messages", WARNING)
                 self.record(stmt, path, index)
-                self.finish(path, index)
+                self.finish(f"{path} (rec)" if isinstance(stmt, Rec) else path, index)
                 return
+            if isinstance(stmt, NewMsg):
+                self.check_new_msg(stmt, index)
+            elif isinstance(stmt, NewDepMsg):
+                self.check_new_dep(stmt, index)
+            elif isinstance(stmt, Send):
+                self.check_send(stmt, index)
+            guarded = True
             self.record(stmt, path, index)
-            i += 1
         # unreachable on parser output (blocks always close), but a hand
         # built AST may fall through: treat it as an implicit end.
         self.finish(path, index)

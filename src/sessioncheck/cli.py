@@ -10,9 +10,11 @@ fails the checker or has no protocol to run).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json  # perfbench/tracing.py wraps cli.json.dumps
 import os
+import stat
 import sys
 
 from .checker import CheckResult, StepRecord, check_file, resolve_entry
@@ -40,14 +42,14 @@ from .simulator import (
 __all__ = ["main"]
 
 
-def _want_color(choice: str) -> bool:
+def _want_color(choice: str, stream) -> bool:
     if os.environ.get("NO_COLOR"):
         return False
     if choice == "always":
         return True
     if choice == "never":
         return False
-    return sys.stdout.isatty()
+    return stream.isatty()
 
 
 def _to_devnull(stream) -> None:
@@ -267,6 +269,24 @@ def _explain_json(result: CheckResult) -> dict:
     }
 
 
+def _replace_text(path: str, text: str) -> None:
+    """Write ``text`` in full beside the file ``path`` points to, then move it
+    over that file with the file's mode, so a failed write leaves the original."""
+    target = os.path.realpath(path)  # a link stays a link, to the new text
+    if not os.access(target, os.W_OK):  # a read-only file stays as it is
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _cmd_fmt(args, color: bool) -> int:
     worst = 0
     for path in args.files:
@@ -289,8 +309,7 @@ def _cmd_fmt(args, color: bool) -> int:
             worst = max(worst, 1)
         else:
             try:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(formatted)
+                _replace_text(path, formatted)
             except OSError as err:
                 _warn(f"sessioncheck: cannot write {path}: {err.strerror or err}")
                 worst = 2
@@ -336,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.command == "simulate" and args.max_steps < 0:
         ap.error(f"argument --max-steps: must be 0 or more, got {args.max_steps}")
-    color = _want_color(args.color)
+    color = _want_color(args.color, sys.stdout if args.command == "check" else sys.stderr)  # where diagnostics go
     command = {"check": _cmd_check, "simulate": _cmd_simulate, "explain": _cmd_explain, "fmt": _cmd_fmt}
     try:
         code = command[args.command](args, color)

@@ -1,13 +1,15 @@
 """Deterministic executor: runs a checked protocol against a concrete trace.
 
-One trace drives all roles. Creation statements consume bindings in order,
-refinements are evaluated on the real values, case arms are selected by
-first match, and the knowledge index is logged after every send so runs
-can be compared step for step against the checker.
+One trace drives all roles. Each protocol entered (the entry, a `rec`, a
+`call`, or the loop back after `call ... then rec`) starts a fresh store and
+index. Bindings are consumed in order, refinements evaluated on the real
+values and case arms selected by first match; the index is logged after every
+send so runs can be compared step for step against the checker.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .checker import resolve_entry
@@ -53,6 +55,7 @@ from .syntax import (
     SourceFile,
     StrV,
     Trace,
+    TraceBinding,
     TupleV,
     Value,
     WildPat,
@@ -169,7 +172,6 @@ class MsgCreated:
     var: str
     value: Value
     creator: str
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -346,136 +348,86 @@ def run_trace(file: SourceFile, trace: Trace, *, max_steps: int = 10_000) -> Run
     entry = resolve_entry(file)
     if entry is None:
         raise ValueError("file has no entry protocol; run the checker first")
-
     events: list[Event] = []
+    return RunReport(events, _run(file, entry, iter(trace.bindings), max_steps, events))
+
+
+def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], max_steps: int, events: list[Event]) -> Status:
+    """Run from ``proto``, appending to ``events``; return how the run ended."""
     # The callers to loop back into when a callee ends, one per `call ...
     # then rec` in progress; a plain `call` is a tail call and leaves none.
     loops: list[tuple[ProtocolDecl, dict[str, str]]] = []
-    proto = entry
     param_binding: dict[str, str] = {}
-    bindings: dict[str, Value] = {}
-    index: WorkingIndex = {}
-    block = proto.body
-    pos = 0
-    trace_pos = 0
     steps = 0
-
-    def enter(p: ProtocolDecl, binding: dict[str, str]) -> None:
-        nonlocal proto, param_binding, bindings, index, block, pos
-        proto = p
-        param_binding = binding
-        bindings = {}
-        index = {}
-        block = p.body
-        pos = 0
-
-    while True:
-        if pos >= len(block):
-            # Hand-built ASTs may fall off a block; treat like `end`.
-            stmt = End(None)
-        else:
-            stmt = block[pos]
-        steps += 1
-        if steps > max_steps:
-            return RunReport(events, TraceExhausted(None, f"step limit of {max_steps} exceeded"))
-
-        if isinstance(stmt, (NewMsg, NewDepMsg)):
-            declared: TypeExpr = stmt.type if isinstance(stmt, NewMsg) else stmt.rtype
-            if trace_pos >= len(trace.bindings):
-                return RunReport(events, TraceExhausted(stmt.var.name, "trace has no binding left"))
-            binding = trace.bindings[trace_pos]
-            trace_pos += 1
-            if binding.var != stmt.var:
-                return RunReport(
-                    events,
-                    TraceMismatch(
-                        stmt.var.name,
-                        format_type(declared),
-                        binding.value,
-                        f"trace binds '{binding.var.name}' where '{stmt.var.name}' was expected",
-                    ),
-                )
-            if not value_matches_type(binding.value, declared, file):
-                return RunReport(
-                    events,
-                    TraceMismatch(stmt.var.name, format_type(declared), binding.value, "value does not fit the declared type"),
-                )
-            bindings[stmt.var.name] = binding.value
-            add_item(index, stmt.var, declared, stmt.creator)
-            events.append(MsgCreated(stmt.var.name, binding.value, stmt.creator.name, stmt.span))
-            if isinstance(stmt, NewDepMsg):
-                pred = stmt.rtype.predicate
-                try:
-                    verdict = eval_ref(pred, bindings, binding.value)
-                except EvalError as err:
-                    return RunReport(
-                        events,
-                        TraceMismatch(stmt.var.name, format_type(declared), binding.value, str(err)),
-                    )
-                witness = tuple(
-                    (v.name, bindings[v.name]) for v in free_vars_ordered(pred) if v.name in bindings
-                )
-                binder_name = stmt.rtype.labels[0] if len(stmt.rtype.labels) == 1 else "_"
-                witness = ((binder_name, binding.value),) + witness
-                ok = isinstance(verdict, BoolV) and verdict.value
-                events.append(
-                    RefinementChecked(stmt.var.name, format_ref(pred, stmt.rtype.labels), ok, witness)
-                )
-                if not ok:
-                    return RunReport(events, RefinementViolated(stmt.var.name, stmt.span))
+    while True:  # one pass per protocol entered, each with a fresh store and index
+        bindings: dict[str, Value] = {}
+        index: WorkingIndex = {}
+        block, pos = proto.body, 0
+        while True:
+            stmt = block[pos] if pos < len(block) else End(None)  # a hand-built AST may fall off its block
             pos += 1
-            continue
+            steps += 1
+            if steps > max_steps:
+                return TraceExhausted(None, f"step limit of {max_steps} exceeded")
 
-        if isinstance(stmt, Send):
-            add_knower(index, stmt.var, stmt.receiver)
-            knowers = index[stmt.var].knowers
-            events.append(Sent(stmt.var.name, stmt.sender.name, stmt.receiver.name, freeze(index), stmt.span, knowers))
-            pos += 1
-            continue
-
-        if isinstance(stmt, ReadCase):
-            value = bindings.get(stmt.var.name)
-            if value is None:
-                return RunReport(
-                    events, TraceMismatch(stmt.var.name, "bound message", None, "read of a variable with no value")
-                )
-            for arm in stmt.arms:
-                if _pattern_matches(arm.pattern, value):
-                    events.append(CaseTaken(stmt.var.name, format_pattern(arm.pattern)))
-                    block = arm.body
-                    pos = 0
-                    break
+            if isinstance(stmt, (NewMsg, NewDepMsg)):
+                var = stmt.var.name
+                declared: TypeExpr = stmt.type if isinstance(stmt, NewMsg) else stmt.rtype
+                binding = next(trace, None)
+                if binding is None:
+                    return TraceExhausted(var, "trace has no binding left")
+                value = binding.value
+                if binding.var != stmt.var:
+                    note = f"trace binds '{binding.var.name}' where '{var}' was expected"
+                    return TraceMismatch(var, format_type(declared), value, note)
+                if not value_matches_type(value, declared, file):
+                    return TraceMismatch(var, format_type(declared), value, "value does not fit the declared type")
+                bindings[var] = value
+                add_item(index, stmt.var, declared, stmt.creator)
+                events.append(MsgCreated(var, value, stmt.creator.name))
+                if isinstance(stmt, NewDepMsg):
+                    pred, labels = stmt.rtype.predicate, stmt.rtype.labels
+                    try:
+                        verdict = eval_ref(pred, bindings, value)
+                    except EvalError as err:
+                        return TraceMismatch(var, format_type(declared), value, str(err))
+                    witness = ((format_ref(BinderRef(), labels), value),)  # the binder, named as the predicate names it
+                    witness += tuple((v.name, bindings[v.name]) for v in free_vars_ordered(pred))
+                    ok = isinstance(verdict, BoolV) and verdict.value
+                    events.append(RefinementChecked(var, format_ref(pred, labels), ok, witness))
+                    if not ok:
+                        return RefinementViolated(var, stmt.span)
+            elif isinstance(stmt, Send):
+                add_knower(index, stmt.var, stmt.receiver)
+                knowers = index[stmt.var].knowers
+                events.append(Sent(stmt.var.name, stmt.sender.name, stmt.receiver.name, freeze(index), stmt.span, knowers))
+            elif isinstance(stmt, ReadCase):
+                value = bindings.get(stmt.var.name)
+                if value is None:
+                    return TraceMismatch(stmt.var.name, "bound message", None, "read of a variable with no value")
+                arm = next((a for a in stmt.arms if _pattern_matches(a.pattern, value)), None)
+                if arm is None:
+                    return TraceMismatch(stmt.var.name, "a matching arm", value, "no case arm matches the value")
+                events.append(CaseTaken(stmt.var.name, format_pattern(arm.pattern)))
+                block, pos = arm.body, 0
+            elif isinstance(stmt, Rec):
+                events.append(Recursed(proto.name))
+                break
+            elif isinstance(stmt, Call):
+                callee = file.protocol(param_binding.get(stmt.target, stmt.target))
+                if callee is None:
+                    raise ValueError(f"call target '{stmt.target}' did not resolve; run the checker first")
+                if stmt.then_rec:
+                    loops.append((proto, param_binding))
+                events.append(Called(callee.name))
+                proto, param_binding = callee, dict(zip((q.name for q in callee.params), stmt.args))
+                break
+            elif isinstance(stmt, End):
+                events.append(Ended(proto.name))
+                if not loops:
+                    return Completed()
+                proto, param_binding = loops.pop()
+                events.append(Recursed(proto.name))
+                break
             else:
-                return RunReport(
-                    events,
-                    TraceMismatch(stmt.var.name, "a matching arm", value, "no case arm matches the value"),
-                )
-            continue
-
-        if isinstance(stmt, Rec):
-            events.append(Recursed(proto.name))
-            enter(proto, param_binding)
-            continue
-
-        if isinstance(stmt, Call):
-            target = param_binding.get(stmt.target, stmt.target)
-            callee = file.protocol(target)
-            if callee is None:
-                raise ValueError(f"call target '{stmt.target}' did not resolve; run the checker first")
-            if stmt.then_rec:
-                loops.append((proto, param_binding))
-            events.append(Called(callee.name))
-            new_binding = dict(zip((q.name for q in callee.params), stmt.args))
-            enter(callee, new_binding)
-            continue
-
-        if isinstance(stmt, End):
-            events.append(Ended(proto.name))
-            if not loops:
-                return RunReport(events, Completed())
-            caller, caller_binding = loops.pop()
-            events.append(Recursed(caller.name))
-            enter(caller, caller_binding)
-            continue
-
-        raise TypeError(f"not a statement: {stmt!r}")
+                raise TypeError(f"not a statement: {stmt!r}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 
@@ -487,7 +488,7 @@ def test_fmt_reports_a_file_it_cannot_write_and_goes_on(tmp_path, capsys, monkey
             raise reason
 
     def fake_open(path, mode="r", **kwargs):
-        if path == str(bad) and "w" in mode:
+        if str(path).startswith(f"{os.path.realpath(bad)}.") and "x" in mode:  # bad.ssn's new text
             if failure == "open":
                 raise reason
             return FullDisk(real_open(path, mode, **kwargs))
@@ -499,3 +500,64 @@ def test_fmt_reports_a_file_it_cannot_write_and_goes_on(tmp_path, capsys, monkey
     assert err == f"sessioncheck: cannot write {bad}: {reason.strerror or reason}\n"
     assert out == f"reformatted {good}\n"
     assert good.read_text() == "roles A\n\nprotocol P [A] {\n  end\n}\n"
+    assert bad.read_text() == messy
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ssn", "good.ssn"]
+
+
+def test_fmt_rewrites_through_a_link_and_keeps_the_mode(tmp_path, capsys):
+    from sessioncheck import cli
+
+    messy = "roles  A\nprotocol P [A] {  end  }"
+    real, link = tmp_path / "real.ssn", tmp_path / "link.ssn"
+    real.write_text(messy)
+    real.chmod(0o640)
+    link.symlink_to(real)
+    assert cli.main(["fmt", str(link)]) == 0
+    assert capsys.readouterr().out == f"reformatted {link}\n"
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text() == "roles A\n\nprotocol P [A] {\n  end\n}\n"
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.ssn", "real.ssn"]
+
+
+def test_fmt_leaves_a_file_it_may_not_write(tmp_path, capsys, monkeypatch):
+    from sessioncheck import cli
+
+    messy = "roles  A\nprotocol P [A] {  end  }"
+    ssn = tmp_path / "ro.ssn"
+    ssn.write_text(messy)
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)  # as for a non-root user on a 0444 file
+    assert cli.main(["fmt", str(ssn)]) == 2
+    assert capsys.readouterr().err == f"sessioncheck: cannot write {ssn}: Permission denied\n"
+    assert ssn.read_text() == messy
+    assert [p.name for p in tmp_path.iterdir()] == ["ro.ssn"]
+
+
+@pytest.mark.parametrize("tty", ["stdout", "stderr"])
+@pytest.mark.parametrize(
+    "command, diagnostics_to",
+    [
+        (["check", "charlie.ssn"], "stdout"),
+        (["simulate", "tcp.ssn", "--trace", "bad.trace"], "stderr"),
+        (["explain", "charlie.ssn"], "stderr"),
+        (["fmt", "bad.ssn"], "stderr"),
+    ],
+)
+def test_color_auto_looks_at_the_stream_diagnostics_go_to(
+    corpus, tmp_path, capsys, monkeypatch, command, diagnostics_to, tty
+):
+    from sessioncheck import cli
+
+    for name in ("charlie.ssn", "tcp.ssn"):
+        shutil.copy(corpus / name, tmp_path)
+    (tmp_path / "bad.trace").write_text("m1 = (SYN,")
+    (tmp_path / "bad.ssn").write_text("protocol {")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    monkeypatch.setattr(getattr(sys, tty), "isatty", lambda: True)
+    cli.main(command)
+    out, err = capsys.readouterr()
+    written, other = (out, err) if diagnostics_to == "stdout" else (err, out)
+    assert "error[" in written
+    assert ("\x1b[31m" in written) == (tty == diagnostics_to)
+    assert "\x1b[" not in other

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from conftest import CORPUS
 from sessioncheck import check_file, parse, parse_trace
 from sessioncheck.model import VarId
 from sessioncheck.simulator import (
@@ -22,7 +25,7 @@ from sessioncheck.simulator import (
     eval_ref,
     run_trace,
 )
-from sessioncheck.syntax import BoolV, ConV, IntV, StrV, TupleV
+from sessioncheck.syntax import BoolV, ConV, IntV, SourceFile, StrV, TupleV
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +386,91 @@ def test_trace_value_against_its_declared_type(type_, value, fits):
         got = parse_trace(f"v = {value}").bindings[0].value
         assert report.status == TraceMismatch("v", type_, got, "value does not fit the declared type")
         assert report.events == []
+
+
+# ---------------------------------------------------------------------------
+# Control flow: the step limit, fall-offs, loop-backs and misuse
+
+
+CHECKED = ("tcp.ssn", "server.ssn", "hoppy.ssn")
+TRACES = sorted(p.name for p in CORPUS.glob("*.trace"))
+
+
+@pytest.mark.parametrize("ssn", CHECKED)
+@pytest.mark.parametrize("trace_name", TRACES)
+def test_step_limit_cuts_the_unlimited_run(corpus, ssn, trace_name):
+    file, trace = load(corpus, ssn), trace_of(corpus, trace_name)
+    full = run_trace(file, trace)
+    k = 0
+    while run_trace(file, trace, max_steps=k) != full:
+        k += 1
+    for limit in range(k + 2):
+        report = run_trace(file, trace, max_steps=limit)
+        if limit >= k:
+            assert report == full
+        else:
+            assert report.status == TraceExhausted(None, f"step limit of {limit} exceeded")
+            assert report.events == full.events[: len(report.events)]
+
+
+def without_last_statement(text: str, name: str) -> SourceFile:
+    """A parsed file whose protocol ``name`` loses its final terminator, as
+    only a hand-built AST can."""
+    file = parse(text)
+    return replace(file, protocols=tuple(replace(p, body=p.body[:-1]) if p.name == name else p for p in file.protocols))
+
+
+def test_a_block_without_a_terminator_runs_as_end():
+    file = without_last_statement("roles A, B\nprotocol P [A, B] { msg n : Int by A; send n A -> B; end }", "P")
+    report = run_trace(file, parse_trace("n = 1"))
+    assert event_names(report) == [("MsgCreated", "n"), ("Sent", "n"), ("Ended", "P")]
+    assert report.status == Completed()
+    # The implicit end is a step of its own.
+    assert run_trace(file, parse_trace("n = 1"), max_steps=3) == report
+    cut = run_trace(file, parse_trace("n = 1"), max_steps=2)
+    assert cut.status == TraceExhausted(None, "step limit of 2 exceeded")
+    assert len(cut.events) == 2
+
+
+def test_a_callee_falling_off_its_block_loops_back():
+    text = "roles A, B\nprotocol Q [A, B] { msg n : Int by A; end }\nprotocol P [A, B] { call Q then rec }\nentry P"
+    file = without_last_statement(text, "Q")
+    report = run_trace(file, parse_trace("n = 1\nn = 2"), max_steps=9)
+    loop = [("Called", "Q"), ("MsgCreated", "n"), ("Ended", "Q"), ("Recursed", "P")]
+    assert event_names(report) == loop + loop + [("Called", "Q")]
+    assert report.status == TraceExhausted("n", "trace has no binding left")
+
+
+def test_a_file_without_an_entry_is_refused():
+    file = parse("roles A\nprotocol P [A] { end }\nprotocol Q [A] { end }")
+    with pytest.raises(ValueError, match="no entry protocol"):
+        run_trace(file, parse_trace(""))
+
+
+def test_an_unresolved_call_is_refused():
+    file = parse("roles A\nprotocol P [A] { call Q }")
+    with pytest.raises(ValueError, match="call target 'Q' did not resolve"):
+        run_trace(file, parse_trace(""))
+
+
+def test_the_trace_runs_out_inside_a_looping_callee(corpus):
+    report = run_trace(load(corpus, "server.ssn"), parse_trace("cmd = Math\nop = Add(2, 3)"))
+    assert event_names(report) == [
+        ("MsgCreated", "cmd"), ("Sent", "cmd"), ("Sent", "cmd"), ("CaseTaken", "cmd"),
+        ("Called", "DoMath"), ("MsgCreated", "op"), ("Sent", "op"), ("Sent", "op"),
+    ]
+    assert report.status == TraceExhausted("result", "trace has no binding left")
+
+
+def test_a_variable_mismatch_right_after_a_loop_back(corpus):
+    trace = parse_trace("cmd = Math\nop = Add(2, 3)\nresult = 5\nop = Add(1, 1)")
+    report = run_trace(load(corpus, "server.ssn"), trace)
+    assert event_names(report)[-3:] == [("Sent", "result"), ("Ended", "DoMath"), ("Recursed", "Server")]
+    assert report.status == TraceMismatch(
+        "cmd", "CMD", trace.bindings[3].value, "trace binds 'op' where 'cmd' was expected"
+    )
+    # The loop-back starts a fresh index: the first send after it knows only cmd.
+    report = run_trace(load(corpus, "server.ssn"), parse_trace("cmd = Math\nop = Add(2, 3)\nresult = 5\ncmd = Quit"))
+    sent = [e for e in report.events if isinstance(e, Sent)]
+    assert [item.var.name for item in sent[-1].index_after] == ["cmd"]
+    assert report.status == Completed()
