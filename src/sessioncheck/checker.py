@@ -10,8 +10,6 @@ is never instantiated is checked once against its declared signatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagnostics import Diagnostic, ERROR, WARNING
 from .model import (
     BaseType,
@@ -44,6 +42,7 @@ from .model import (
     overlapping,
 )
 from .printer import format_pattern, format_stmt, format_type
+from .records import record
 from .syntax import (
     Block,
     Call,
@@ -142,7 +141,7 @@ def kind_of_ref(expr: RefExpr, env: dict[str, TypeExpr], binder: TypeExpr | None
     raise TypeError(f"not a refinement expression: {expr!r}")
 
 
-@dataclass(frozen=True)
+@record
 class StepRecord:
     """Index snapshot after one executed statement, for `explain` and tests.
 
@@ -156,14 +155,14 @@ class StepRecord:
     index_after: KnowledgeIndex
 
 
-@dataclass
+@record(frozen=False)
 class CheckResult:
     diagnostics: list[Diagnostic]
     # One entry per maximal control path (ending in end, rec, or a tail
     # call); empty whenever any error-severity diagnostic was emitted.
     final_indices: list[tuple[str, KnowledgeIndex]]
     # Empty unless check_file(..., record_steps=True).
-    step_log: list[StepRecord] = field(default_factory=list)
+    step_log: list[StepRecord] = []  # a new list per instance
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -297,7 +296,7 @@ class _Checker:
             self.queue.append(key)
 
 
-@dataclass
+@record(frozen=False)
 class _ProtoCtx:
     checker: _Checker
     proto: ProtocolDecl

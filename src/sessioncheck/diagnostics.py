@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import Span
+from .records import record
 
 __all__ = ["Diagnostic", "ERROR", "WARNING", "CODES"]
 
@@ -28,7 +27,7 @@ CODES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     code: str
     severity: str  # "error" | "warning"

@@ -14,8 +14,9 @@ the front end, so the parser adds it to its own list as it stands.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
+
+from .records import record
 
 __all__ = ["Token", "ParseError", "IDENT", "KEYWORDS", "tokenize"]
 
@@ -90,7 +91,7 @@ class Token(NamedTuple):
         return self.offset + len(self.text)
 
 
-@dataclass(frozen=True)
+@record
 class ParseError:
     line: int
     col: int

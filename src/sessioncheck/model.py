@@ -22,10 +22,10 @@ declared one, so the checker needs no placeholder type for recovery.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .lexer import IDENT
+from .records import quiet, record
 
 __all__ = [
     "Span",
@@ -73,7 +73,7 @@ __all__ = [
 _IDENT_RE = re.compile(IDENT + r"\Z")
 
 
-@dataclass(frozen=True)
+@record
 class Span:
     """Source location of a construct: 1-based line/column plus length in chars."""
 
@@ -82,16 +82,12 @@ class Span:
     length: int = 1
 
 
-def _span_field():
-    return field(default=None, compare=False, repr=False)
-
-
 def _check_name(name: str, what: str) -> None:
     if not _IDENT_RE.match(name):
         raise ValueError(f"invalid {what} name: {name!r}")
 
 
-@dataclass(frozen=True)
+@record
 class RoleId:
     """A named protocol participant; equality is exact name equality."""
 
@@ -104,7 +100,7 @@ class RoleId:
         return self.name
 
 
-@dataclass(frozen=True)
+@record
 class VarId:
     """A message variable; unique along any single control path."""
 
@@ -121,35 +117,35 @@ class VarId:
 # Message payload types
 
 
-@dataclass(frozen=True)
+@record
 class BaseType:
     kind: str  # "Int" | "Bool" | "Str"
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
     def __post_init__(self) -> None:
         if self.kind not in ("Int", "Bool", "Str"):
             raise ValueError(f"unknown base type: {self.kind}")
 
 
-@dataclass(frozen=True)
+@record
 class TupleType:
     elems: tuple["TypeExpr", ...]
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
     def __post_init__(self) -> None:
         if len(self.elems) < 2:
             raise ValueError("tuple type needs arity >= 2")
 
 
-@dataclass(frozen=True)
+@record
 class NamedType:
     """Reference to a declared variant type; resolved against the file."""
 
     name: str
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class RefinedType:
     """Payload type constrained by a predicate over the bound value.
 
@@ -162,7 +158,7 @@ class RefinedType:
     payload: "TypeExpr"
     labels: tuple[str, ...]
     predicate: "RefExpr"
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
     def __post_init__(self) -> None:
         if len(self.labels) >= 2 and not (
@@ -178,18 +174,18 @@ BOOL = BaseType("Bool")
 STR = BaseType("Str")
 
 
-@dataclass(frozen=True)
+@record
 class Ctor:
     tag: str
     payload: TypeExpr | None = None
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class VariantDecl:
     name: str
     ctors: tuple[Ctor, ...]
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
     def __post_init__(self) -> None:
         if not self.ctors:
@@ -209,65 +205,65 @@ class VariantDecl:
 # Refinement predicate expressions
 
 
-@dataclass(frozen=True)
+@record
 class IntLit:
     value: int
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class BoolLit:
     value: bool
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class StrLit:
     value: str
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class VarRef:
     var: VarId
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class BinderRef:
     """The refined value itself; distinct from VarRef so free_vars skips it."""
 
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class Proj:
     base: "RefExpr"
     index: int  # 1-based tuple position
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
     def __post_init__(self) -> None:
         if self.index < 1:
             raise ValueError("projection index is 1-based")
 
 
-@dataclass(frozen=True)
+@record
 class UnwrapDep:
     """Projects the payload out of a value of refined type."""
 
     base: "RefExpr"
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class Arith:
     op: str  # "+" | "-" | "*"
     lhs: "RefExpr"
     rhs: "RefExpr"
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class Cmp:
     op: str  # "==" | "!=" | "<" | "<="
     lhs: "RefExpr"
@@ -275,15 +271,15 @@ class Cmp:
     # "literal" / "next" when the node came from (or should print as) the
     # corresponding surface sugar; None for a spelled-out comparison.
     sugar: str | None = None
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class BoolOp:
     op: str  # "and" | "or"
     lhs: "RefExpr"
     rhs: "RefExpr"
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
 RefExpr = Union[IntLit, BoolLit, StrLit, VarRef, BinderRef, Proj, UnwrapDep, Arith, Cmp, BoolOp]
@@ -334,7 +330,7 @@ class UnknownVar(Exception):
     """Raised when updating a variable that is not indexed."""
 
 
-@dataclass(frozen=True)
+@record
 class KnowledgeItem:
     """One message variable, its type, and the roles that know its value.
 
@@ -348,7 +344,7 @@ class KnowledgeItem:
     var: VarId
     type: TypeExpr
     knowers: tuple[RoleId, ...]
-    origin: Span | None = _span_field()
+    origin: Span | None = quiet()
 
     def __post_init__(self) -> None:
         if not self.knowers:
@@ -357,7 +353,7 @@ class KnowledgeItem:
             raise ValueError("knowers must be duplicate-free")
 
 
-@dataclass(frozen=True)
+@record
 class KnowledgeIndex:
     items: tuple[KnowledgeItem, ...] = ()
 

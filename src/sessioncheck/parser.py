@@ -632,7 +632,7 @@ def parse_trace(text: str) -> Trace:
             tok = p.expect("ident", "a message variable")
             p.expect("=")
             value = _parse_value(p)
-            bindings.append(TraceBinding(VarId(str(tok.value)), value, p.span_from(tok)))
+            bindings.append(TraceBinding(VarId(str(tok.value)), value))
         except _SyntaxError as err:
             p.record(err)
             break

@@ -10,7 +10,6 @@ send so runs can be compared step for step against the checker.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .checker import resolve_entry
 from .model import (
@@ -39,6 +38,7 @@ from .model import (
     Span,
 )
 from .printer import format_pattern, format_ref, format_type, format_value
+from .records import quiet, record
 from .syntax import (
     BoolV,
     Call,
@@ -167,14 +167,14 @@ def value_matches_type(value: Value, type_: TypeExpr, file: SourceFile) -> bool:
 # Events and statuses
 
 
-@dataclass(frozen=True)
+@record
 class MsgCreated:
     var: str
     value: Value
     creator: str
 
 
-@dataclass(frozen=True)
+@record
 class RefinementChecked:
     var: str
     predicate: str
@@ -182,34 +182,34 @@ class RefinementChecked:
     witness: tuple[tuple[str, Value], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Sent:
     var: str
     sender: str
     receiver: str
     index_after: KnowledgeIndex
-    span: Span | None = field(default=None, compare=False, repr=False)
+    span: Span | None = quiet()
     # Knowers of ``var`` in ``index_after``, so text reports need no lookup.
-    knowers: tuple[RoleId, ...] = field(default=(), compare=False, repr=False)
+    knowers: tuple[RoleId, ...] = quiet(())
 
 
-@dataclass(frozen=True)
+@record
 class CaseTaken:
     var: str
     arm: str
 
 
-@dataclass(frozen=True)
+@record
 class Recursed:
     protocol: str
 
 
-@dataclass(frozen=True)
+@record
 class Called:
     protocol: str
 
 
-@dataclass(frozen=True)
+@record
 class Ended:
     protocol: str
 
@@ -217,24 +217,24 @@ class Ended:
 Event = MsgCreated | RefinementChecked | Sent | CaseTaken | Recursed | Called | Ended
 
 
-@dataclass(frozen=True)
+@record
 class Completed:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class RefinementViolated:
     var: str
-    span: Span | None = field(default=None, compare=False, repr=False)
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class TraceExhausted:
     var: str | None
     note: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class TraceMismatch:
     var: str
     expected: str  # formatted type
@@ -245,7 +245,7 @@ class TraceMismatch:
 Status = Completed | RefinementViolated | TraceExhausted | TraceMismatch
 
 
-@dataclass
+@record(frozen=False)
 class RunReport:
     events: list[Event]
     status: Status

@@ -7,10 +7,10 @@ a parse/print round trip compares structurally equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from .model import RefinedType, RoleId, Span, TypeExpr, VarId, VariantDecl, _span_field
+from .model import RefinedType, RoleId, Span, TypeExpr, VarId, VariantDecl
+from .records import quiet, record
 
 __all__ = [
     "IntV",
@@ -48,27 +48,27 @@ __all__ = [
 # Concrete runtime values (used by traces, literal patterns, the simulator)
 
 
-@dataclass(frozen=True)
+@record
 class IntV:
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class BoolV:
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class StrV:
     value: str
 
 
-@dataclass(frozen=True)
+@record
 class TupleV:
     items: tuple["Value", ...]
 
 
-@dataclass(frozen=True)
+@record
 class ConV:
     tag: str
     arg: "Value | None" = None
@@ -85,21 +85,21 @@ VALUE_KINDS = {IntV: "Int", BoolV: "Bool", StrV: "Str"}
 # Read patterns
 
 
-@dataclass(frozen=True)
+@record
 class CtorPat:
     tag: str
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class LitPat:
     value: Value
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class WildPat:
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
 Pattern = Union[CtorPat, LitPat, WildPat]
@@ -109,64 +109,64 @@ Pattern = Union[CtorPat, LitPat, WildPat]
 # Session statements
 
 
-@dataclass(frozen=True)
+@record
 class NewMsg:
     var: VarId
     type: TypeExpr
     creator: RoleId
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class NewDepMsg:
     var: VarId
     rtype: RefinedType
     creator: RoleId
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class Send:
     var: VarId
     sender: RoleId
     receiver: RoleId
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class Arm:
     pattern: Pattern
     body: "Block"
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class ReadCase:
     var: VarId
     arms: tuple[Arm, ...]
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
     def __post_init__(self) -> None:
         if not self.arms:
             raise ValueError("read needs at least one arm")
 
 
-@dataclass(frozen=True)
+@record
 class Rec:
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class Call:
     target: str  # protocol name or protocol-parameter name
     args: tuple[str, ...] = ()
     then_rec: bool = False
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class End:
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
 Stmt = Union[NewMsg, NewDepMsg, Send, ReadCase, Rec, Call, End]
@@ -179,33 +179,33 @@ TERMINATORS = (ReadCase, Rec, Call, End)
 # Top-level declarations
 
 
-@dataclass(frozen=True)
+@record
 class RoleDecl:
     name: str
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class ProtoParam:
     name: str
     signature: tuple[RoleId, ...]  # declared participant list of the protocol argument
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
 
-@dataclass(frozen=True)
+@record
 class ProtocolDecl:
     name: str
     params: tuple[ProtoParam, ...]
     participants: tuple[RoleId, ...]
     body: Block
-    span: Span | None = _span_field()
+    span: Span | None = quiet()
 
     @property
     def is_ground(self) -> bool:
         return not self.params
 
 
-@dataclass(frozen=True)
+@record
 class SourceFile:
     roles: tuple[RoleDecl, ...] = ()
     variants: tuple[VariantDecl, ...] = ()
@@ -231,13 +231,12 @@ class SourceFile:
 # Traces
 
 
-@dataclass(frozen=True)
+@record
 class TraceBinding:
     var: VarId
     value: Value
-    span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@record
 class Trace:
     bindings: tuple[TraceBinding, ...] = ()

@@ -561,3 +561,25 @@ def test_color_auto_looks_at_the_stream_diagnostics_go_to(
     assert "error[" in written
     assert ("\x1b[31m" in written) == (tty == diagnostics_to)
     assert "\x1b[" not in other
+
+
+def _fresh_python(code: str) -> str:
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True).stdout
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # Building the records through dataclasses was most of a cold `check`.
+    out = _fresh_python(
+        "import sys; before = 'dataclasses' in sys.modules; import sessioncheck.cli; "
+        "print(before, 'dataclasses' in sys.modules)"
+    )
+    before, after = out.split()
+    assert after == before
+
+
+def test_a_text_check_leaves_the_json_writers_unloaded(corpus):
+    out = _fresh_python(
+        "import sys; from sessioncheck.cli import main; "
+        f"code = main(['check', {str(corpus / 'tcp.ssn')!r}]); print(code, 'sessioncheck.jsonout' in sys.modules)"
+    )
+    assert out.splitlines()[-1] == "0 False"

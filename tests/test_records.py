@@ -1,0 +1,200 @@
+"""The contract every AST, model and report record keeps.
+
+Records are found by walking the package's modules, so a new record class
+fails ``test_every_record_has_a_sample`` until it is given a sample here and
+with it every check below.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import sessioncheck
+from sessioncheck.checker import CheckResult
+from sessioncheck.diagnostics import Diagnostic
+from sessioncheck.model import INT, BaseType, KnowledgeIndex, KnowledgeItem, RoleId, Span, TupleType, VarId, VarRef
+from sessioncheck.simulator import Called, Completed, Ended, Recursed, RunReport, Sent
+
+MUTABLE = {"CheckResult", "_ProtoCtx", "RunReport"}
+
+
+def _records() -> dict[str, type]:
+    found = {}
+    for info in pkgutil.iter_modules(sessioncheck.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"sessioncheck.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and obj.__module__ == module.__name__ and "__eq__" in vars(obj):
+                found[name] = obj
+    return found
+
+
+RECORDS = _records()
+
+
+def _samples(m: dict[str, type]) -> dict[str, tuple]:
+    """Valid positional arguments for each record, every optional field set."""
+    s1, s2 = m["Span"](1, 2, 3), m["Span"](4, 5)
+    x, a, b = m["VarId"]("x"), m["RoleId"]("A"), m["RoleId"]("B")
+    one, two = m["IntLit"](1), m["IntLit"](2)
+    pred = m["Cmp"]("==", m["BinderRef"](), one)
+    refined = m["RefinedType"](INT, ("v",), pred)
+    item = m["KnowledgeItem"](x, INT, (a,))
+    index = m["KnowledgeIndex"]((item,))
+    end = m["End"]()
+    return {
+        "ParseError": (1, 2, "boom"),
+        "Span": (1, 2, 3),
+        "RoleId": ("A",),
+        "VarId": ("x",),
+        "BaseType": ("Int", s1),
+        "TupleType": ((INT, INT), s1),
+        "NamedType": ("T", s1),
+        "RefinedType": (INT, ("v",), pred, s1),
+        "Ctor": ("C", INT, s1),
+        "VariantDecl": ("T", (m["Ctor"]("C"),), s1),
+        "IntLit": (1, s1),
+        "BoolLit": (True, s1),
+        "StrLit": ("s", s1),
+        "VarRef": (x, s1),
+        "BinderRef": (s1,),
+        "Proj": (m["BinderRef"](), 1, s1),
+        "UnwrapDep": (m["VarRef"](x), s1),
+        "Arith": ("+", one, two, s1),
+        "Cmp": ("<", one, two, "next", s1),
+        "BoolOp": ("and", pred, pred, s1),
+        "KnowledgeItem": (x, INT, (a, b), s1),
+        "KnowledgeIndex": ((item,),),
+        "IntV": (1,),
+        "BoolV": (True,),
+        "StrV": ("s",),
+        "TupleV": ((m["IntV"](1), m["IntV"](2)),),
+        "ConV": ("C", m["IntV"](1)),
+        "CtorPat": ("C", s1),
+        "LitPat": (m["IntV"](1), s1),
+        "WildPat": (s1,),
+        "NewMsg": (x, INT, a, s1),
+        "NewDepMsg": (x, refined, a, s1),
+        "Send": (x, a, b, s1),
+        "Arm": (m["WildPat"](), (end,), s1),
+        "ReadCase": (x, (m["Arm"](m["WildPat"](), (end,)),), s1),
+        "Rec": (s1,),
+        "Call": ("P", ("Q",), True, s1),
+        "End": (s1,),
+        "RoleDecl": ("A", s1),
+        "ProtoParam": ("Q", (a, b), s1),
+        "ProtocolDecl": ("P", (), (a, b), (end,), s1),
+        "SourceFile": ((m["RoleDecl"]("A"),), (), (), "P"),
+        "TraceBinding": (x, m["IntV"](1)),
+        "Trace": ((m["TraceBinding"](x, m["IntV"](1)),),),
+        "Diagnostic": ("E001", "error", s1, "unresolved", s2),
+        "StepRecord": ("P", "P", s1, "end", index),
+        "CheckResult": ([], [], []),
+        "_ProtoCtx": (None, m["ProtocolDecl"]("P", (), (a,), (end,)), "P", False),
+        "MsgCreated": ("x", m["IntV"](1), "A"),
+        "RefinementChecked": ("x", "x == 1", True, (("x", m["IntV"](1)),)),
+        "Sent": ("x", "A", "B", index, s1, (a, b)),
+        "CaseTaken": ("x", "C"),
+        "Recursed": ("P",),
+        "Called": ("P",),
+        "Ended": ("P",),
+        "Completed": (),
+        "RefinementViolated": ("x", s1),
+        "TraceExhausted": ("x", "note"),
+        "TraceMismatch": ("x", "Int", m["IntV"](1), "note"),
+        "RunReport": ([], m["Completed"]()),
+    }
+
+
+SAMPLES = _samples(RECORDS)
+
+
+def _fields(cls: type) -> list[inspect.Parameter]:
+    return list(inspect.signature(cls).parameters.values())
+
+
+def _quiet(cls: type) -> set[str]:
+    """Fields left out of ==, hash and repr: every optional span, and Sent's knowers."""
+    quiet = {p.name for p in _fields(cls) if p.name in ("span", "origin") and p.default is None}
+    return quiet | {"knowers"} if cls is Sent else quiet
+
+
+def _clone(record, into: type | None = None, **changes):
+    """A copy of ``record``, as an ``into`` and with ``changes``, built without checks."""
+    copy = object.__new__(into or type(record))
+    for p in _fields(type(record)):
+        object.__setattr__(copy, p.name, changes.get(p.name, getattr(record, p.name)))
+    return copy
+
+
+def test_every_record_has_a_sample():
+    assert set(RECORDS) == set(SAMPLES)
+    assert {name for name, cls in RECORDS.items() if cls.__hash__ is None} == MUTABLE
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_record_contract(name):
+    cls, args = RECORDS[name], SAMPLES[name]
+    names = [p.name for p in _fields(cls)]
+    record = cls(*args)
+    assert record == cls(**dict(zip(names, args)))
+    assert [getattr(record, n) for n in names[: len(args)]] == list(args)
+    frozen = name not in MUTABLE
+    if frozen:
+        assert hash(record) == hash(cls(*args))
+    for n in names:
+        if n in _quiet(cls):
+            changed = _clone(record, **{n: Span(99, 99)})
+            assert changed == record and repr(changed) == repr(record), n
+            assert not frozen or hash(changed) == hash(record), n
+        else:
+            assert _clone(record, **{n: object()}) != record, n
+    assert record != tuple(args) and tuple(args) != record
+    twin = _clone(record, type("Twin", (cls,), {}))
+    assert record != twin and twin != record
+    for other in RECORDS.values():
+        if other is not cls and [p.name for p in _fields(other)] == names:
+            assert record != _clone(record, other), other.__name__
+    if frozen:
+        for n in names:
+            with pytest.raises(AttributeError):
+                setattr(record, n, getattr(record, n))
+            with pytest.raises(AttributeError):
+                delattr(record, n)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: VarId("9x"),
+        lambda: BaseType("Float"),
+        lambda: TupleType((INT,)),
+        lambda: KnowledgeIndex((KnowledgeItem(VarId("x"), INT, (RoleId("A"),)),) * 2),
+        lambda: Diagnostic("E999", "error", Span(1, 1), "no such code"),
+    ],
+)
+def test_construction_still_checks(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_repr_leaves_out_spans_and_knowers():
+    assert repr(Span(1, 2, 3)) == "Span(line=1, col=2, length=3)"
+    assert repr(VarRef(VarId("x"), Span(1, 1))) == "VarRef(var=VarId(name='x'))"
+    sent = Sent("m", "A", "B", KnowledgeIndex(), Span(1, 1), (RoleId("A"),))
+    assert repr(sent) == "Sent(var='m', sender='A', receiver='B', index_after=KnowledgeIndex(items=()))"
+
+
+def test_mutable_records():
+    first, second = CheckResult([], []), CheckResult([], [])
+    assert first.step_log == [] and first.step_log is not second.step_log
+    first.step_log.append(None)
+    assert second.step_log == []
+    events = [Recursed("P"), Called("P"), Ended("P")]
+    assert RunReport(events, Completed()) == RunReport(list(events), Completed())
+    assert RunReport(events, Completed()) != RunReport(events[:1], Completed())

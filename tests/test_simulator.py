@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from conftest import CORPUS
@@ -25,7 +23,7 @@ from sessioncheck.simulator import (
     eval_ref,
     run_trace,
 )
-from sessioncheck.syntax import BoolV, ConV, IntV, SourceFile, StrV, TupleV
+from sessioncheck.syntax import BoolV, ConV, IntV, ProtocolDecl, SourceFile, StrV, TupleV
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +415,11 @@ def without_last_statement(text: str, name: str) -> SourceFile:
     """A parsed file whose protocol ``name`` loses its final terminator, as
     only a hand-built AST can."""
     file = parse(text)
-    return replace(file, protocols=tuple(replace(p, body=p.body[:-1]) if p.name == name else p for p in file.protocols))
+    protocols = tuple(
+        ProtocolDecl(p.name, p.params, p.participants, p.body[:-1], p.span) if p.name == name else p
+        for p in file.protocols
+    )
+    return SourceFile(file.roles, file.variants, protocols, file.entry)
 
 
 def test_a_block_without_a_terminator_runs_as_end():
