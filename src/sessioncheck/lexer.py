@@ -1,10 +1,12 @@
 """Tokenizer shared by the `.ssn` and `.trace` grammars.
 
-One compiled master regex of named alternatives scans the text, as in the
-"Writing a Tokenizer" recipe of the ``re`` docs: at each offset the first
-alternative that matches wins. ``skip`` takes whitespace and ``--`` line
-comments; it is the only token that can span a newline, so the column of
-every other token follows from the offset of the last newline. Strings are
+One compiled master regex scans the text with one match per token, as in
+the "Writing a Tokenizer" recipe of the ``re`` docs. Each match starts with
+the whitespace and ``--`` line comments before the token, then takes the
+first named alternative that matches: a word, an int, a string, punctuation,
+the end of the text (``eof``), or any one bad character. Only that prefix
+can span a newline, so the line of a token is the count of newlines before
+it and its column follows from the offset of the last one. Strings are
 double-quoted with ``\\"`` and ``\\\\`` escapes and end at a newline. Errors
 do not stop the scan; a string with a bad escape or no closing quote
 yields no token. A lex error is a ``ParseError``, the one error record of
@@ -52,22 +54,25 @@ KEYWORDS = frozenset(
     ]
 )
 
-# Longest match first. `--` is not here: it starts a comment, which `skip`
-# matches before punctuation is tried.
+# Longest match first. `--` is not here: it starts a comment, which the
+# prefix of each match takes before punctuation is tried.
 _PUNCT = [
     "->", "=>", "==", "!=", "<=",
     "<", ">", "[", "]", "{", "}", "(", ")", ",", ";", ":", "|", "=", ".", "+", "-", "*", "!", "_",
 ]
 
 # Identifiers and numbers are ASCII only: unicode letters and digits fall
-# through to `bad` instead of being accepted the way \w or \d would.
+# through to `bad` instead of being accepted the way \w or \d would. The
+# prefix takes whitespace in runs, so a long indent is one step of the
+# regex engine, not one per character.
 _MASTER = re.compile(
-    r"(?P<skip>(?:[ \t\r\n]|--[^\n]*)+)"
-    r"|(?P<word>" + IDENT + ")"
+    r"(?:[ \t\r\n]+|--[^\n]*)*"
+    r"(?:(?P<word>" + IDENT + ")"
     r"|(?P<int>[0-9]+)"
     r'|(?P<string>"(?P<body>(?:\\["\\]|\\|[^"\\\n])*)(?P<close>")?)'
     r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")"
-    r"|(?P<bad>.)",
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.))",
     re.DOTALL,
 )
 
@@ -86,10 +91,6 @@ class Token(NamedTuple):
     col: int
     offset: int
 
-    @property
-    def end_offset(self) -> int:
-        return self.offset + len(self.text)
-
 
 @record
 class ParseError:
@@ -104,38 +105,42 @@ class ParseError:
 def tokenize(text: str) -> tuple[list[Token], list[ParseError]]:
     tokens: list[Token] = []
     errors: list[ParseError] = []
+    append = tokens.append
+    new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
     line = 1
     line_start = 0  # offset of the first character of the current line
     for m in _MASTER.finditer(text):
         kind = m.lastgroup
-        start = m.start()
-        lexeme = m.group()
-        if kind == "skip":
-            newlines = lexeme.count("\n")
-            if newlines:
-                line += newlines
-                line_start = start + lexeme.rindex("\n") + 1
-            continue
+        gap = m.start()
+        start = m.start(kind)
+        if start != gap and (newlines := text.count("\n", gap, start)):
+            line += newlines
+            line_start = text.rindex("\n", gap, start) + 1
         col = start - line_start + 1
+        lexeme = m[kind]
         if kind == "word" and lexeme not in KEYWORDS:
-            tokens.append(Token("ident", lexeme, lexeme, line, col, start))
-        elif kind in ("word", "punct"):  # a keyword or punctuation token is its own kind
-            tokens.append(Token(lexeme, lexeme, None, line, col, start))
+            append(new(Token, ("ident", lexeme, lexeme, line, col, start)))
+        elif kind == "word" or kind == "punct":  # a keyword or punctuation token is its own kind
+            append(new(Token, (lexeme, lexeme, None, line, col, start)))
         elif kind == "int":
             try:
                 value = int(lexeme)
             except ValueError:  # past sys.get_int_max_str_digits()
                 value = None
-            tokens.append(Token("int", lexeme, value, line, col, start))
+            append(new(Token, ("int", lexeme, value, line, col, start)))
+        elif kind == "eof":
+            # After a match that reaches the end, `\Z` matches once more,
+            # empty; only the first of these makes the 'eof' token.
+            append(new(Token, ("eof", "", None, line, col, start)))
+            break
         elif kind == "bad":
             errors.append(ParseError(line, col, f"unexpected character {lexeme!r}"))
         else:  # string
-            escapes = _ESCAPE.findall(m.group("body"))
+            escapes = _ESCAPE.findall(m["body"])
             bad_escapes = escapes.count("")
             errors.extend(ParseError(line, col, "invalid string escape") for _ in range(bad_escapes))
-            if m.group("close") is None:
+            if m["close"] is None:
                 errors.append(ParseError(line, col, "unterminated string literal"))
             elif not bad_escapes:
-                tokens.append(Token("string", lexeme, _ESCAPE.sub(r"\1", m.group("body")), line, col, start))
-    tokens.append(Token("eof", "", None, line, len(text) - line_start + 1, len(text)))
+                append(new(Token, ("string", lexeme, _ESCAPE.sub(r"\1", m["body"]), line, col, start)))
     return tokens, errors

@@ -113,6 +113,10 @@ class _SyntaxError(Exception):
         self.message = message
 
 
+def _expected(tok: Token, want: str) -> _SyntaxError:
+    return _SyntaxError(tok, f"expected {want}, found {tok.text!r}" if tok.kind != "eof" else f"expected {want}, found end of input")
+
+
 class _NestingError(_SyntaxError):
     """Past the depth cap: no statement-level recovery, the parser resumes at
     the next top-level declaration, so one cause gives one error."""
@@ -154,6 +158,9 @@ class _Parser:
         self.tokens, self.errors = tokenize(text)
         self.pos = 0
         self.nesting = 0
+        # One VarId and one RoleId per distinct name: each checks its name once.
+        self.vars: dict[str, VarId] = {}
+        self.roles: dict[str, RoleId] = {}
 
     def _chain(self, count: int) -> None:
         if count > _MAX_NESTING:
@@ -162,10 +169,9 @@ class _Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, k: int = 0) -> Token:
-        try:
-            return self.tokens[self.pos + k]
-        except IndexError:  # lookahead past the end sees the final 'eof'
-            return self.tokens[-1]
+        # In bounds: a lookahead of k > 0 is only taken past a token that is
+        # not 'eof', so position pos + k - 1 is before the last token.
+        return self.tokens[self.pos + k]
 
     def at(self, kind: str) -> bool:
         return self.tokens[self.pos].kind == kind  # pos never passes 'eof'
@@ -177,15 +183,24 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
-            want = what or f"'{kind}'"
-            got = tok.text if tok.kind != "eof" else "end of input"
-            raise _SyntaxError(tok, f"expected {want}, found {got!r}" if tok.kind != "eof" else f"expected {want}, found end of input")
-        return self.advance()
+            raise _expected(tok, what or f"'{kind}'")
+        self.pos += 1  # never past 'eof': no rule expects it
+        return tok
 
     def ident(self, what: str) -> str:
-        return str(self.expect("ident", what).value)
+        tok = self.tokens[self.pos]
+        if tok.kind != "ident":
+            raise _expected(tok, what)
+        self.pos += 1
+        return tok.value
+
+    def var(self, name: str) -> VarId:
+        return self.vars.get(name) or self.vars.setdefault(name, VarId(name))
+
+    def role(self, name: str) -> RoleId:
+        return self.roles.get(name) or self.roles.setdefault(name, RoleId(name))
 
     def comma_list(self, parse_one) -> list:
         """``x (',' x)*``: one or more results of ``parse_one()``."""
@@ -201,12 +216,10 @@ class _Parser:
             raise _SyntaxError(tok, f"integer literal longer than {sys.get_int_max_str_digits()} digits")
         return tok.value
 
-    def prev(self) -> Token:
-        return self.tokens[max(self.pos - 1, 0)]
-
     def span_from(self, start: Token) -> Span:
-        end = self.prev()
-        return Span(start.line, start.col, max(end.end_offset - start.offset, 1))
+        """From ``start`` to the end of the last token taken, which ``start`` is or precedes."""
+        end = self.tokens[self.pos - 1]
+        return Span(start.line, start.col, max(end.offset + len(end.text) - start.offset, 1))
 
     def error_here(self, message: str) -> None:
         tok = self.peek()
@@ -289,7 +302,7 @@ class _Parser:
 
         def role() -> RoleDecl:
             tok = self.expect("ident", "a role name")
-            return RoleDecl(str(tok.value), Span(tok.line, tok.col, len(tok.text)))
+            return RoleDecl(tok.value, Span(tok.line, tok.col, len(tok.text)))
 
         return self.comma_list(role)
 
@@ -311,7 +324,7 @@ class _Parser:
             elems = self.comma_list(self.parse_type)
             self.expect(")")
             payload = elems[0] if len(elems) == 1 else TupleType(tuple(elems))
-        return Ctor(str(tok.value), payload, self.span_from(tok))
+        return Ctor(tok.value, payload, self.span_from(tok))
 
     def parse_protocol(self) -> ProtocolDecl:
         start = self.expect("protocol")
@@ -321,7 +334,7 @@ class _Parser:
             tok = self.expect("ident", "a parameter name")
             self.expect(":")
             self.expect("protocol")
-            return ProtoParam(str(tok.value), self.parse_role_list(), Span(tok.line, tok.col, len(tok.text)))
+            return ProtoParam(tok.value, self.parse_role_list(), Span(tok.line, tok.col, len(tok.text)))
 
         params: list[ProtoParam] = []
         if self.at("<"):
@@ -336,7 +349,7 @@ class _Parser:
 
     def parse_role_list(self) -> tuple[RoleId, ...]:
         self.expect("[")
-        roles = self.comma_list(lambda: RoleId(self.ident("a role name")))
+        roles = self.comma_list(lambda: self.role(self.ident("a role name")))
         self.expect("]")
         return tuple(roles)
 
@@ -392,22 +405,22 @@ class _Parser:
         kind = tok.kind
         if kind in ("msg", "dep"):
             self.advance()
-            var = VarId(self.ident("a message variable"))
+            var = self.var(self.ident("a message variable"))
             self.expect(":")
             type_ = self.parse_type() if kind == "msg" else self.parse_refined_type()
             self.expect("by")
-            creator = RoleId(self.ident("a role name"))
+            creator = self.role(self.ident("a role name"))
             return (NewMsg if kind == "msg" else NewDepMsg)(var, type_, creator, self.span_from(tok))
         if kind == "send":
             self.advance()
-            var = VarId(self.ident("a message variable"))
-            sender = RoleId(self.ident("the sending role"))
+            var = self.var(self.ident("a message variable"))
+            sender = self.role(self.ident("the sending role"))
             self.expect("->")
-            receiver = RoleId(self.ident("the receiving role"))
+            receiver = self.role(self.ident("the receiving role"))
             return Send(var, sender, receiver, self.span_from(tok))
         if kind == "read":
             self.advance()
-            var = VarId(self.ident("a message variable"))
+            var = self.var(self.ident("a message variable"))
             self.expect("{")
             arms = [self.parse_arm()]
             while self.at(";"):
@@ -464,7 +477,7 @@ class _Parser:
             return WildPat(self.span_from(tok))
         if tok.kind == "ident":
             self.advance()
-            return CtorPat(str(tok.value), self.span_from(tok))
+            return CtorPat(tok.value, self.span_from(tok))
         value = self.parse_literal_value()
         if value is None:
             raise _SyntaxError(tok, "expected a pattern (constructor tag, literal, or '_')")
@@ -480,7 +493,7 @@ class _Parser:
             return IntV(-self.int_value(self.advance()))
         if tok.kind == "string":
             self.advance()
-            return StrV(str(tok.value))
+            return StrV(tok.value)
         if tok.kind in ("true", "false"):
             self.advance()
             return BoolV(tok.kind == "true")
@@ -496,7 +509,7 @@ class _Parser:
             return BaseType(tok.kind, Span(tok.line, tok.col, len(tok.text)))
         if tok.kind == "ident":
             self.advance()
-            return NamedType(str(tok.value), Span(tok.line, tok.col, len(tok.text)))
+            return NamedType(tok.value, Span(tok.line, tok.col, len(tok.text)))
         if tok.kind == "(":
             self.advance()
             elems = self.comma_list(self.parse_type)
@@ -594,14 +607,14 @@ class _Parser:
             return Cmp("==", BinderRef(span), Arith("+", inner, IntLit(1), span), "next", span)
         if tok.kind == "ident":
             self.advance()
-            name = str(tok.value)
+            name = tok.value
             span = self.span_from(tok)
             if name in labels:
                 ref: RefExpr = BinderRef(span)
                 if len(labels) >= 2:
                     ref = Proj(ref, labels.index(name) + 1, span)
                 return ref
-            return VarRef(VarId(name), span)
+            return VarRef(self.var(name), span)
         if tok.kind == "(":
             self.advance()
             inner = self.parse_ref(labels)
@@ -632,7 +645,7 @@ def parse_trace(text: str) -> Trace:
             tok = p.expect("ident", "a message variable")
             p.expect("=")
             value = _parse_value(p)
-            bindings.append(TraceBinding(VarId(str(tok.value)), value))
+            bindings.append(TraceBinding(p.var(tok.value), value))
         except _SyntaxError as err:
             p.record(err)
             break
@@ -654,8 +667,8 @@ def _parse_value(p: _Parser) -> Value:
             args = p.comma_list(lambda: _parse_value(p))
             p.expect(")")
             arg = args[0] if len(args) == 1 else TupleV(tuple(args))
-            return ConV(str(tok.value), arg)
-        return ConV(str(tok.value))
+            return ConV(tok.value, arg)
+        return ConV(tok.value)
     if tok.kind == "(":
         p.advance()
         items = p.comma_list(lambda: _parse_value(p))

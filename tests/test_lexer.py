@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,13 @@ CASES = {
     '"abc\\': ([("eof", "", None, 1, 6, 5)], [ESCAPE, UNTERMINATED]),
     '"x\\"\n': ([("eof", "", None, 2, 1, 5)], [UNTERMINATED]),
     "a -- hi": ([("ident", "a", "a", 1, 1, 0), ("eof", "", None, 1, 8, 7)], []),
+    "a\n-- hi": ([("ident", "a", "a", 1, 1, 0), ("eof", "", None, 2, 6, 7)], []),
+    "--": ([("eof", "", None, 1, 3, 2)], []),
+    "a\rb": ([("ident", "a", "a", 1, 1, 0), ("ident", "b", "b", 1, 3, 2), ("eof", "", None, 1, 4, 3)], []),
+    "\r": ([("eof", "", None, 1, 2, 1)], []),
+    "a \n\t ": ([("ident", "a", "a", 1, 1, 0), ("eof", "", None, 2, 3, 5)], []),
+    "\n\n": ([("eof", "", None, 3, 1, 2)], []),
+    "": ([("eof", "", None, 1, 1, 0)], []),
     "a\r\nb": ([("ident", "a", "a", 1, 1, 0), ("ident", "b", "b", 2, 1, 3), ("eof", "", None, 2, 2, 4)], []),
     "\ta\tb": ([("ident", "a", "a", 1, 2, 1), ("ident", "b", "b", 1, 4, 3), ("eof", "", None, 1, 5, 4)], []),
     "12abc": ([("int", "12", 12, 1, 1, 0), ("ident", "abc", "abc", 1, 3, 2), ("eof", "", None, 1, 6, 5)], []),
@@ -46,12 +55,34 @@ def test_exact_tokens_and_errors(src):
     assert [(e.line, e.col, e.message) for e in errors] == CASES[src][1]
 
 
+# Whitespace and comments; a string that gave an error (bad escape or no
+# closing quote), which can hold any character but a newline.
+_SKIP = re.compile(r"(?:[ \t\r\n]|--[^\n]*)*")
+_BAD_STRING = re.compile(r'"(?:\\["\\]|[^"\n])*"?')
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.sampled_from(list('"\\-\t\r\n\x0b\x00é aZ_19(=<>!.') + ["--", "roles", "\r\n"])).map("".join))
 def test_token_text_and_position_match_its_offset(src):
-    tokens, _ = tokenize(src)
+    tokens, errors = tokenize(src)
     assert tokens[-1].kind == "eof" and tokens[-1].offset == len(src)
+    assert [t.kind for t in tokens].count("eof") == 1
     for t in tokens:
         assert t.text == src[t.offset : t.offset + len(t.text)]
         assert t.line == src.count("\n", 0, t.offset) + 1
         assert t.col == t.offset - (src.rfind("\n", 0, t.offset) + 1) + 1
+    # Between tokens, and before 'eof', there is only whitespace, comments
+    # and text that gave a lex error: nothing is skipped silently.
+    error_at = {(e.line, e.col) for e in errors}
+    end = 0
+    for t in tokens:
+        pos = end
+        while pos < t.offset:
+            pos = _SKIP.match(src, pos, t.offset).end()
+            if pos == t.offset:
+                break
+            line = src.count("\n", 0, pos) + 1
+            assert (line, pos - src.rfind("\n", 0, pos)) in error_at, (src, pos)
+            pos = _BAD_STRING.match(src, pos, t.offset).end() if src[pos] == '"' else pos + 1
+        end = t.offset + len(t.text)
+

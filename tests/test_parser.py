@@ -25,6 +25,7 @@ from sessioncheck.model import (
 )
 from sessioncheck.parser import ParseFailure, parse, parse_trace
 from sessioncheck.syntax import (
+    Arm,
     BoolV,
     Call,
     ConV,
@@ -354,6 +355,42 @@ def test_bad_read_arm_pattern_gives_one_error_per_arm(arms, errors):
         parse(BAD_ARM % arms + "protocol Q [A] { msg }\n")
     got = [(e.line, e.col, e.message) for e in info.value.errors]
     assert got == errors + [(7, 22, "expected a message variable, found '}'")]
+
+
+READ_HEAD = "roles A\nprotocol P [A] {\n  msg m : Int by A;\n  read m { "
+
+
+def test_semicolon_after_the_last_read_arm():
+    file = parse(READ_HEAD + "_ => end; }\n}\n")
+    read = file.protocols[0].body[-1]
+    assert read == ReadCase(VarId("m"), (Arm(WildPat(), (End(),)),))
+    assert read.span == Span(4, 3, 20)
+
+
+@pytest.mark.parametrize(
+    "rest, errors",
+    [
+        # the arm body starts with the next arm's pattern: the body is empty
+        (
+            "1 => 2 => end }\n}\n",
+            [
+                (4, 17, "expected a statement"),
+                (4, 17, "expected '}', found '2'"),
+                (5, 1, "expected 'roles', 'type', 'protocol', or 'entry'"),
+            ],
+        ),
+        # a bad arm head with no ';' or '}' before the next declaration:
+        # arm recovery stays put and statement recovery takes over
+        ("1 end\nprotocol Q [A] { end }\n", [(4, 14, "expected '=>', found 'end'"), (5, 1, "expected '}', found 'protocol'")]),
+        # the same at the end of the input
+        ("1 end", [(4, 14, "expected '=>', found 'end'"), (4, 17, "expected '}', found end of input")]),
+    ],
+    ids=["arm_in_arm", "no_boundary_before_protocol", "no_boundary_before_eof"],
+)
+def test_read_arm_recovery_edges(rest, errors):
+    with pytest.raises(ParseFailure) as info:
+        parse(READ_HEAD + rest)
+    assert [(e.line, e.col, e.message) for e in info.value.errors] == errors
 
 
 def test_unicode_identifiers_rejected_as_parse_errors():
