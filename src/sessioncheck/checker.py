@@ -192,6 +192,7 @@ class _Checker:
         self.role_names = {r.name for r in file.roles}
         self.instantiated: set[tuple[str, tuple[str, ...]]] = set()
         self.queue: list[tuple[str, tuple[str, ...]]] = []
+        self.proto, self.label, self.instance = None, "", False  # the body being checked, set by check_protocol
 
     # -- helpers -----------------------------------------------------------
 
@@ -286,8 +287,9 @@ class _Checker:
     def check_protocol(self, proto: ProtocolDecl, args: tuple[str, ...] = ()) -> None:
         """Check one body: an instantiation's when ``args`` name the protocol
         arguments, else the declared one."""
-        label = f"{proto.name}<{', '.join(args)}>" if args else proto.name
-        _ProtoCtx(self, proto, label, bool(args)).check_block(proto.body, {}, label, guarded=False)
+        self.proto, self.instance = proto, bool(args)
+        self.label = f"{proto.name}<{', '.join(args)}>" if args else proto.name
+        self.check_block(proto.body, {}, self.label, guarded=False)
 
     def enqueue_instantiation(self, name: str, args: tuple[str, ...]) -> None:
         key = (name, args)
@@ -295,55 +297,46 @@ class _Checker:
             self.instantiated.add(key)
             self.queue.append(key)
 
-
-@record(frozen=False)
-class _ProtoCtx:
-    checker: _Checker
-    proto: ProtocolDecl
-    label: str
-    instance: bool  # an instantiation: its diagnostics name it
-
-    def emit(
+    def flag(
         self, code: str, span: Span | None, message: str, severity: str = ERROR, related: Span | None = None
     ) -> None:
+        """``emit`` for a finding in a body; an instantiation's names it."""
         if self.instance:
             message = f"{message} [in {self.label}]"
-        self.checker.emit(code, span, message, severity, related)
+        self.emit(code, span, message, severity, related)
 
     # Every role reference resolves against the declaration block (E001)
     # and against this protocol's participants (E002).
     def check_role(self, role: RoleId, span: Span | None, what: str) -> None:
-        if role.name not in self.checker.role_names:
-            self.emit("E001", span, f"unknown role '{role.name}'")
+        if role.name not in self.role_names:
+            self.flag("E001", span, f"unknown role '{role.name}'")
         elif role not in self.proto.participants:
-            self.emit("E002", span, f"{what} '{role.name}' is not a participant of protocol '{self.proto.name}'")
+            self.flag("E002", span, f"{what} '{role.name}' is not a participant of protocol '{self.proto.name}'")
 
     def record(self, stmt: Stmt, path: str, index: WorkingIndex) -> None:
-        if self.checker.record_steps:
-            self.checker.step_log.append(
-                StepRecord(self.label, path, stmt.span or _FALLBACK_SPAN, format_stmt(stmt), freeze(index))
-            )
+        if self.record_steps:
+            self.step_log.append(StepRecord(self.label, path, stmt.span or _FALLBACK_SPAN, format_stmt(stmt), freeze(index)))
 
     def finish(self, path: str, index: WorkingIndex) -> None:
-        self.checker.final.append((path, freeze(index)))
+        self.final.append((path, freeze(index)))
 
     def check_block(self, block: Block, index: WorkingIndex, path: str, guarded: bool) -> None:
         for i, stmt in enumerate(block):
             last = i == len(block) - 1
             if isinstance(stmt, ReadCase):
                 if not last:
-                    self.emit("E007", stmt.span, "'read' must be the last statement on its path")
+                    self.flag("E007", stmt.span, "'read' must be the last statement on its path")
                 self.check_read(stmt, index, path, guarded)
                 return  # successors are unreachable behind the arms
             if isinstance(stmt, (Rec, Call, End)) and not last:
-                self.emit("E007", stmt.span, f"'{format_stmt(stmt).split()[0]}' must be the last statement on its path")
+                self.flag("E007", stmt.span, f"'{format_stmt(stmt).split()[0]}' must be the last statement on its path")
                 continue  # drop the stray terminator, keep checking the successors
             if isinstance(stmt, Call):
                 self.check_call(stmt, index, path)
                 return
             if isinstance(stmt, (Rec, End)):
                 if isinstance(stmt, Rec) and not guarded:
-                    self.emit("E007", stmt.span, "unguarded recursion: the loop exchanges no messages", WARNING)
+                    self.flag("E007", stmt.span, "unguarded recursion: the loop exchanges no messages", WARNING)
                 self.record(stmt, path, index)
                 self.finish(f"{path} (rec)" if isinstance(stmt, Rec) else path, index)
                 return
@@ -361,21 +354,21 @@ class _ProtoCtx:
 
     def check_new_msg(self, stmt: NewMsg, index: WorkingIndex) -> None:
         self.check_role(stmt.creator, stmt.span, "creator")
-        self.checker.check_type(stmt.type, stmt.span)
+        self.check_type(stmt.type, stmt.span)
         self.bind_var(stmt.var, stmt.type, stmt.creator, stmt.span, index)
 
     def check_new_dep(self, stmt: NewDepMsg, index: WorkingIndex) -> None:
         self.check_role(stmt.creator, stmt.span, "creator")
-        self.checker.check_type(stmt.rtype.payload, stmt.span)
+        self.check_type(stmt.rtype.payload, stmt.span)
         deps = free_vars_ordered(stmt.rtype.predicate)
         all_bound = True
         for v in deps:
             item = index.get(v)
             if item is None:
-                self.emit("E009", stmt.span, f"predicate references '{v.name}', which is not bound on this path")
+                self.flag("E009", stmt.span, f"predicate references '{v.name}', which is not bound on this path")
                 all_bound = False
             elif stmt.creator not in item.knowers:
-                self.emit(
+                self.flag(
                     "E004",
                     stmt.span,
                     f"'{stmt.var.name}' depends on '{v.name}', whose value creator '{stmt.creator.name}' does not know",
@@ -386,15 +379,15 @@ class _ProtoCtx:
             try:
                 result = kind_of_ref(stmt.rtype.predicate, env, stmt.rtype.payload)
                 if _base(result) != "Bool":
-                    self.emit("E010", stmt.span, f"refinement must be Bool, found {format_type(result)}")
+                    self.flag("E010", stmt.span, f"refinement must be Bool, found {format_type(result)}")
             except KindError as err:
-                self.emit("E010", err.span, f"ill-kinded refinement: {err.message}")
+                self.flag("E010", err.span, f"ill-kinded refinement: {err.message}")
         self.bind_var(stmt.var, stmt.rtype, stmt.creator, stmt.span, index)
 
     def bind_var(self, var, type_, creator, span, index: WorkingIndex) -> None:
         item = index.get(var)
         if item is not None:
-            self.emit(
+            self.flag(
                 "E009",
                 span,
                 f"message variable '{var.name}' is already bound on this path",
@@ -408,13 +401,13 @@ class _ProtoCtx:
         self.check_role(stmt.sender, stmt.span, "sender")
         self.check_role(stmt.receiver, stmt.span, "receiver")
         if stmt.sender == stmt.receiver:
-            self.emit("E011", stmt.span, f"'{stmt.sender.name}' cannot send '{stmt.var.name}' to itself")
+            self.flag("E011", stmt.span, f"'{stmt.sender.name}' cannot send '{stmt.var.name}' to itself")
         item = index.get(stmt.var)
         if item is None:
-            self.emit("E009", stmt.span, f"message variable '{stmt.var.name}' is not bound on this path")
+            self.flag("E009", stmt.span, f"message variable '{stmt.var.name}' is not bound on this path")
             return
         if stmt.sender not in item.knowers:
-            self.emit(
+            self.flag(
                 "E003",
                 stmt.span,
                 f"sender '{stmt.sender.name}' does not know '{stmt.var.name}'",
@@ -425,11 +418,11 @@ class _ProtoCtx:
     def check_read(self, stmt: ReadCase, index: WorkingIndex, path: str, guarded: bool) -> None:
         item = index.get(stmt.var)
         if item is None:  # nothing to check the arms against
-            self.emit("E009", stmt.span, f"message variable '{stmt.var.name}' is not bound on this path")
+            self.flag("E009", stmt.span, f"message variable '{stmt.var.name}' is not bound on this path")
         else:
             missing = [r.name for r in self.proto.participants if r not in item.knowers]
             if missing:
-                self.emit(
+                self.flag(
                     "E005",
                     stmt.span,
                     f"cannot read '{stmt.var.name}': not known to every participant (missing {', '.join(missing)})",
@@ -446,50 +439,50 @@ class _ProtoCtx:
         effective = scrutinee.payload if isinstance(scrutinee, RefinedType) else scrutinee
         has_wild = any(isinstance(a.pattern, WildPat) for a in stmt.arms)
         if isinstance(effective, NamedType):
-            decl = self.checker.file.variant(effective.name)
+            decl = self.file.variant(effective.name)
             if decl is None:
                 return  # unresolved type was already reported at the binding site
             covered: set[str] = set()
             for arm in stmt.arms:
                 if isinstance(arm.pattern, CtorPat):
                     if decl.ctor(arm.pattern.tag) is None:
-                        self.emit("E001", arm.pattern.span or stmt.span, f"'{effective.name}' has no constructor '{arm.pattern.tag}'")
+                        self.flag("E001", arm.pattern.span or stmt.span, f"'{effective.name}' has no constructor '{arm.pattern.tag}'")
                     else:
                         covered.add(arm.pattern.tag)
                 elif isinstance(arm.pattern, LitPat):
-                    self.emit("E010", arm.pattern.span or stmt.span, f"literal pattern cannot match values of type '{effective.name}'")
-            if not has_wild and set(decl.tags()) - covered:
-                missing = [t for t in decl.tags() if t not in covered]
-                self.emit("E006", stmt.span, f"case over '{effective.name}' misses {', '.join(missing)} and has no '_' arm")
+                    self.flag("E010", arm.pattern.span or stmt.span, f"literal pattern cannot match values of type '{effective.name}'")
+            missing = [t for t in decl.tags() if t not in covered]
+            if missing and not has_wild:
+                self.flag("E006", stmt.span, f"case over '{effective.name}' misses {', '.join(missing)} and has no '_' arm")
             return
         # Base/tuple scrutinee: literal arms can never cover, so a wildcard is mandatory.
         expected = _base(effective)
         for arm in stmt.arms:
             if isinstance(arm.pattern, CtorPat):
-                self.emit("E010", arm.pattern.span or stmt.span, f"constructor pattern cannot match values of type {format_type(effective)}")
+                self.flag("E010", arm.pattern.span or stmt.span, f"constructor pattern cannot match values of type {format_type(effective)}")
             elif isinstance(arm.pattern, LitPat):
                 got = VALUE_KINDS.get(type(arm.pattern.value), "value")
                 if expected is None or got != expected:
-                    self.emit("E010", arm.pattern.span or stmt.span, f"pattern of kind {got} cannot match values of type {format_type(effective)}")
+                    self.flag("E010", arm.pattern.span or stmt.span, f"pattern of kind {got} cannot match values of type {format_type(effective)}")
         if not has_wild:
-            self.emit("E006", stmt.span, f"case over {format_type(effective)} needs a final '_' arm")
+            self.flag("E006", stmt.span, f"case over {format_type(effective)} needs a final '_' arm")
 
     def check_call(self, stmt: Call, index: WorkingIndex, path: str) -> None:
         callee_participants: tuple[RoleId, ...] | None = None
-        param_names = {q.name for q in self.proto.params}
-        if stmt.target in param_names:
+        param = next((q for q in self.proto.params if q.name == stmt.target), None)
+        if param is not None:
             if stmt.args:
-                self.emit("E001", stmt.span, f"protocol parameter '{stmt.target}' takes no arguments")
+                self.flag("E001", stmt.span, f"protocol parameter '{stmt.target}' takes no arguments")
             # An instantiation's argument has exactly its parameter's signature.
-            callee_participants = next(q.signature for q in self.proto.params if q.name == stmt.target)
+            callee_participants = param.signature
         else:
-            decl = self.checker.file.protocol(stmt.target)
+            decl = self.file.protocol(stmt.target)
             if decl is None:
-                self.emit("E001", stmt.span, f"unknown protocol '{stmt.target}'")
+                self.flag("E001", stmt.span, f"unknown protocol '{stmt.target}'")
             else:
                 callee_participants = decl.participants
                 if len(stmt.args) != len(decl.params):
-                    self.emit(
+                    self.flag(
                         "E001",
                         stmt.span,
                         f"protocol '{decl.name}' expects {len(decl.params)} protocol argument(s), got {len(stmt.args)}",
@@ -497,15 +490,15 @@ class _ProtoCtx:
                 elif decl.params:
                     ok = True
                     for arg_name, param in zip(stmt.args, decl.params):
-                        arg = self.checker.file.protocol(arg_name)
+                        arg = self.file.protocol(arg_name)
                         if arg is None:
-                            self.emit("E001", stmt.span, f"unknown protocol '{arg_name}'")
+                            self.flag("E001", stmt.span, f"unknown protocol '{arg_name}'")
                             ok = False
                         elif not arg.is_ground:
-                            self.emit("E001", stmt.span, f"protocol argument '{arg_name}' must be ground")
+                            self.flag("E001", stmt.span, f"protocol argument '{arg_name}' must be ground")
                             ok = False
                         elif arg.participants != param.signature:
-                            self.emit(
+                            self.flag(
                                 "E008",
                                 stmt.span,
                                 f"'{arg_name}' has participants [{_roles(arg.participants)}] but parameter "
@@ -513,9 +506,9 @@ class _ProtoCtx:
                             )
                             ok = False
                     if ok:
-                        self.checker.enqueue_instantiation(decl.name, stmt.args)
+                        self.enqueue_instantiation(decl.name, stmt.args)
         if callee_participants is not None and not overlapping(callee_participants, self.proto.participants):
-            self.emit(
+            self.flag(
                 "E008",
                 stmt.span,
                 f"callee participants [{_roles(callee_participants)}] do not appear in order within "

@@ -17,7 +17,7 @@ import os
 import stat
 import sys
 
-from .checker import CheckResult, StepRecord, check_file, resolve_entry
+from .checker import CheckResult, check_file, resolve_entry
 from .diagnostics import ERROR
 from .model import KnowledgeIndex
 from .parser import ParseError, ParseFailure, parse, parse_trace
@@ -221,33 +221,40 @@ def _cmd_explain(args, color: bool) -> int:
     return 0
 
 
-def _index_table(index: KnowledgeIndex, indent: str) -> list[str]:
+def _index_table(index: KnowledgeIndex, indent: str, cells: dict[int, tuple[str, str, str]]) -> str:
+    """The text table of ``index``. ``cells`` maps an item's id to its row:
+    ``freeze`` shares unchanged items between snapshots, so each is rendered
+    once per report, and the report keeps them alive, so no id is reused."""
     if not len(index):
-        return [f"{indent}(no messages)"]
-    rows = [(item.var.name, format_type(item.type), ", ".join(r.name for r in item.knowers)) for item in index]
+        return f"{indent}(no messages)"
+    rows = []
+    for item in index:
+        row = cells.get(id(item))
+        if row is None:
+            row = cells[id(item)] = (item.var.name, format_type(item.type), ", ".join(r.name for r in item.knowers))
+        rows.append(row)
     widths = [max(len(r[i]) for r in rows + [("var", "type", "knowers")]) for i in range(3)]
-    out = [f"{indent}{'var'.ljust(widths[0])} | {'type'.ljust(widths[1])} | knowers"]
-    for r in rows:
-        out.append(f"{indent}{r[0].ljust(widths[0])} | {r[1].ljust(widths[1])} | {r[2]}")
-    return out
+    lines = [f"{indent}{'var'.ljust(widths[0])} | {'type'.ljust(widths[1])} | knowers"]
+    lines += [f"{indent}{r[0].ljust(widths[0])} | {r[1].ljust(widths[1])} | {r[2]}" for r in rows]
+    return "\n".join(lines)
 
 
 def _print_explain(result: CheckResult) -> None:
-    by_proto: dict[str, list[StepRecord]] = {}
-    for rec in result.step_log:
-        by_proto.setdefault(rec.protocol, []).append(rec)
-    for proto, recs in by_proto.items():
-        print(f"protocol {proto}")
-        for i, rec in enumerate(recs, start=1):
-            print(f"  step {i} [{rec.path}]: {rec.text}")
-            for line in _index_table(rec.index_after, "    "):
-                print(line)
+    cells: dict[int, tuple[str, str, str]] = {}
+    label = None
+    for rec in result.step_log:  # an error-free log holds each protocol's steps together
+        if rec.protocol != label:
+            if label is not None:
+                print()
+            label, step = rec.protocol, 0
+            print(f"protocol {label}")
+        step += 1
+        print(f"  step {step} [{rec.path}]: {rec.text}\n{_index_table(rec.index_after, '    ', cells)}")
+    if label is not None:
         print()
     print("final indices:")
-    for label, index in result.final_indices:
-        print(f"  {label}:")
-        for line in _index_table(index, "    "):
-            print(line)
+    for path, index in result.final_indices:
+        print(f"  {path}:\n{_index_table(index, '    ', cells)}")
 
 
 def _explain_json(result: CheckResult) -> dict:

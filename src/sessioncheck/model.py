@@ -298,18 +298,16 @@ def free_vars_ordered(expr: RefExpr) -> tuple[VarId, ...]:
     The refinement binder is a distinct node kind, so it never shows up here.
     """
     out: list[VarId] = []
-
-    def walk(e: RefExpr) -> None:
+    stack = [expr]
+    while stack:
+        e = stack.pop()
         if isinstance(e, VarRef):
             if e.var not in out:
                 out.append(e.var)
         elif isinstance(e, (Proj, UnwrapDep)):
-            walk(e.base)
+            stack.append(e.base)
         elif isinstance(e, (Arith, Cmp, BoolOp)):
-            walk(e.lhs)
-            walk(e.rhs)
-
-    walk(expr)
+            stack += (e.rhs, e.lhs)  # the left side pops first
     return tuple(out)
 
 

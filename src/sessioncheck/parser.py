@@ -273,7 +273,6 @@ class _Parser:
         variants: list[VariantDecl] = []
         protocols: list[ProtocolDecl] = []
         entry: str | None = None
-        entry_seen = False
         while not self.at("eof"):
             try:
                 kind = self.peek().kind
@@ -286,10 +285,9 @@ class _Parser:
                 elif kind == "entry":
                     tok = self.advance()
                     name = self.ident("a protocol name")
-                    if entry_seen:
+                    if entry is not None:
                         self.errors.append(ParseError(tok.line, tok.col, "duplicate entry declaration"))
                     entry = name
-                    entry_seen = True
                 else:
                     raise _SyntaxError(self.peek(), "expected 'roles', 'type', 'protocol', or 'entry'")
             except _SyntaxError as err:
@@ -423,10 +421,15 @@ class _Parser:
             var = self.var(self.ident("a message variable"))
             self.expect("{")
             arms = [self.parse_arm()]
-            while self.at(";"):
-                self.advance()
-                if self.at("}"):
-                    break
+            # An arm that starts right after an arm lacks its ';'. An empty body's
+            # error already stands for that; a skipped arm (None) stops at ';' or '}'.
+            while self.at(";") or self.starts_arm():
+                if self.at(";"):
+                    self.advance()
+                    if self.at("}"):
+                        break
+                elif arms[-1].body:
+                    self.record(_expected(self.peek(), "'}'"))
                 arms.append(self.parse_arm())
             self.expect("}")
             arms = [arm for arm in arms if arm is not None]

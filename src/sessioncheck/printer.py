@@ -168,10 +168,10 @@ def format_stmt(s: Stmt) -> str:
     raise TypeError(f"not a statement: {s!r}")
 
 
-def _emit_block(block: Block, indent: int, out: list[str]) -> None:
+def _emit_block(block: Block, indent: int, out: list[str], last_sep: str = "") -> None:
     pad = "  " * indent
     for i, stmt in enumerate(block):
-        sep = ";" if i < len(block) - 1 else ""
+        sep = ";" if i < len(block) - 1 else last_sep
         if isinstance(stmt, ReadCase):
             out.append(f"{pad}read {stmt.var} {{")
             _emit_arms(stmt.arms, indent + 1, out)
@@ -189,11 +189,7 @@ def _emit_arms(arms: tuple[Arm, ...], indent: int, out: list[str]) -> None:
             out.append(f"{pad}{head} => {format_stmt(arm.body[0])}{sep}")
         else:
             out.append(f"{pad}{head} =>")
-            buf: list[str] = []
-            _emit_block(arm.body, indent + 1, buf)
-            if sep:
-                buf[-1] = buf[-1] + sep
-            out.extend(buf)
+            _emit_block(arm.body, indent + 1, out, sep)
 
 
 def _emit_protocol(p: ProtocolDecl, out: list[str]) -> None:

@@ -370,22 +370,18 @@ def test_semicolon_after_the_last_read_arm():
 @pytest.mark.parametrize(
     "rest, errors",
     [
-        # the arm body starts with the next arm's pattern: the body is empty
-        (
-            "1 => 2 => end }\n}\n",
-            [
-                (4, 17, "expected a statement"),
-                (4, 17, "expected '}', found '2'"),
-                (5, 1, "expected 'roles', 'type', 'protocol', or 'entry'"),
-            ],
-        ),
+        # the arm body starts with the next arm's pattern: the empty body's
+        # error stands for the missing ';', and the next arm parses
+        ("1 => 2 => end }\n}\n", [(4, 17, "expected a statement")]),
+        # a ';' missing after a whole arm: one error, and the read keeps its '}'
+        ("1 => end 2 => end }\n}\n", [(4, 21, "expected '}', found '2'")]),
         # a bad arm head with no ';' or '}' before the next declaration:
         # arm recovery stays put and statement recovery takes over
         ("1 end\nprotocol Q [A] { end }\n", [(4, 14, "expected '=>', found 'end'"), (5, 1, "expected '}', found 'protocol'")]),
         # the same at the end of the input
         ("1 end", [(4, 14, "expected '=>', found 'end'"), (4, 17, "expected '}', found end of input")]),
     ],
-    ids=["arm_in_arm", "no_boundary_before_protocol", "no_boundary_before_eof"],
+    ids=["arm_in_arm", "arm_after_arm", "no_boundary_before_protocol", "no_boundary_before_eof"],
 )
 def test_read_arm_recovery_edges(rest, errors):
     with pytest.raises(ParseFailure) as info:

@@ -19,7 +19,7 @@ from sessioncheck.diagnostics import Diagnostic
 from sessioncheck.model import INT, BaseType, KnowledgeIndex, KnowledgeItem, RoleId, Span, TupleType, VarId, VarRef
 from sessioncheck.simulator import Called, Completed, Ended, Recursed, RunReport, Sent
 
-MUTABLE = {"CheckResult", "_ProtoCtx", "RunReport"}
+MUTABLE = {"CheckResult", "RunReport"}
 
 
 def _records() -> dict[str, type]:
@@ -95,7 +95,6 @@ def _samples(m: dict[str, type]) -> dict[str, tuple]:
         "Diagnostic": ("E001", "error", s1, "unresolved", s2),
         "StepRecord": ("P", "P", s1, "end", index),
         "CheckResult": ([], [], []),
-        "_ProtoCtx": (None, m["ProtocolDecl"]("P", (), (a,), (end,)), "P", False),
         "MsgCreated": ("x", m["IntV"](1), "A"),
         "RefinementChecked": ("x", "x == 1", True, (("x", m["IntV"](1)),)),
         "Sent": ("x", "A", "B", index, s1, (a, b)),
