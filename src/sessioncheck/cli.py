@@ -5,6 +5,9 @@ errors (diagnostics, a failed run, or fmt --check differences) or stdout
 was closed before the output was written, 2 an input could not be read or
 parsed, or fmt could not write a file back (and, for simulate, a file that
 fails the checker or has no protocol to run).
+
+``main`` runs with the cyclic garbage collector off, because a run's data
+is acyclic (tests/test_cycles.py), and restores the caller's setting.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import gc
 import json  # perfbench/tracing.py wraps cli.json.dumps
 import os
 import stat
@@ -358,20 +362,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
-    if args.command == "simulate" and args.max_steps < 0:
-        ap.error(f"argument --max-steps: must be 0 or more, got {args.max_steps}")
-    color = _want_color(args.color, sys.stdout if args.command == "check" else sys.stderr)  # where diagnostics go
-    command = {"check": _cmd_check, "simulate": _cmd_simulate, "explain": _cmd_explain, "fmt": _cmd_fmt}
+    collecting = gc.isenabled()
+    gc.disable()  # a run makes no reference cycles for it to free
     try:
-        code = command[args.command](args, color)
-        sys.stdout.flush()  # a closed pipe must show here, not at interpreter exit
-    except BrokenPipeError:  # stdout's: _warn absorbs stderr's
-        # The reader went away (`... | head`): exit 1 without a traceback.
-        _to_devnull(sys.stdout)
-        return 1
-    return code
+        ap = _build_parser()
+        args = ap.parse_args(argv)
+        if args.command == "simulate" and args.max_steps < 0:
+            ap.error(f"argument --max-steps: must be 0 or more, got {args.max_steps}")
+        color = _want_color(args.color, sys.stdout if args.command == "check" else sys.stderr)  # where diagnostics go
+        command = {"check": _cmd_check, "simulate": _cmd_simulate, "explain": _cmd_explain, "fmt": _cmd_fmt}
+        try:
+            code = command[args.command](args, color)
+            sys.stdout.flush()  # a closed pipe must show here, not at interpreter exit
+        except BrokenPipeError:  # stdout's: _warn absorbs stderr's
+            # The reader went away (`... | head`): exit 1 without a traceback.
+            _to_devnull(sys.stdout)
+            return 1
+        return code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

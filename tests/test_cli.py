@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import os
 import shutil
@@ -583,3 +585,96 @@ def test_a_text_check_leaves_the_json_writers_unloaded(corpus):
         f"code = main(['check', {str(corpus / 'tcp.ssn')!r}]); print(code, 'sessioncheck.jsonout' in sys.modules)"
     )
     assert out.splitlines()[-1] == "0 False"
+
+
+@contextlib.contextmanager
+def _collector(on: bool):
+    """Run the block with the cyclic collector switched on or off, then put
+    back the setting it had."""
+    was_on = gc.isenabled()
+    gc.enable() if on else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if was_on else gc.disable()
+
+
+def test_a_command_runs_with_the_collector_off(corpus, capsys, monkeypatch):
+    from sessioncheck import cli
+
+    seen = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            seen.append((fn.__name__, gc.isenabled()))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "check_file", recording(cli.check_file))
+    monkeypatch.setattr(cli, "run_trace", recording(cli.run_trace))
+    tcp = str(corpus / "tcp.ssn")
+    with _collector(True):
+        assert cli.main(["check", tcp]) == 0
+        assert cli.main(["simulate", tcp, "--trace", str(corpus / "tcp_good.trace")]) == 0
+        assert gc.isenabled()
+    assert seen == [("check_file", False), ("check_file", False), ("run_trace", False)]
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["enabled", "disabled"])
+def test_main_gives_back_the_callers_collector_on_every_way_out(corpus, capsys, monkeypatch, on):
+    from sessioncheck import cli
+
+    tcp, good = str(corpus / "tcp.ssn"), str(corpus / "tcp_good.trace")
+
+    def outcome(argv):
+        with _collector(on):
+            try:
+                result = cli.main(argv)
+            except SystemExit as stop:
+                result = ("exit", stop.code)
+            except RuntimeError as err:
+                result = ("raised", str(err))
+            assert gc.isenabled() == on, argv
+        return result
+
+    assert outcome(["check", tcp]) == 0
+    assert outcome(["check", "--nope", tcp]) == ("exit", 2)
+    assert outcome(["simulate", tcp, "--trace", good, "--max-steps", "-1"]) == ("exit", 2)
+    capsys.readouterr()
+    # stdout is a pipe whose reader has gone: the flush after the command
+    # fails, and a run that would exit 0 exits 1
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed, contextlib.redirect_stdout(closed):
+        assert outcome(["simulate", tcp, "--trace", good]) == 1
+    assert capsys.readouterr() == ("", "")
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "check_file", boom)
+    assert outcome(["check", tcp]) == ("raised", "boom")
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["enabled", "disabled"])
+def test_library_calls_leave_the_collector_alone(corpus, on):
+    from sessioncheck import check_file, format_source, parse, parse_trace, run_trace
+
+    with _collector(on):
+        file = parse((corpus / "tcp.ssn").read_text())
+        assert gc.isenabled() == on
+        assert check_file(file, record_steps=True).ok
+        assert gc.isenabled() == on
+        trace = parse_trace((corpus / "tcp_good.trace").read_text())
+        assert gc.isenabled() == on
+        assert run_trace(file, trace).completed
+        assert gc.isenabled() == on
+        format_source(file)
+        assert gc.isenabled() == on
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["enabled", "disabled"])
+def test_importing_sessioncheck_leaves_the_collector_alone(on):
+    out = _fresh_python(f"import gc; gc.{'enable' if on else 'disable'}(); import sessioncheck.cli; print(gc.isenabled())")
+    assert out == f"{on}\n"
