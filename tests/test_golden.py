@@ -1,11 +1,13 @@
-"""Text reports pinned byte for byte against files under ``tests/golden/``.
+"""Reports pinned byte for byte against files under ``tests/golden/``.
 
 Each run keeps its stdout in ``<name>.stdout``, its stderr in
 ``<name>.stderr`` and its exit code in ``exit_codes.json``. The runs are
-text ``explain`` of the four corpus protocols, text ``simulate`` of the
-eight corpus traces, and text ``explain`` of a 60-pair ``deep_path``
-protocol. After an intended change of the text output, rewrite the files
-with ``PYTHONPATH=src python tests/test_golden.py``.
+text ``explain`` of the four corpus protocols, text and JSON ``simulate``
+of the eight corpus traces, JSON ``check`` of the four corpus protocols,
+and text ``explain`` of a 60-pair ``deep_path`` protocol. The JSON files
+pin the writers' bytes apart from the reference builders they are tested
+against elsewhere. After an intended change of the output, rewrite the
+files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -31,10 +33,16 @@ sys.path.insert(0, str(HERE.parent / "perfbench"))
 
 import workloads  # noqa: E402
 
+PROTOCOLS = ("tcp", "server", "hoppy", "charlie")
 RUNS = {
-    **{f"explain_{p}": ["explain", f"{p}.ssn"] for p in ("tcp", "server", "hoppy", "charlie")},
+    **{f"explain_{p}": ["explain", f"{p}.ssn"] for p in PROTOCOLS},
+    **{f"check_json_{p}": ["check", "--format", "json", f"{p}.ssn"] for p in PROTOCOLS},
     **{
         f"simulate_{name.removesuffix('.trace')}": ["simulate", proto, "--trace", name]
+        for name, (proto, _, _) in workloads.CORPUS_TRACES.items()
+    },
+    **{
+        f"simulate_json_{name.removesuffix('.trace')}": ["simulate", "--format", "json", proto, "--trace", name]
         for name, (proto, _, _) in workloads.CORPUS_TRACES.items()
     },
     "explain_deep": ["explain", "deep.ssn"],
