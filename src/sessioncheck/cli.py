@@ -106,32 +106,48 @@ def _diag_text(d: dict, color: bool) -> str:
     return f"{d['file']}:{d['line']}:{d['col']}: {tag}: {d['message']}"
 
 
-def _load_checked(path: str, diags: list[dict], record_steps: bool = False):
-    """Read, parse, and check one file, appending its diagnostics' JSON records
-    to ``diags``. Returns (file, result) or an exit code."""
+def _load(path: str, parse_fn, emit):
+    """Read ``path`` and parse its text with ``parse_fn``, passing each parse
+    error's JSON record to ``emit``. Returns (text, tree), or None if the
+    file could not be read or parsed."""
     text = _read(path)
     if text is None:
-        return 2
+        return None
     try:
-        file = parse(text)
+        return text, parse_fn(text)
     except ParseFailure as fail:
-        diags.extend(_parse_error_json(path, e) for e in fail.errors)
-        return 2
+        for e in fail.errors:
+            emit(_parse_error_json(path, e))
+        return None
+
+
+def _load_checked(path: str, emit, record_steps: bool = False):
+    """Read, parse, and check one file, passing its diagnostics' JSON records
+    to ``emit``. Returns (file, result), or None if the file could not be
+    read or parsed."""
+    loaded = _load(path, parse, emit)
+    if loaded is None:
+        return None
+    file = loaded[1]
     result = check_file(file, record_steps=record_steps)
-    diags.extend(d.to_json(path) for d in result.diagnostics)
+    for d in result.diagnostics:
+        emit(d.to_json(path))
     return file, result
+
+
+def _warner(color: bool):
+    """An ``emit`` that prints each diagnostic to stderr as it comes."""
+    return lambda d: _warn(_diag_text(d, color))
 
 
 def _cmd_check(args, color: bool) -> int:
     worst = 0
     diags: list[dict] = []
     for path in args.files:
-        loaded = _load_checked(path, diags)
-        if loaded == 2:
+        loaded = _load_checked(path, diags.append)
+        if loaded is None:
             worst = 2
-            continue
-        _, result = loaded
-        if result.errors:
+        elif loaded[1].errors:
             worst = max(worst, 1)
     if args.format == "json":
         from .jsonout import write_diagnostics  # only JSON runs load the writers
@@ -144,28 +160,17 @@ def _cmd_check(args, color: bool) -> int:
 
 
 def _cmd_simulate(args, color: bool) -> int:
-    diags: list[dict] = []
-    loaded = _load_checked(args.files[0], diags)
-    for d in diags:
-        _warn(_diag_text(d, color))
-    if loaded == 2:
-        return 2
-    file, result = loaded
-    if result.errors:
+    loaded = _load_checked(args.files[0], _warner(color))
+    if loaded is None or loaded[1].errors:
         return 2  # a file that fails the checker is never executed
+    file = loaded[0]
     if resolve_entry(file) is None:  # it passed the checker, so it declares no protocol
         _warn(f"sessioncheck: {args.files[0]}: no entry protocol to simulate")
         return 2
-    trace_text = _read(args.trace)
-    if trace_text is None:
+    loaded = _load(args.trace, parse_trace, _warner(color))
+    if loaded is None:
         return 2
-    try:
-        trace = parse_trace(trace_text)
-    except ParseFailure as fail:
-        for e in fail.errors:
-            _warn(_diag_text(_parse_error_json(args.trace, e), color))
-        return 2
-    report = run_trace(file, trace, max_steps=args.max_steps)
+    report = run_trace(file, loaded[1], max_steps=args.max_steps)
     if args.format == "json":
         from .jsonout import write_report  # only JSON runs load the writers
 
@@ -207,13 +212,10 @@ def _print_report(report: RunReport) -> None:
 
 
 def _cmd_explain(args, color: bool) -> int:
-    diags: list[dict] = []
-    loaded = _load_checked(args.files[0], diags, record_steps=True)
-    for d in diags:
-        _warn(_diag_text(d, color))
-    if loaded == 2:
+    loaded = _load_checked(args.files[0], _warner(color), record_steps=True)
+    if loaded is None:
         return 2
-    _, result = loaded
+    result = loaded[1]
     if result.errors:
         return 1
     if args.format == "json":
@@ -301,17 +303,11 @@ def _replace_text(path: str, text: str) -> None:
 def _cmd_fmt(args, color: bool) -> int:
     worst = 0
     for path in args.files:
-        text = _read(path)
-        if text is None:
+        loaded = _load(path, parse, _warner(color))
+        if loaded is None:
             worst = 2
             continue
-        try:
-            file = parse(text)
-        except ParseFailure as fail:
-            for e in fail.errors:
-                _warn(_diag_text(_parse_error_json(path, e), color))
-            worst = 2
-            continue
+        text, file = loaded
         formatted = format_source(file)
         if formatted == text:
             continue
@@ -337,9 +333,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sessioncheck", description="Check and simulate value-dependent global session descriptions.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, multi_files: bool):
+    def common(p, multi_files: bool, formats: bool = True):
         p.add_argument("files", nargs="+" if multi_files else 1, help="input .ssn files")
-        p.add_argument("--format", choices=["text", "json"], default="text")
+        if formats:
+            p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--color", choices=["auto", "always", "never"], default="auto")
 
     p_check = sub.add_parser("check", help="statically check session files")
@@ -355,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_explain, multi_files=False)
 
     p_fmt = sub.add_parser("fmt", help="rewrite files in canonical form")
-    common(p_fmt, multi_files=True)
+    common(p_fmt, multi_files=True, formats=False)
     p_fmt.add_argument("--check", action="store_true", help="exit 1 if any file would change")
 
     return ap

@@ -6,6 +6,9 @@ Each renders its report byte for byte as ``json.dumps(doc, indent=2) +
 ``Diagnostic.to_json`` and ``cli._parse_error_json``. It renders straight
 from the report's records with static indentation, and writes one event,
 step or diagnostic at a time, so only one element's text is held at once.
+A run's status is the one part written from its reference builder: the
+plain data of ``simulator.status_to_json`` goes through the same generic
+writer as a diagnostic's record.
 
 A renderer's ``indent`` is the newline and indentation of the line its
 value starts on; the fields or elements of an object or list go two
@@ -21,20 +24,7 @@ import sys
 from .checker import CheckResult, StepRecord
 from .model import KnowledgeIndex
 from .printer import format_type
-from .simulator import (
-    CaseTaken,
-    Called,
-    Completed,
-    Ended,
-    MsgCreated,
-    Recursed,
-    RefinementChecked,
-    RefinementViolated,
-    RunReport,
-    Sent,
-    TraceExhausted,
-    TraceMismatch,
-)
+from .simulator import CaseTaken, Called, Ended, MsgCreated, Recursed, RefinementChecked, RunReport, Sent, status_to_json
 from .syntax import BoolV, ConV, IntV, StrV, TupleV, Value
 
 __all__ = ["write_report", "write_explain", "write_diagnostics"]
@@ -138,41 +128,23 @@ def _json_event(e, items: dict[int, str]) -> str:
     raise TypeError(f"not an event: {e!r}")
 
 
-def _json_status(s) -> str:
-    """``simulator._status_json(s)`` as the value of a field at ``_TOP``."""
-    if isinstance(s, Completed):
-        fields = [("kind", '"completed"')]
-    elif isinstance(s, RefinementViolated):
-        fields = [("kind", '"refinement_violated"'), ("var", _json_str(s.var))]
-        if s.span is not None:
-            fields += [("line", int.__repr__(s.span.line)), ("col", int.__repr__(s.span.col))]
-    elif isinstance(s, TraceExhausted):
-        var = "null" if s.var is None else _json_str(s.var)
-        fields = [("kind", '"trace_exhausted"'), ("var", var), ("note", _json_str(s.note))]
-    elif isinstance(s, TraceMismatch):
-        fields = [
-            ("kind", '"trace_mismatch"'),
-            ("var", _json_str(s.var)),
-            ("expected", _json_str(s.expected)),
-            ("got", "null" if s.got is None else _json_value(s.got, _ELEM)),
-            ("note", _json_str(s.note)),
-        ]
-    else:
-        raise TypeError(f"not a status: {s!r}")
-    return _json_obj(_TOP, fields)
-
-
-def _json_record(record: dict, indent: str) -> str:
-    """A diagnostic's JSON record (``Diagnostic.to_json`` or
-    ``_parse_error_json``): str and int fields, and ``related``, an object
-    of ints."""
-    fields = []
-    for k, v in record.items():
-        if isinstance(v, dict):
-            fields.append((k, _json_record(v, indent + "  ")))
-        else:
-            fields.append((k, _json_str(v) if isinstance(v, str) else int.__repr__(v)))
-    return _json_obj(indent, fields)
+def _json_record(record, indent: str) -> str:
+    """``json.dumps(record, indent=2)`` of plain data, on a line that starts
+    with ``indent``: a diagnostic's JSON record (``Diagnostic.to_json`` or
+    ``_parse_error_json``) or a run's status (``status_to_json``)."""
+    if isinstance(record, str):
+        return _json_str(record)
+    if isinstance(record, bool):  # before int: int.__repr__(True) is '1'
+        return "true" if record else "false"
+    if isinstance(record, int):
+        return int.__repr__(record)
+    if isinstance(record, dict):
+        return _json_obj(indent, [(k, _json_record(v, indent + "  ")) for k, v in record.items()])
+    if isinstance(record, list):
+        return _json_list([_json_record(v, indent + "  ") for v in record], indent)
+    if record is None:
+        return "null"
+    raise TypeError(f"not JSON data: {record!r}")
 
 
 def _write_json_list(texts, indent: str) -> None:
@@ -190,7 +162,7 @@ def _write_json_list(texts, indent: str) -> None:
 def write_report(report: RunReport) -> None:
     """``simulate --format json``: ``report.to_json()``."""
     items: dict[int, str] = {}
-    sys.stdout.write('{\n  "status": ' + _json_status(report.status) + ',\n  "events": ')
+    sys.stdout.write('{\n  "status": ' + _json_record(status_to_json(report.status), _TOP) + ',\n  "events": ')
     _write_json_list((_json_event(e, items) for e in report.events), _TOP)
     sys.stdout.write("\n}\n")
 

@@ -255,7 +255,7 @@ class RunReport:
         return isinstance(self.status, Completed)
 
     def to_json(self) -> dict:
-        return {"status": _status_json(self.status), "events": [_event_json(e) for e in self.events]}
+        return {"status": status_to_json(self.status), "events": [_event_json(e) for e in self.events]}
 
 
 def value_to_json(v: Value):
@@ -309,7 +309,7 @@ def _event_json(e: Event) -> dict:
     raise TypeError(f"not an event: {e!r}")
 
 
-def _status_json(s: Status) -> dict:
+def status_to_json(s: Status) -> dict:
     if isinstance(s, Completed):
         return {"kind": "completed"}
     if isinstance(s, RefinementViolated):

@@ -280,6 +280,21 @@ def test_color_flags(corpus):
     assert "\x1b[" not in no_color.stdout
 
 
+def test_fmt_takes_color_but_not_format(corpus, tmp_path, capsys):
+    from sessioncheck import cli
+
+    broken = tmp_path / "b.ssn"
+    broken.write_text("protocol {")
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["fmt", "--format", "json", str(broken)])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    assert cli.main(["fmt", "--color", "never", str(broken)]) == 2
+    assert capsys.readouterr().err == f"{broken}:1:10: error[parse]: expected a protocol name, found '{{'\n"
+    assert cli.main(["fmt", "--check", "--color", "never", str(corpus / "tcp.ssn")]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_check_multiple_files_in_argument_order(corpus):
     proc = run_cli("check", str(corpus / "charlie.ssn"), str(corpus / "tcp.ssn"))
     assert proc.returncode == 1
@@ -357,17 +372,15 @@ def test_closed_stdout_exits_one_without_a_traceback(corpus, tmp_path):
     trace = tmp_path / "long.trace"
     trace.write_text(rounds + "cmd = Quit\n")
     argv = ["simulate", str(corpus / "server.ssn"), "--trace", str(trace), "--format", "json"]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "sessioncheck", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    )
-    try:
-        assert proc.stdout.read(12) == b'{\n  "status"'
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        assert proc.wait(timeout=60) == 1
-    finally:
-        proc.kill()
-        proc.wait()
+    # the with block closes both pipes; the kill stops a run a failed assert left writing
+    with subprocess.Popen([sys.executable, "-m", "sessioncheck", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert proc.stdout.read(12) == b'{\n  "status"'
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
     assert stderr == b""
 
 

@@ -141,6 +141,7 @@ EVERY_KIND = [
 @example(RunReport(EVERY_KIND, TraceExhausted(None, "step limit of 0 exceeded")))
 @example(RunReport(EVERY_KIND, RefinementViolated("reply", Span(3, 7))))
 @example(RunReport(EVERY_KIND, RefinementViolated("reply")))
+@example(RunReport([], TraceMismatch("x", "Int", TupleV((BoolV(True), IntV(1))), "")))  # true, not 1
 def test_report_writer_is_the_stdlib_rendering(report):
     assert written(write_report, report) == stdlib(report.to_json())
 
