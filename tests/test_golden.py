@@ -4,7 +4,11 @@ Each run keeps its stdout in ``<name>.stdout``, its stderr in
 ``<name>.stderr`` and its exit code in ``exit_codes.json``. The runs are
 text ``explain`` of the four corpus protocols, text and JSON ``simulate``
 of the eight corpus traces, JSON ``check`` of the four corpus protocols,
-and text ``explain`` of a 60-pair ``deep_path`` protocol. The JSON files
+text ``explain`` of a 60-pair ``deep_path`` protocol, and the error paths:
+text, JSON and coloured ``check`` of three files with parse errors between
+two corpus protocols (which pins the order of parse and checker
+diagnostics), ``explain`` and ``fmt --check`` of one of them, and
+``simulate`` against a trace that does not parse. The JSON files
 pin the writers' bytes apart from the reference builders they are tested
 against elsewhere. After an intended change of the output, rewrite the
 files with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -34,6 +38,18 @@ sys.path.insert(0, str(HERE.parent / "perfbench"))
 import workloads  # noqa: E402
 
 PROTOCOLS = ("tcp", "server", "hoppy", "charlie")
+
+# Inputs with lex and parse errors, each beside a protocol that would pass.
+BAD_INPUTS = {
+    "tuple1.ssn": "roles A, B\n\nprotocol P [A, B] {\n  msg x : (Int) by A;\n  send x A -> B;\n  end\n}\n\nentry P\n",
+    "escape.ssn": (
+        "roles A, B\n\nprotocol P [A, B] {\n  msg s : Str by A;\n  send s A -> B;\n"
+        '  read s {\n    "a\\q" => end;\n    _ => end\n  } @\n}\n\nentry P\n'
+    ),
+    "entry2.ssn": "roles A, B\n\nprotocol P [A, B] {\n  msg x : Int by A;\n  send x A -> B;\n  end\n}\n\nentry P\nentry P\n",
+    "bad_tuple.trace": "x = (1 2)\n",
+}
+MIXED = ["tcp.ssn", "tuple1.ssn", "charlie.ssn", "escape.ssn", "entry2.ssn"]
 RUNS = {
     **{f"explain_{p}": ["explain", f"{p}.ssn"] for p in PROTOCOLS},
     **{f"check_json_{p}": ["check", "--format", "json", f"{p}.ssn"] for p in PROTOCOLS},
@@ -46,6 +62,12 @@ RUNS = {
         for name, (proto, _, _) in workloads.CORPUS_TRACES.items()
     },
     "explain_deep": ["explain", "deep.ssn"],
+    "check_errors": ["check", *MIXED],
+    "check_json_errors": ["check", "--format", "json", *MIXED],
+    "check_color_errors": ["check", "--color", "always", *MIXED],
+    "explain_escape": ["explain", "escape.ssn"],
+    "fmt_check_escape": ["fmt", "--check", "escape.ssn"],
+    "simulate_bad_trace": ["simulate", "tcp.ssn", "--trace", "bad_tuple.trace"],
 }
 
 
@@ -60,6 +82,8 @@ def write_inputs(directory: pathlib.Path) -> None:
         if path.suffix in (".ssn", ".trace"):
             shutil.copy(path, directory / path.name)
     (directory / "deep.ssn").write_text(deep_text(), encoding="utf-8")
+    for name, text in BAD_INPUTS.items():
+        (directory / name).write_text(text, encoding="utf-8")
 
 
 def run(argv: list[str]) -> tuple[str, str, int]:

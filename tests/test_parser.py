@@ -200,6 +200,7 @@ def test_exact_parse_errors(fn, src, errors):
     with pytest.raises(ParseFailure) as exc:
         fn(src)
     assert [str(e) for e in exc.value.errors] == errors
+    assert str(exc.value) == "; ".join(errors)
 
 
 def test_non_tail_terminator_is_parsed_not_rejected():
