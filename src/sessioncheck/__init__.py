@@ -23,7 +23,7 @@ from .model import (
     learn,
     overlapping,
 )
-from .parser import ParseError, ParseFailure, parse, parse_trace
+from .parser import ParseFailure, parse, parse_trace
 from .printer import format_ref, format_source, format_type, format_value
 from .simulator import EvalError, RunReport, eval_ref, run_trace
 
@@ -51,7 +51,6 @@ __all__ = [
     "knows",
     "learn",
     "overlapping",
-    "ParseError",
     "ParseFailure",
     "parse",
     "parse_trace",

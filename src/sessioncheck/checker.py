@@ -162,7 +162,7 @@ class CheckResult:
     # call); empty whenever any error-severity diagnostic was emitted.
     final_indices: list[tuple[str, KnowledgeIndex]]
     # Empty unless check_file(..., record_steps=True).
-    step_log: list[StepRecord] = []  # a new list per instance
+    step_log: list[StepRecord]
 
     @property
     def errors(self) -> list[Diagnostic]:

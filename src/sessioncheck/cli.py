@@ -24,7 +24,7 @@ import sys
 from .checker import CheckResult, check_file, resolve_entry
 from .diagnostics import ERROR
 from .model import KnowledgeIndex
-from .parser import ParseError, ParseFailure, parse, parse_trace
+from .parser import ParseFailure, parse, parse_trace
 from .printer import format_source, format_type, format_value
 from .simulator import (
     CaseTaken,
@@ -85,18 +85,6 @@ def _read(path: str) -> str | None:
     return None
 
 
-def _parse_error_json(file: str, e: ParseError) -> dict:
-    return {
-        "code": "parse",
-        "severity": "error",
-        "file": file,
-        "line": e.line,
-        "col": e.col,
-        "len": 1,
-        "message": e.message,
-    }
-
-
 def _diag_text(d: dict, color: bool) -> str:
     """The text line of one diagnostic, checker or parse, from its JSON record;
     ``color`` paints its tag red for an error, yellow for a warning."""
@@ -117,7 +105,7 @@ def _load(path: str, parse_fn, emit):
         return text, parse_fn(text)
     except ParseFailure as fail:
         for e in fail.errors:
-            emit(_parse_error_json(path, e))
+            emit(e.to_json(path))
         return None
 
 

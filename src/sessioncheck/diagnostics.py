@@ -1,4 +1,4 @@
-"""Diagnostic records and the closed code set emitted by the checker."""
+"""Diagnostic records and the closed code set of every error the tool reports."""
 
 from __future__ import annotations
 
@@ -10,8 +10,10 @@ __all__ = ["Diagnostic", "ERROR", "WARNING", "CODES"]
 ERROR = "error"
 WARNING = "warning"
 
-# Closed set; every checker obligation maps to exactly one code.
+# Closed set; every lex or parse error has the code "parse", and every
+# checker obligation maps to exactly one of the others.
 CODES = {
+    "parse": "lex or parse error",
     "E001": "unresolved name",
     "E002": "role not a participant",
     "E003": "sender does not know message",

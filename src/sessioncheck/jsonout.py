@@ -3,12 +3,12 @@
 Each renders its report byte for byte as ``json.dumps(doc, indent=2) +
 "\n"`` prints the report's reference ``doc``: ``RunReport.to_json()``,
 ``cli._explain_json(result)``, or the diagnostics' JSON records from
-``Diagnostic.to_json`` and ``cli._parse_error_json``. It renders straight
-from the report's records with static indentation, and writes one event,
-step or diagnostic at a time, so only one element's text is held at once.
-A run's status is the one part written from its reference builder: the
-plain data of ``simulator.status_to_json`` goes through the same generic
-writer as a diagnostic's record.
+``Diagnostic.to_json``, parse errors and checker findings alike. It
+renders straight from the report's records with static indentation, and
+writes one event, step or diagnostic at a time, so only one element's
+text is held at once. A run's status is the one part written from its
+reference builder: the plain data of ``simulator.status_to_json`` goes
+through the same generic writer as a diagnostic's record.
 
 A renderer's ``indent`` is the newline and indentation of the line its
 value starts on; the fields or elements of an object or list go two
@@ -130,8 +130,8 @@ def _json_event(e, items: dict[int, str]) -> str:
 
 def _json_record(record, indent: str) -> str:
     """``json.dumps(record, indent=2)`` of plain data, on a line that starts
-    with ``indent``: a diagnostic's JSON record (``Diagnostic.to_json`` or
-    ``_parse_error_json``) or a run's status (``status_to_json``)."""
+    with ``indent``: a diagnostic's JSON record (``Diagnostic.to_json``)
+    or a run's status (``status_to_json``)."""
     if isinstance(record, str):
         return _json_str(record)
     if isinstance(record, bool):  # before int: int.__repr__(True) is '1'

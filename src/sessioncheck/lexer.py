@@ -9,8 +9,10 @@ can span a newline, so the line of a token is the count of newlines before
 it and its column follows from the offset of the last one. Strings are
 double-quoted with ``\\"`` and ``\\\\`` escapes and end at a newline. Errors
 do not stop the scan; a string with a bad escape or no closing quote
-yields no token. A lex error is a ``ParseError``, the one error record of
-the front end, so the parser adds it to its own list as it stands.
+yields no token. A lex error is a ``Diagnostic`` with the ``parse`` code,
+made by ``parse_error`` as the parser's errors are, so the parser adds it
+to its own list as it stands and the CLI reports it as it reports a
+checker finding.
 """
 
 from __future__ import annotations
@@ -18,13 +20,10 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .records import record
+from .diagnostics import ERROR, Diagnostic
+from .model import IDENT, Span
 
-__all__ = ["Token", "ParseError", "IDENT", "KEYWORDS", "tokenize"]
-
-# An identifier (role, variable, type, tag, protocol or label name); the
-# model checks RoleId and VarId names against the same pattern.
-IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+__all__ = ["Token", "KEYWORDS", "parse_error", "tokenize"]
 
 KEYWORDS = frozenset(
     [
@@ -92,19 +91,14 @@ class Token(NamedTuple):
     offset: int
 
 
-@record
-class ParseError:
-    line: int
-    col: int
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.line}:{self.col}: {self.message}"
+def parse_error(line: int, col: int, message: str) -> Diagnostic:
+    """The record of a lex or parse error at ``line``:``col``."""
+    return Diagnostic("parse", ERROR, Span(line, col), message)
 
 
-def tokenize(text: str) -> tuple[list[Token], list[ParseError]]:
+def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
-    errors: list[ParseError] = []
+    errors: list[Diagnostic] = []
     append = tokens.append
     new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
     line = 1
@@ -134,13 +128,13 @@ def tokenize(text: str) -> tuple[list[Token], list[ParseError]]:
             append(new(Token, ("eof", "", None, line, col, start)))
             break
         elif kind == "bad":
-            errors.append(ParseError(line, col, f"unexpected character {lexeme!r}"))
+            errors.append(parse_error(line, col, f"unexpected character {lexeme!r}"))
         else:  # string
             escapes = _ESCAPE.findall(m["body"])
             bad_escapes = escapes.count("")
-            errors.extend(ParseError(line, col, "invalid string escape") for _ in range(bad_escapes))
+            errors.extend(parse_error(line, col, "invalid string escape") for _ in range(bad_escapes))
             if m["close"] is None:
-                errors.append(ParseError(line, col, "unterminated string literal"))
+                errors.append(parse_error(line, col, "unterminated string literal"))
             elif not bad_escapes:
                 append(new(Token, ("string", lexeme, _ESCAPE.sub(r"\1", m["body"]), line, col, start)))
     return tokens, errors

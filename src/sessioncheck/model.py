@@ -24,10 +24,10 @@ from __future__ import annotations
 import re
 from typing import Iterable, Union
 
-from .lexer import IDENT
 from .records import quiet, record
 
 __all__ = [
+    "IDENT",
     "Span",
     "RoleId",
     "VarId",
@@ -70,6 +70,10 @@ __all__ = [
     "free_vars_ordered",
 ]
 
+# An identifier (role, variable, type, tag, protocol or label name): the
+# lexer scans words with this pattern and RoleId and VarId check names
+# against it.
+IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(IDENT + r"\Z")
 
 

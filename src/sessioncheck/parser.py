@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import sys
 
-from .lexer import ParseError, Token, tokenize
+from .diagnostics import Diagnostic
+from .lexer import Token, parse_error, tokenize
 from .model import (
     BINARY_OPS,
     Arith,
@@ -92,17 +93,17 @@ from .syntax import (
     TERMINATORS,
 )
 
-__all__ = ["ParseError", "ParseFailure", "parse", "parse_trace"]
+__all__ = ["ParseFailure", "parse", "parse_trace"]
 
 _TOP_KEYWORDS = ("roles", "type", "protocol", "entry")
 _PATTERN_STARTS = ("int", "string", "true", "false", "_", "-")
 
 
 class ParseFailure(Exception):
-    """Carries every ParseError found in one run."""
+    """Carries every error found in one run, each a ``parse`` Diagnostic."""
 
-    def __init__(self, errors: list[ParseError]):
-        super().__init__("; ".join(str(e) for e in errors))
+    def __init__(self, errors: list[Diagnostic]):
+        super().__init__("; ".join(f"{e.span.line}:{e.span.col}: {e.message}" for e in errors))
         self.errors = errors
 
 
@@ -221,12 +222,8 @@ class _Parser:
         end = self.tokens[self.pos - 1]
         return Span(start.line, start.col, max(end.offset + len(end.text) - start.offset, 1))
 
-    def error_here(self, message: str) -> None:
-        tok = self.peek()
-        self.errors.append(ParseError(tok.line, tok.col, message))
-
-    def record(self, err: _SyntaxError) -> None:
-        self.errors.append(ParseError(err.tok.line, err.tok.col, err.message))
+    def error(self, tok: Token, message: str) -> None:
+        self.errors.append(parse_error(tok.line, tok.col, message))
 
     def sync_stmt(self) -> None:
         """Skip to the next statement boundary."""
@@ -286,12 +283,12 @@ class _Parser:
                     tok = self.advance()
                     name = self.ident("a protocol name")
                     if entry is not None:
-                        self.errors.append(ParseError(tok.line, tok.col, "duplicate entry declaration"))
+                        self.error(tok, "duplicate entry declaration")
                     entry = name
                 else:
                     raise _SyntaxError(self.peek(), "expected 'roles', 'type', 'protocol', or 'entry'")
             except _SyntaxError as err:
-                self.record(err)
+                self.error(err.tok, err.message)
                 self.sync_top()
         return SourceFile(tuple(roles), tuple(variants), tuple(protocols), entry)
 
@@ -376,7 +373,7 @@ class _Parser:
             except _NestingError:
                 raise
             except _SyntaxError as err:
-                self.record(err)
+                self.error(err.tok, err.message)
                 before = self.pos
                 self.sync_stmt()
                 if self.pos == before and not self.at(";"):
@@ -390,9 +387,9 @@ class _Parser:
         clean = len(self.errors) == errors_before
         if not stmts:
             if clean:
-                self.error_here("expected a statement")
+                self.error(self.peek(), "expected a statement")
         elif clean and not isinstance(stmts[-1], TERMINATORS):
-            self.error_here("a path must finish with 'end', 'rec', 'call', or 'read'")
+            self.error(self.peek(), "a path must finish with 'end', 'rec', 'call', or 'read'")
         return tuple(stmts)
 
     @_nested
@@ -429,7 +426,8 @@ class _Parser:
                     if self.at("}"):
                         break
                 elif arms[-1].body:
-                    self.record(_expected(self.peek(), "'}'"))
+                    err = _expected(self.peek(), "'}'")
+                    self.error(err.tok, err.message)
                 arms.append(self.parse_arm())
             self.expect("}")
             arms = [arm for arm in arms if arm is not None]
@@ -468,7 +466,7 @@ class _Parser:
         except _SyntaxError as err:
             if not self.sync_arm():
                 raise
-            self.record(err)
+            self.error(err.tok, err.message)
             return None
         body = self.parse_block(in_arm=True)
         return Arm(pattern, body, self.span_from(start))
@@ -650,7 +648,7 @@ def parse_trace(text: str) -> Trace:
             value = _parse_value(p)
             bindings.append(TraceBinding(p.var(tok.value), value))
         except _SyntaxError as err:
-            p.record(err)
+            p.error(err.tok, err.message)
             break
     if p.errors:
         raise ParseFailure(p.errors)

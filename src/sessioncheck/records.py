@@ -3,15 +3,13 @@
 It reads a class's annotated fields in order and compiles, in one ``exec``,
 an ``__init__`` (ending in ``__post_init__`` when the class has one), a
 class-aware ``__eq__`` and a ``__hash__``. A field whose default is
-``quiet(...)`` takes no part in ``==``, ``hash`` or ``repr``, and a field
-whose default is ``[]`` gets a new list per instance. Fields cannot be
-reassigned or deleted, except under ``@record(frozen=False)``, whose records
-are unhashable. It replaces ``dataclasses``, whose import and code
+``quiet(...)`` takes no part in ``==``, ``hash`` or ``repr``. Fields cannot
+be reassigned or deleted, except under ``@record(frozen=False)``, whose
+records are unhashable. It replaces ``dataclasses``, whose import and code
 generation were the largest part of starting the command-line tool.
 """
 
 _setattr = object.__setattr__
-_FRESH = object()  # the signature default of a list field
 
 
 class quiet:
@@ -44,15 +42,8 @@ def record(cls=None, *, frozen=True):
     cls._shown = tuple(n for n in names if not isinstance(own.get(n), quiet))
     params, sets = [], []
     for n in names:
-        value = n
-        if n not in defaults:
-            params.append(n)
-        elif isinstance(defaults[n], list):
-            params.append(f"{n}=_FRESH")
-            value = f"[] if {n} is _FRESH else {n}"
-        else:
-            params.append(f"{n}=_d[{n!r}]")
-        sets.append(f"_setattr(self, {n!r}, {value})" if frozen else f"self.{n} = {value}")
+        params.append(f"{n}=_d[{n!r}]" if n in defaults else n)
+        sets.append(f"_setattr(self, {n!r}, {n})" if frozen else f"self.{n} = {n}")
     if "__post_init__" in own:
         sets.append("self.__post_init__()")
     mine = "".join(f"self.{n}, " for n in cls._shown)

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from gen import gen_checkable_file
 from sessioncheck import check_file, parse
-from sessioncheck.cli import _explain_json, _parse_error_json, main
+from sessioncheck.cli import _explain_json, main
 from sessioncheck.diagnostics import CODES, ERROR, WARNING, Diagnostic
 from sessioncheck.jsonout import write_diagnostics, write_explain, write_report
 from sessioncheck.model import KnowledgeIndex, KnowledgeItem, RoleId, Span, VarId
-from sessioncheck.parser import ParseError, ParseFailure, parse_trace
+from sessioncheck.parser import ParseFailure, parse_trace
 from sessioncheck.simulator import (
     CaseTaken,
     Called,
@@ -158,24 +158,18 @@ def test_explain_writer_is_the_stdlib_rendering():
 
 
 diagnostics = st.builds(
-    lambda code, severity, span, message, related: Diagnostic(code, severity, span, message, related).to_json("f.ssn"),
+    lambda code, severity, span, message, related, file: Diagnostic(code, severity, span, message, related).to_json(file),
     st.sampled_from(sorted(CODES)),
     st.sampled_from([ERROR, WARNING]),
     st.builds(Span, st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 99)),
     strings,
     st.none() | spans,
-)
-parse_errors = st.builds(
-    lambda file, line, col, message: _parse_error_json(file, ParseError(line, col, message)),
-    strings,
-    st.integers(1, 10**6),
-    st.integers(1, 10**6),
     strings,
 )
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.lists(diagnostics | parse_errors, max_size=6))
+@given(st.lists(diagnostics, max_size=6))
 @example([])
 def test_diagnostics_writer_is_the_stdlib_rendering(records):
     assert written(write_diagnostics, records) == stdlib(records)
@@ -228,7 +222,7 @@ def test_check_json_is_the_stdlib_rendering(corpus, tmp_path, capsys):
             try:
                 diags.extend(d.to_json(path) for d in check_file(parse(text)).diagnostics)
             except ParseFailure as fail:
-                diags.extend(_parse_error_json(path, e) for e in fail.errors)
+                diags.extend(e.to_json(path) for e in fail.errors)
         _, out = run_main(capsys, "check", "--format", "json", *paths)
         assert out == stdlib(diags), paths
     assert '"code": "parse"' in out and '"code": "E001"' in out

@@ -52,7 +52,7 @@ CASES = {
 def test_exact_tokens_and_errors(src):
     tokens, errors = tokenize(src)
     assert [(t.kind, t.text, t.value, t.line, t.col, t.offset) for t in tokens] == CASES[src][0]
-    assert [(e.line, e.col, e.message) for e in errors] == CASES[src][1]
+    assert [(e.span.line, e.span.col, e.message) for e in errors] == CASES[src][1]
 
 
 # Whitespace and comments; a string that gave an error (bad escape or no
@@ -73,7 +73,7 @@ def test_token_text_and_position_match_its_offset(src):
         assert t.col == t.offset - (src.rfind("\n", 0, t.offset) + 1) + 1
     # Between tokens, and before 'eof', there is only whitespace, comments
     # and text that gave a lex error: nothing is skipped silently.
-    error_at = {(e.line, e.col) for e in errors}
+    error_at = {(e.span.line, e.span.col) for e in errors}
     end = 0
     for t in tokens:
         pos = end

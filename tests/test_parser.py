@@ -66,7 +66,7 @@ def test_unterminated_refinement_error_position():
     src = "roles A\nprotocol P [A] {\n  msg m2 : (Int where\n}"
     with pytest.raises(ParseFailure) as exc:
         parse(src)
-    assert any(e.line == 3 for e in exc.value.errors)
+    assert any(e.span.line == 3 for e in exc.value.errors)
 
 
 def test_recovers_and_reports_multiple_errors():
@@ -199,7 +199,7 @@ def test_missing_terminator_rejected():
 def test_exact_parse_errors(fn, src, errors):
     with pytest.raises(ParseFailure) as exc:
         fn(src)
-    assert [str(e) for e in exc.value.errors] == errors
+    assert [f"{e.span.line}:{e.span.col}: {e.message}" for e in exc.value.errors] == errors
     assert str(exc.value) == "; ".join(errors)
 
 
@@ -354,7 +354,7 @@ def test_bad_read_arm_pattern_gives_one_error_per_arm(arms, errors):
     # taken for the protocol's, so nothing cascades to the top level
     with pytest.raises(ParseFailure) as info:
         parse(BAD_ARM % arms + "protocol Q [A] { msg }\n")
-    got = [(e.line, e.col, e.message) for e in info.value.errors]
+    got = [(e.span.line, e.span.col, e.message) for e in info.value.errors]
     assert got == errors + [(7, 22, "expected a message variable, found '}'")]
 
 
@@ -387,7 +387,7 @@ def test_semicolon_after_the_last_read_arm():
 def test_read_arm_recovery_edges(rest, errors):
     with pytest.raises(ParseFailure) as info:
         parse(READ_HEAD + rest)
-    assert [(e.line, e.col, e.message) for e in info.value.errors] == errors
+    assert [(e.span.line, e.span.col, e.message) for e in info.value.errors] == errors
 
 
 def test_unicode_identifiers_rejected_as_parse_errors():
