@@ -577,22 +577,41 @@ protocol P [A, B] {
 """
 
 
-@pytest.mark.parametrize(
-    "predicate, message",
-    [
-        ("v == p!.2", None),
-        ("p!.1 < v and v < p!.2", None),
-        ("v == p.2", "projection needs a tuple, found (lo : Int, hi : Int) where lo < hi"),
-        ("v == p!.3", "position 3 exceeds tuple arity 2"),
-        ("v == n!", "'!' unwraps refined values only, found Int"),
-        ("v == p!", "'==' compares Int/Bool/Str values, found (Int, Int)"),
-        ("v == n.1", "projection needs a tuple, found Int"),
-    ],
-)
-def test_projection_and_unwrap_of_a_refined_tuple(predicate, message):
+# Each ill-kinded predicate gives one E010 at the operand or node it names.
+# Arith and BoolOp check each side as soon as they kind it, so `true + p.1`
+# stops at `true`; Cmp kinds both sides first, so `true < p.1` reports the
+# projection.
+KIND_ERRORS = [
+    ("v == p!.2", None, None),
+    ("p!.1 < v and v < p!.2", None, None),
+    ("v == p.2", 32, "projection needs a tuple, found (lo : Int, hi : Int) where lo < hi"),
+    ("v == p!.3", 32, "position 3 exceeds tuple arity 2"),
+    ("v == n!", 32, "'!' unwraps refined values only, found Int"),
+    ("v == p!", 32, "'==' compares Int/Bool/Str values, found (Int, Int)"),
+    ("v == n.1", 32, "projection needs a tuple, found Int"),
+    ("v == true + p.1", 32, "'+' needs Int operands, found Bool"),
+    ("true < p.1", 34, "projection needs a tuple, found (lo : Int, hi : Int) where lo < hi"),
+    ("p! == p.1", 33, "projection needs a tuple, found (lo : Int, hi : Int) where lo < hi"),
+    ("1 and p.1", 27, "'and' needs Bool operands, found Int"),
+    ("n or v == 1", 27, "'or' needs Bool operands, found Int"),
+    ("v <= true", 32, "'<=' needs Int operands, found Bool"),
+    ("v == p!.1 * true", 39, "'*' needs Int operands, found Bool"),
+    ('v == "s"', 27, "'==' needs matching kinds, found Int vs Str"),
+]
+
+
+@pytest.mark.parametrize("predicate, col, message", KIND_ERRORS, ids=[f"{p}-{m}" for p, _, m in KIND_ERRORS])
+def test_projection_and_unwrap_of_a_refined_tuple(predicate, col, message):
     result = check_source(REFINED_PAIR % predicate)
-    expected = [] if message is None else [("E010", 5, 32, f"ill-kinded refinement: {message}")]
+    expected = [] if message is None else [("E010", 5, col, f"ill-kinded refinement: {message}")]
     assert [(d.code, d.span.line, d.span.col, d.message) for d in result.diagnostics] == expected
+
+
+def test_a_predicate_that_is_not_bool():
+    result = check_source(REFINED_PAIR % "v + 1")
+    assert [(d.code, d.span.line, d.span.col, d.message) for d in result.diagnostics] == [
+        ("E010", 5, 3, "refinement must be Bool, found Int")
+    ]
 
 
 def test_a_repeated_parameter_name_calls_with_its_first_signature():

@@ -251,9 +251,11 @@ def test_eval_remaining_operators():
         (lambda m: m.BinderRef(), "no refined value in scope"),
         (lambda m: m.Proj(m.VarRef(VarId("pair")), 3), "cannot take position 3 of (1, \"a\")"),
         (lambda m: m.Proj(m.IntLit(1), 1), "cannot take position 1 of 1"),
+        (lambda m: m.Arith("+", m.BoolLit(True), m.IntLit(1)), "'+' needs integers"),
         (lambda m: m.Arith("-", m.StrLit("a"), m.IntLit(1)), "'-' needs integers"),
         (lambda m: m.Arith("*", m.IntLit(1), m.BoolLit(True)), "'*' needs integers"),
         (lambda m: m.Cmp("<", m.StrLit("a"), m.IntLit(1)), "'<' needs integers"),
+        (lambda m: m.Cmp("<=", m.IntLit(1), m.StrLit("a")), "'<=' needs integers"),
         (lambda m: m.BoolOp("and", m.IntLit(1), m.BoolLit(True)), "'and' needs booleans"),
         (lambda m: m.BoolOp("or", m.BoolLit(True), m.StrLit("x")), "'or' needs booleans"),
     ],
