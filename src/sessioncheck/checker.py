@@ -79,6 +79,12 @@ def _base(t: TypeExpr) -> str | None:
     return t.kind if isinstance(t, BaseType) else None
 
 
+def _operand(expr: Arith | Cmp | BoolOp, side: RefExpr, kind: TypeExpr, want: BaseType) -> None:
+    """Reject ``side``, an operand of ``expr`` of kind ``kind``, unless it is a ``want``."""
+    if _base(kind) != want.kind:
+        raise KindError(side.span or expr.span, f"'{expr.op}' needs {want.kind} operands, found {format_type(kind)}")
+
+
 def kind_of_ref(expr: RefExpr, env: dict[str, TypeExpr], binder: TypeExpr | None) -> TypeExpr:
     """Kind of a refinement expression.
 
@@ -112,31 +118,23 @@ def kind_of_ref(expr: RefExpr, env: dict[str, TypeExpr], binder: TypeExpr | None
         if not isinstance(base, RefinedType):
             raise KindError(expr.span, f"'!' unwraps refined values only, found {format_type(base)}")
         return base.payload
-    if isinstance(expr, Arith):
+    if isinstance(expr, (Arith, BoolOp)):  # each side is checked as soon as it is kinded
+        want = INT if isinstance(expr, Arith) else BOOL
         for side in (expr.lhs, expr.rhs):
-            k = kind_of_ref(side, env, binder)
-            if _base(k) != "Int":
-                raise KindError(side.span or expr.span, f"'{expr.op}' needs Int operands, found {format_type(k)}")
-        return INT
+            _operand(expr, side, kind_of_ref(side, env, binder), want)
+        return want
     if isinstance(expr, Cmp):
         lk = kind_of_ref(expr.lhs, env, binder)
         rk = kind_of_ref(expr.rhs, env, binder)
         if expr.op in ("<", "<="):
-            for k, side in ((lk, expr.lhs), (rk, expr.rhs)):
-                if _base(k) != "Int":
-                    raise KindError(side.span or expr.span, f"'{expr.op}' needs Int operands, found {format_type(k)}")
+            _operand(expr, expr.lhs, lk, INT)
+            _operand(expr, expr.rhs, rk, INT)
             return BOOL
         if _base(lk) is None or _base(rk) is None:
             bad, side = (lk, expr.lhs) if _base(lk) is None else (rk, expr.rhs)
             raise KindError(side.span or expr.span, f"'{expr.op}' compares Int/Bool/Str values, found {format_type(bad)}")
         if _base(lk) != _base(rk):
             raise KindError(expr.span, f"'{expr.op}' needs matching kinds, found {format_type(lk)} vs {format_type(rk)}")
-        return BOOL
-    if isinstance(expr, BoolOp):
-        for side in (expr.lhs, expr.rhs):
-            k = kind_of_ref(side, env, binder)
-            if _base(k) != "Bool":
-                raise KindError(side.span or expr.span, f"'{expr.op}' needs Bool operands, found {format_type(k)}")
         return BOOL
     raise TypeError(f"not a refinement expression: {expr!r}")
 
@@ -155,7 +153,7 @@ class StepRecord:
     index_after: KnowledgeIndex
 
 
-@record(frozen=False)
+@record
 class CheckResult:
     diagnostics: list[Diagnostic]
     # One entry per maximal control path (ending in end, rec, or a tail

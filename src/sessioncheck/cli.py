@@ -28,11 +28,9 @@ from .parser import ParseFailure, parse, parse_trace
 from .printer import format_source, format_type, format_value
 from .simulator import (
     CaseTaken,
-    Called,
     Completed,
-    Ended,
     MsgCreated,
-    Recursed,
+    ProtocolEvent,
     RefinementChecked,
     RefinementViolated,
     RunReport,
@@ -168,6 +166,9 @@ def _cmd_simulate(args, color: bool) -> int:
     return 0 if report.completed else 1
 
 
+_STEP_WORDS = {"recursed": "rec", "called": "call", "ended": "end"}
+
+
 def _print_report(report: RunReport) -> None:
     for e in report.events:
         if isinstance(e, MsgCreated):
@@ -180,12 +181,8 @@ def _print_report(report: RunReport) -> None:
             print(f"sent     {e.var} {e.sender} -> {e.receiver}; known to {knowers}")
         elif isinstance(e, CaseTaken):
             print(f"case     {e.var} => {e.arm}")
-        elif isinstance(e, Recursed):
-            print(f"rec      {e.protocol}")
-        elif isinstance(e, Called):
-            print(f"call     {e.protocol}")
-        elif isinstance(e, Ended):
-            print(f"end      {e.protocol}")
+        elif isinstance(e, ProtocolEvent):
+            print(f"{_STEP_WORDS[e.kind]:<8} {e.protocol}")
     s = report.status
     if isinstance(s, Completed):
         print("status: completed")

@@ -24,7 +24,7 @@ import sys
 from .checker import CheckResult, StepRecord
 from .model import KnowledgeIndex
 from .printer import format_type
-from .simulator import CaseTaken, Called, Ended, MsgCreated, Recursed, RefinementChecked, RunReport, Sent, status_to_json
+from .simulator import CaseTaken, MsgCreated, ProtocolEvent, RefinementChecked, RunReport, Sent, status_to_json
 from .syntax import BoolV, ConV, IntV, StrV, TupleV, Value
 
 __all__ = ["write_report", "write_explain", "write_diagnostics"]
@@ -103,11 +103,7 @@ _SENT = _shape(_ELEM, "var", "sender", "receiver", "index_after", kind="sent")
 _MSG_CREATED = _shape(_ELEM, "var", "value", "creator", kind="msg_created")
 _REFINEMENT_CHECKED = _shape(_ELEM, "var", "predicate", "verdict", "witness", kind="refinement_checked")
 _CASE_TAKEN = _shape(_ELEM, "var", "arm", kind="case_taken")
-_PROTOCOL_EVENT = {
-    Recursed: _shape(_ELEM, "protocol", kind="recursed"),
-    Called: _shape(_ELEM, "protocol", kind="called"),
-    Ended: _shape(_ELEM, "protocol", kind="ended"),
-}
+_PROTOCOL_EVENT = _shape(_ELEM, "kind", "protocol")
 
 
 def _json_event(e, items: dict[int, str]) -> str:
@@ -123,8 +119,8 @@ def _json_event(e, items: dict[int, str]) -> str:
         return _REFINEMENT_CHECKED % (_json_str(e.var), _json_str(e.predicate), verdict, witness)
     if isinstance(e, CaseTaken):
         return _CASE_TAKEN % (_json_str(e.var), _json_str(e.arm))
-    if type(e) in _PROTOCOL_EVENT:
-        return _PROTOCOL_EVENT[type(e)] % _json_str(e.protocol)
+    if isinstance(e, ProtocolEvent):
+        return _PROTOCOL_EVENT % (_json_str(e.kind), _json_str(e.protocol))
     raise TypeError(f"not an event: {e!r}")
 
 

@@ -136,6 +136,10 @@ _BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_OPS) for op in ops
 # get a parse error instead of exhausting the interpreter stack, and every
 # later AST walk (checker, printer, simulator) stays shallow as a result.
 _MAX_NESTING = 100
+# Operator nodes one refinement may build: a binary operator, '.N', '!',
+# 'literal' or 'next'. Nesting times chain length would allow a tree 10,000
+# levels deep, past what the AST walks that recurse per level can take.
+_MAX_OPERATORS = 500
 
 
 def _nested(parse):
@@ -159,13 +163,18 @@ class _Parser:
         self.tokens, self.errors = tokenize(text)
         self.pos = 0
         self.nesting = 0
+        self.operators = 0  # built so far by the refinement being parsed
         # One VarId and one RoleId per distinct name: each checks its name once.
         self.vars: dict[str, VarId] = {}
         self.roles: dict[str, RoleId] = {}
 
     def _chain(self, count: int) -> None:
+        """Count an operator, the ``count``-th of its chain, against both caps."""
         if count > _MAX_NESTING:
             raise _SyntaxError(self.peek(), f"operator chain longer than {_MAX_NESTING} terms")
+        self.operators += 1
+        if self.operators > _MAX_OPERATORS:
+            raise _NestingError(self.peek(), f"refinement with more than {_MAX_OPERATORS} operators")
 
     # -- token plumbing ----------------------------------------------------
 
@@ -541,6 +550,7 @@ class _Parser:
             labels = ()
             payload = self.parse_type()
         self.expect("where", "'where' introducing the refinement")
+        self.operators = 0
         predicate = self.parse_ref(labels)
         return RefinedType(payload, labels, predicate, self.span_from(start))
 
@@ -598,6 +608,7 @@ class _Parser:
             node = IntLit if isinstance(value, IntV) else StrLit if isinstance(value, StrV) else BoolLit
             return node(value.value, self.span_from(tok))
         if tok.kind in ("literal", "next"):
+            self._chain(1)  # one operator, a chain of its own
             self.advance()
             self.expect("(")
             inner = self.parse_ref(labels)

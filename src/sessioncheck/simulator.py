@@ -9,6 +9,7 @@ send so runs can be compared step for step against the checker.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 
 from .checker import resolve_entry
@@ -70,9 +71,7 @@ __all__ = [
     "RefinementChecked",
     "Sent",
     "CaseTaken",
-    "Recursed",
-    "Called",
-    "Ended",
+    "ProtocolEvent",
     "Completed",
     "RefinementViolated",
     "TraceExhausted",
@@ -84,6 +83,15 @@ __all__ = [
 
 class EvalError(Exception):
     """A runtime value did not fit the operation (trace/type inconsistency)."""
+
+
+# Every operator but '==' and '!=': the value both operands must be, the
+# function applied to their payloads, and the value it makes.
+_OPERATORS = {
+    "+": (IntV, operator.add, IntV), "-": (IntV, operator.sub, IntV), "*": (IntV, operator.mul, IntV),
+    "<": (IntV, operator.lt, BoolV), "<=": (IntV, operator.le, BoolV),
+    "and": (BoolV, operator.and_, BoolV), "or": (BoolV, operator.or_, BoolV),
+}
 
 
 def eval_ref(expr: RefExpr, bindings: dict[str, Value], binder_value: Value | None) -> Value:
@@ -111,32 +119,17 @@ def eval_ref(expr: RefExpr, bindings: dict[str, Value], binder_value: Value | No
     if isinstance(expr, UnwrapDep):
         # Refined values are represented by their payload, so unwrap is identity.
         return eval_ref(expr.base, bindings, binder_value)
-    if isinstance(expr, Arith):
-        lhs = eval_ref(expr.lhs, bindings, binder_value)
-        rhs = eval_ref(expr.rhs, bindings, binder_value)
-        if not isinstance(lhs, IntV) or not isinstance(rhs, IntV):
-            raise EvalError(f"'{expr.op}' needs integers")
-        if expr.op == "+":
-            return IntV(lhs.value + rhs.value)
-        if expr.op == "-":
-            return IntV(lhs.value - rhs.value)
-        return IntV(lhs.value * rhs.value)
-    if isinstance(expr, Cmp):
+    if isinstance(expr, (Arith, Cmp, BoolOp)):
         lhs = eval_ref(expr.lhs, bindings, binder_value)
         rhs = eval_ref(expr.rhs, bindings, binder_value)
         if expr.op == "==":
             return BoolV(lhs == rhs)
         if expr.op == "!=":
             return BoolV(lhs != rhs)
-        if not isinstance(lhs, IntV) or not isinstance(rhs, IntV):
-            raise EvalError(f"'{expr.op}' needs integers")
-        return BoolV(lhs.value < rhs.value if expr.op == "<" else lhs.value <= rhs.value)
-    if isinstance(expr, BoolOp):
-        lhs = eval_ref(expr.lhs, bindings, binder_value)
-        rhs = eval_ref(expr.rhs, bindings, binder_value)
-        if not isinstance(lhs, BoolV) or not isinstance(rhs, BoolV):
-            raise EvalError(f"'{expr.op}' needs booleans")
-        return BoolV(lhs.value and rhs.value if expr.op == "and" else lhs.value or rhs.value)
+        operand, apply, result = _OPERATORS[expr.op]
+        if not isinstance(lhs, operand) or not isinstance(rhs, operand):
+            raise EvalError(f"'{expr.op}' needs {'integers' if operand is IntV else 'booleans'}")
+        return result(apply(lhs.value, rhs.value))
     raise TypeError(f"not a refinement expression: {expr!r}")
 
 
@@ -200,21 +193,18 @@ class CaseTaken:
 
 
 @record
-class Recursed:
+class ProtocolEvent:
+    """A protocol step: ``called`` into a protocol, ``ended`` it, or ``recursed`` into it."""
+
+    kind: str  # "recursed" | "called" | "ended", as in the JSON report
     protocol: str
 
-
-@record
-class Called:
-    protocol: str
-
-
-@record
-class Ended:
-    protocol: str
+    def __post_init__(self) -> None:
+        if self.kind not in ("recursed", "called", "ended"):
+            raise ValueError(f"unknown protocol event: {self.kind}")
 
 
-Event = MsgCreated | RefinementChecked | Sent | CaseTaken | Recursed | Called | Ended
+Event = MsgCreated | RefinementChecked | Sent | CaseTaken | ProtocolEvent
 
 
 @record
@@ -245,7 +235,7 @@ class TraceMismatch:
 Status = Completed | RefinementViolated | TraceExhausted | TraceMismatch
 
 
-@record(frozen=False)
+@record
 class RunReport:
     events: list[Event]
     status: Status
@@ -300,12 +290,8 @@ def _event_json(e: Event) -> dict:
         }
     if isinstance(e, CaseTaken):
         return {"kind": "case_taken", "var": e.var, "arm": e.arm}
-    if isinstance(e, Recursed):
-        return {"kind": "recursed", "protocol": e.protocol}
-    if isinstance(e, Called):
-        return {"kind": "called", "protocol": e.protocol}
-    if isinstance(e, Ended):
-        return {"kind": "ended", "protocol": e.protocol}
+    if isinstance(e, ProtocolEvent):
+        return {"kind": e.kind, "protocol": e.protocol}
     raise TypeError(f"not an event: {e!r}")
 
 
@@ -411,7 +397,7 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                 events.append(CaseTaken(stmt.var.name, format_pattern(arm.pattern)))
                 block, pos = arm.body, 0
             elif isinstance(stmt, Rec):
-                events.append(Recursed(proto.name))
+                events.append(ProtocolEvent("recursed", proto.name))
                 break
             elif isinstance(stmt, Call):
                 callee = file.protocol(param_binding.get(stmt.target, stmt.target))
@@ -419,15 +405,15 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                     raise ValueError(f"call target '{stmt.target}' did not resolve; run the checker first")
                 if stmt.then_rec:
                     loops.append((proto, param_binding))
-                events.append(Called(callee.name))
+                events.append(ProtocolEvent("called", callee.name))
                 proto, param_binding = callee, dict(zip((q.name for q in callee.params), stmt.args))
                 break
             elif isinstance(stmt, End):
-                events.append(Ended(proto.name))
+                events.append(ProtocolEvent("ended", proto.name))
                 if not loops:
                     return Completed()
                 proto, param_binding = loops.pop()
-                events.append(Recursed(proto.name))
+                events.append(ProtocolEvent("recursed", proto.name))
                 break
             else:
                 raise TypeError(f"not a statement: {stmt!r}")

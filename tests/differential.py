@@ -1,0 +1,167 @@
+"""Fingerprints of every CLI run on a fixed set of inputs, for comparing two checkouts.
+
+It writes the inputs to a temporary directory: the corpus, 100
+``tests/gen.py`` files at a fixed seed, each corpus file cut after every
+line, the seed-1 inputs of the three benchmark workloads (from
+``perfbench/workloads.py``), and files with lex, parse, nesting,
+long-literal, non-UTF-8 and operator-budget errors. It then runs every
+command in every format on them in-process through ``cli.main``, with
+``fmt`` on copies, and prints one line per run: the argv, the exit code,
+and the sha256 of stdout, of stderr and of each file the run rewrote. JSON
+``explain`` of the ``deep_path`` protocol (72 MB) is skipped.
+
+The ``sessioncheck`` on ``PYTHONPATH`` is the one measured, so two
+checkouts are compared by running this one script against each::
+
+    PYTHONPATH=src python tests/differential.py > after.txt
+    PYTHONPATH=../other/src python tests/differential.py > before.txt
+    diff before.txt after.txt
+
+pytest does not collect this file; ``tests/test_cli.py`` runs it on the
+corpus alone.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import random
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+CORPUS = HERE.parent / "corpus"
+sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench")]
+
+import workloads  # noqa: E402
+from gen import gen_checkable_file, gen_printable_file  # noqa: E402
+
+from sessioncheck import cli  # noqa: E402
+from sessioncheck.printer import format_source  # noqa: E402
+
+GENERATED = 100
+SKIPPED = {("explain", "--format", "json", "deep_path/deep.ssn")}
+
+
+def refinement(operators: int) -> tuple[str, str]:
+    """A protocol whose one refinement has ``operators`` operators, nested
+    in groups of 100 terms, and a trace that satisfies it."""
+    expr, terms = "1", 1
+    left = operators - 1  # the '==' is one
+    while left:
+        step = min(left, 99)
+        expr, terms, left = "(" + " + ".join([expr] + ["1"] * step) + ")", terms + step, left - step
+    text = f"roles A, B\n\nprotocol P [A, B] {{\n  dep n : (v : Int) where v == {expr} by A;\n  send n A -> B;\n  end\n}}\n\nentry P\n"
+    return text, f"n = {terms}\n"
+
+
+ROLES = "roles A, B\n\nprotocol P [A, B] {\n  msg x : Int by A;\n  send x A -> B;\n  %s\n}\n\nentry P\n"
+ERRORS = {
+    "lex.ssn": ROLES % "end @ $",
+    "parse.ssn": ROLES % "send x A B;\n  end",
+    "nesting.ssn": ROLES.replace("Int", "(" * 150 + "Int" + ")" * 150) % "end",
+    "literal.ssn": ROLES % ("read x { " + "9" * 5000 + " => end; _ => end }"),
+    "bad.trace": "x = (1 2)\n",
+    "literal.trace": "x = " + "9" * 5000 + "\n",
+}
+
+
+def write_inputs(root: Path, full: bool = True) -> list[list[str]]:
+    """Write the inputs under ``root`` and return the argv of every run, in order."""
+    protocols: list[str] = []
+    runs: list[list[str]] = []
+
+    def put(name: str, data: str | bytes) -> str:
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        if name.endswith(".ssn"):
+            protocols.append(name)
+        return name
+
+    def simulate(protocol: str, trace: str) -> None:
+        runs.extend([["simulate", protocol, "--trace", trace], ["simulate", "--format", "json", protocol, "--trace", trace]])
+
+    corpus = sorted(p for p in CORPUS.iterdir() if p.suffix in (".ssn", ".trace"))
+    for path in corpus:
+        put(path.name, path.read_bytes())
+        if path.suffix == ".trace":
+            simulate(workloads.CORPUS_TRACES[path.name][0], path.name)
+    if full:
+        rng = random.Random("differential:1")
+        for i in range(GENERATED):
+            make = gen_checkable_file if i % 2 == 0 else gen_printable_file
+            put(f"gen/g{i:03d}.ssn", format_source(make(rng)))
+        for path in corpus:
+            lines = path.read_bytes().splitlines(keepends=True)
+            for k in range(len(lines)):
+                name = put(f"cut/{path.stem}_{k:02d}{path.suffix}", b"".join(lines[:k]))
+                if path.suffix == ".trace":
+                    simulate(workloads.CORPUS_TRACES[path.name][0], name)
+        for workload, make_plan in sorted(workloads.WORKLOADS.items()):
+            plan = make_plan(1, CORPUS)
+            for name in sorted(plan.files):
+                put(f"{workload}/{name}", plan.files[name])
+            for op in plan.ops:
+                if op.kind == "simulate":  # as the benchmark runs it, then at the default step limit
+                    argv = [f"{workload}/{a}" if a.endswith((".ssn", ".trace")) else a for a in op.argv]
+                    runs.append(argv)
+                    simulate(*(a for a in argv if a.endswith((".ssn", ".trace"))))
+        for name, text in ERRORS.items():
+            put(f"errors/{name}", text)
+        put("errors/utf8.ssn", b"roles A\n\xff\xfe\n")
+        put("errors/utf8.trace", b"x = \xff\n")
+        for trace in ("bad.trace", "literal.trace", "utf8.trace"):
+            simulate("tcp.ssn", f"errors/{trace}")
+        for name, operators in (("budget", 500), ("past", 501), ("deep", 991)):
+            text, trace = refinement(operators)
+            simulate(put(f"errors/{name}.ssn", text), put(f"errors/{name}.trace", trace))
+
+    for name in protocols:
+        copy = f"fmt/{name}"
+        (root / copy).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(root / name, root / copy)
+        runs += [["check", name], ["check", "--format", "json", name], ["check", "--color", "always", name]]
+        runs += [["explain", name], ["explain", "--format", "json", name], ["fmt", "--check", name], ["fmt", copy]]
+    return [argv for argv in runs if tuple(argv) not in SKIPPED]
+
+
+def _sha(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
+
+
+def fingerprint(argv: list[str]) -> str:
+    """One run's line: argv, exit code (or the exception it raised), and hashes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(cli.main(argv))
+        except SystemExit as exc:
+            code = f"exit {exc.code}"
+        except Exception as exc:  # a crash is a result to compare, not a reason to stop
+            code = f"raised {type(exc).__name__}"
+    hashes = [_sha(out.getvalue()), _sha(err.getvalue())]
+    if argv[0] == "fmt" and "--check" not in argv:
+        hashes.append(_sha(Path(argv[-1]).read_bytes()))
+    return "\t".join([" ".join(argv), code, *hashes])
+
+
+def lines(full: bool = True) -> list[str]:
+    """Every run's line, on freshly written inputs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = write_inputs(Path(tmp), full)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            return [fingerprint(argv) for argv in runs]
+        finally:
+            os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    for line in lines():
+        print(line)

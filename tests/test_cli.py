@@ -14,7 +14,7 @@ import sys
 import jsonschema
 import pytest
 
-from conftest import run_cli
+from conftest import nth_operator_col, run_cli
 
 DIAGNOSTICS_SCHEMA = {
     "type": "array",
@@ -691,3 +691,47 @@ def test_library_calls_leave_the_collector_alone(corpus, on):
 def test_importing_sessioncheck_leaves_the_collector_alone(on):
     out = _fresh_python(f"import gc; gc.{'enable' if on else 'disable'}(); import sessioncheck.cli; print(gc.isenabled())")
     assert out == f"{on}\n"
+
+
+BUDGET_COMMANDS = [
+    ("check",), ("check", "--format", "json"), ("explain",), ("explain", "--format", "json"), ("fmt", "--check"),
+    ("simulate", "--trace"), ("simulate", "--format", "json", "--trace"),
+]
+
+
+@pytest.mark.parametrize("operators", [500, 501, 991], ids=["at_budget", "past_budget", "groups_10x100"])
+def test_every_command_at_and_past_the_operator_budget(operators, tmp_path):
+    from differential import refinement
+
+    text, trace = refinement(operators)
+    ssn, trc = tmp_path / "r.ssn", tmp_path / "r.trace"
+    ssn.write_text(text)
+    trc.write_text(trace)
+    message = "refinement with more than 500 operators"
+    for argv in BUDGET_COMMANDS:
+        # a fresh process each, at the interpreter's own stack limit
+        proc = run_cli(*argv, *([str(trc)] if argv[0] == "simulate" else []), str(ssn))
+        assert "Traceback" not in proc.stderr, argv
+        if operators <= 500:
+            assert proc.returncode == (1 if argv[0] == "fmt" else 0), argv  # fmt would drop the parentheses
+            out = json.loads(proc.stdout) if "json" in argv else proc.stdout
+            if argv[0] == "check":
+                assert out in ([], ""), argv
+            elif argv[0] == "simulate":
+                assert out["status"] == {"kind": "completed"} if "json" in argv else out.endswith("status: completed\n")
+            continue
+        col = nth_operator_col(text, 501)
+        assert proc.returncode == 2, argv
+        if argv == ("check", "--format", "json"):
+            errors = json.loads(proc.stdout)
+            assert [(e["code"], e["line"], e["col"], e["message"]) for e in errors] == [("parse", 4, col, message)]
+        else:
+            assert proc.stdout + proc.stderr == f"{ssn}:4:{col}: error[parse]: {message}\n", argv
+
+
+def test_the_differential_script_gives_the_same_lines_twice():
+    import differential
+
+    first = differential.lines(full=False)
+    assert len(first) == 44  # 4 protocols x 7 runs, 8 traces x 2 formats
+    assert differential.lines(full=False) == first

@@ -21,11 +21,9 @@ from sessioncheck.model import KnowledgeIndex, KnowledgeItem, RoleId, Span, VarI
 from sessioncheck.parser import ParseFailure, parse_trace
 from sessioncheck.simulator import (
     CaseTaken,
-    Called,
     Completed,
-    Ended,
     MsgCreated,
-    Recursed,
+    ProtocolEvent,
     RefinementChecked,
     RefinementViolated,
     RunReport,
@@ -104,9 +102,9 @@ def reports(draw) -> RunReport:
         st.builds(MsgCreated, strings, values, strings),
         st.builds(RefinementChecked, strings, strings, st.booleans(), witness.map(tuple)),
         st.builds(CaseTaken, strings, strings),
-        st.builds(Recursed, strings),
-        st.builds(Called, strings),
-        st.builds(Ended, strings),
+        st.builds(ProtocolEvent, st.just("recursed"), strings),
+        st.builds(ProtocolEvent, st.just("called"), strings),
+        st.builds(ProtocolEvent, st.just("ended"), strings),
     )
     status = st.one_of(
         st.just(Completed()),
@@ -127,9 +125,9 @@ EVERY_KIND = [
     Sent("m", "Bob", "Alice", KnowledgeIndex((KnowledgeItem(VarId("m"), TYPES[1], (A,)),))),
     Sent("k", "Alice", "Bob", KnowledgeIndex((SHARED, KnowledgeItem(VarId("k"), TYPES[2], (B,))))),
     CaseTaken("cmd", "Math"),
-    Called("DoMath"),
-    Recursed("Server"),
-    Ended("Server"),
+    ProtocolEvent("called", "DoMath"),
+    ProtocolEvent("recursed", "Server"),
+    ProtocolEvent("ended", "Server"),
 ]
 
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import OPERATOR, nth_operator_col
+from differential import refinement
+
 from sessioncheck.model import (
     INT,
     STR,
@@ -331,6 +334,39 @@ def test_nesting_limit_gives_exactly_one_error(src, message):
     with pytest.raises(ParseFailure) as info:
         parse(src + "\nprotocol Q [A] { msg }")
     assert [e.message for e in info.value.errors] == [message, "expected a message variable, found '}'"]
+
+
+
+# Each group holds 100 terms, below the chain cap; the budget bounds the
+# whole tree. "deep" is 10 groups of 100 terms, a tree ~1,000 levels deep.
+@pytest.mark.parametrize(
+    "operators, first, total",
+    [
+        (500, "1", 500), (501, "1", 501), (991, "1", 991), (498, "p!.1", 500), (499, "p!.1", 501),
+        (499, "next(1)", 500), (500, "literal(1)", 501),
+    ],
+    ids=["at_budget", "past_budget", "deep", "postfix_at", "postfix_past", "next_at", "literal_past"],
+)
+def test_one_operator_budget_per_refinement(operators, first, total):
+    text, _ = refinement(operators)
+    text = text.replace("(1 + ", f"({first} + ", 1)
+    assert len(OPERATOR.findall(text.splitlines()[3])) == total
+    if total <= 500:
+        parse(text)
+        return
+    with pytest.raises(ParseFailure) as info:
+        parse(text + "protocol Q [A] { msg }\n")
+    # one error, at the operator past the budget; parsing resumes at the next declaration
+    assert [(e.span.line, e.span.col, e.message) for e in info.value.errors] == [
+        (4, nth_operator_col(text, 501), "refinement with more than 500 operators"),
+        (10, 22, "expected a message variable, found '}'"),
+    ]
+
+
+def test_each_refinement_has_its_own_operator_budget():
+    text, _ = refinement(400)
+    dep = text.splitlines()[3]
+    parse(text.replace(dep, dep + "\n" + dep.replace("dep n", "dep m")))
 
 
 BAD_ARM = "roles A, B\nprotocol P [A, B] {\n  msg m : Int by A;\n  send m A -> B;\n  read m { %s }\n}\n"

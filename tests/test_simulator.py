@@ -10,11 +10,9 @@ from sessioncheck.model import VarId
 from sessioncheck.simulator import (
     CaseTaken,
     Completed,
-    Called,
-    Ended,
     EvalError,
     MsgCreated,
-    Recursed,
+    ProtocolEvent,
     RefinementChecked,
     RefinementViolated,
     Sent,
@@ -104,8 +102,8 @@ def test_server_quit_completes_via_quit_arm(corpus):
 def test_server_echo_round(corpus):
     report = run_trace(load(corpus, "server.ssn"), trace_of(corpus, "server_echo.trace"))
     assert isinstance(report.status, Completed)
-    assert Called("DoEcho") in report.events
-    assert Recursed("Server") in report.events
+    assert ProtocolEvent("called", "DoEcho") in report.events
+    assert ProtocolEvent("recursed", "Server") in report.events
     verdicts = [e for e in report.events if isinstance(e, RefinementChecked)]
     assert [e.var for e in verdicts] == ["welcome", "reply"]
 
@@ -119,18 +117,18 @@ def test_server_echo_wrong_reply_violates(corpus):
 def test_server_math_round(corpus):
     report = run_trace(load(corpus, "server.ssn"), trace_of(corpus, "server_math.trace"))
     assert isinstance(report.status, Completed)
-    assert Called("DoMath") in report.events
+    assert ProtocolEvent("called", "DoMath") in report.events
     assert CaseTaken("cmd", "Math") in report.events
 
 
 def test_hoppy_runs_parameter_body(corpus):
     report = run_trace(load(corpus, "hoppy.ssn"), trace_of(corpus, "hoppy_grant.trace"))
     assert isinstance(report.status, Completed)
-    assert Called("Auth") in report.events
-    assert Ended("Auth") in report.events
+    assert ProtocolEvent("called", "Auth") in report.events
+    assert ProtocolEvent("ended", "Auth") in report.events
     deny = run_trace(load(corpus, "hoppy.ssn"), trace_of(corpus, "hoppy_deny.trace"))
     assert isinstance(deny.status, Completed)
-    assert Called("Auth") not in deny.events
+    assert ProtocolEvent("called", "Auth") not in deny.events
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +282,7 @@ entry Outer
 
 def event_names(report):
     return [
-        (type(e).__name__, e.protocol if isinstance(e, (Called, Ended, Recursed)) else e.var)
+        (e.kind.capitalize(), e.protocol) if isinstance(e, ProtocolEvent) else (type(e).__name__, e.var)
         for e in report.events
     ]
 
