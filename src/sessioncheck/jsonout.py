@@ -10,6 +10,12 @@ text is held at once. A run's status is the one part written from its
 reference builder: the plain data of ``simulator.status_to_json`` goes
 through the same generic writer as a diagnostic's record.
 
+A loop's run logs one shared ``Sent`` object each round (see
+``simulator.RunReport``). ``write_report`` renders each such event at most
+twice per report, whatever the number of rounds, keyed by its id as
+``_json_index`` keys items: an event's text is kept from its second sight
+on, so the text of an event logged once is never held.
+
 A renderer's ``indent`` is the newline and indentation of the line its
 value starts on; the fields or elements of an object or list go two
 spaces deeper. Strings go through the stdlib's C escaper, as in
@@ -106,10 +112,15 @@ _CASE_TAKEN = _shape(_ELEM, "var", "arm", kind="case_taken")
 _PROTOCOL_EVENT = _shape(_ELEM, "kind", "protocol")
 
 
-def _json_event(e, items: dict[int, str]) -> str:
-    """``simulator._event_json(e)``."""
+def _json_event(e, texts: dict[int, str | None]) -> str:
+    """``simulator._event_json(e)``; ``texts`` maps the id of an index item
+    or of a ``Sent`` seen before to its text, ``None`` after a first sight."""
     if isinstance(e, Sent):
-        return _SENT % (_json_str(e.var), _json_str(e.sender), _json_str(e.receiver), _json_index(e.index_after, items))
+        text = texts.get(id(e))
+        if text is None:
+            text = _SENT % (_json_str(e.var), _json_str(e.sender), _json_str(e.receiver), _json_index(e.index_after, texts))
+            texts[id(e)] = text if id(e) in texts else None
+        return text
     if isinstance(e, MsgCreated):
         return _MSG_CREATED % (_json_str(e.var), _json_value(e.value, _FIELD), _json_str(e.creator))
     if isinstance(e, RefinementChecked):
@@ -157,9 +168,9 @@ def _write_json_list(texts, indent: str) -> None:
 
 def write_report(report: RunReport) -> None:
     """``simulate --format json``: ``report.to_json()``."""
-    items: dict[int, str] = {}
+    texts: dict[int, str | None] = {}
     sys.stdout.write('{\n  "status": ' + _json_record(status_to_json(report.status), _TOP) + ',\n  "events": ')
-    _write_json_list((_json_event(e, items) for e in report.events), _TOP)
+    _write_json_list((_json_event(e, texts) for e in report.events), _TOP)
     sys.stdout.write("\n}\n")
 
 

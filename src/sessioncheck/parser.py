@@ -132,13 +132,13 @@ _BINARY_NODES = {
 _BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_OPS) for op in ops}
 
 
-# Depth cap on recursive descent and on operator chains. Inputs past it
-# get a parse error instead of exhausting the interpreter stack, and every
-# later AST walk (checker, printer, simulator) stays shallow as a result.
+# Depth cap on recursive descent. Inputs past it get a parse error instead
+# of exhausting the interpreter stack.
 _MAX_NESTING = 100
 # Operator nodes one refinement may build: a binary operator, '.N', '!',
-# 'literal' or 'next'. Nesting times chain length would allow a tree 10,000
-# levels deep, past what the AST walks that recurse per level can take.
+# 'literal' or 'next'. It bounds every chain, flat or nested, so a predicate
+# tree stays a few hundred levels deep and every later AST walk that
+# recurses per level (checker, printer, simulator) stays shallow.
 _MAX_OPERATORS = 500
 
 
@@ -168,10 +168,8 @@ class _Parser:
         self.vars: dict[str, VarId] = {}
         self.roles: dict[str, RoleId] = {}
 
-    def _chain(self, count: int) -> None:
-        """Count an operator, the ``count``-th of its chain, against both caps."""
-        if count > _MAX_NESTING:
-            raise _SyntaxError(self.peek(), f"operator chain longer than {_MAX_NESTING} terms")
+    def _operator(self) -> None:
+        """Count an operator against the refinement's budget."""
         self.operators += 1
         if self.operators > _MAX_OPERATORS:
             raise _NestingError(self.peek(), f"refinement with more than {_MAX_OPERATORS} operators")
@@ -566,16 +564,12 @@ class _Parser:
 
         A right operand takes only the operators tighter than its own, so
         the levels met in one call never rise: each level's operators form
-        one chain, counted against the cap, and every node's span starts at
-        its chain's first token.
+        one chain, and every node's span starts at its chain's first token.
         """
         start = self.peek()
         lhs = self.parse_postfix(labels)
-        chain_level, count = floor, 0
         while (level := _BINARY_LEVEL.get(self.peek().kind, -1)) >= floor:
-            if level != chain_level:
-                chain_level, count = level, 0
-            self._chain(count := count + 1)
+            self._operator()
             op = self.advance().kind
             rhs = self.parse_binary(labels, level + 1)
             lhs = _BINARY_NODES[op](op, lhs, rhs, span=self.span_from(start))
@@ -584,10 +578,9 @@ class _Parser:
     def parse_postfix(self, labels) -> RefExpr:
         start = self.peek()
         expr = self.parse_atom(labels)
-        count = 0
         while True:
             if self.at("."):
-                self._chain(count := count + 1)
+                self._operator()
                 self.advance()
                 idx = self.expect("int", "a 1-based tuple position")
                 position = self.int_value(idx)
@@ -595,7 +588,7 @@ class _Parser:
                     raise _SyntaxError(idx, "projection positions are 1-based")
                 expr = Proj(expr, position, self.span_from(start))
             elif self.at("!"):
-                self._chain(count := count + 1)
+                self._operator()
                 self.advance()
                 expr = UnwrapDep(expr, self.span_from(start))
             else:
@@ -608,7 +601,7 @@ class _Parser:
             node = IntLit if isinstance(value, IntV) else StrLit if isinstance(value, StrV) else BoolLit
             return node(value.value, self.span_from(tok))
         if tok.kind in ("literal", "next"):
-            self._chain(1)  # one operator, a chain of its own
+            self._operator()
             self.advance()
             self.expect("(")
             inner = self.parse_ref(labels)

@@ -4,7 +4,8 @@ It writes the inputs to a temporary directory: the corpus, 100
 ``tests/gen.py`` files at a fixed seed, each corpus file cut after every
 line, the seed-1 inputs of the three benchmark workloads (from
 ``perfbench/workloads.py``), and files with lex, parse, nesting,
-long-literal, non-UTF-8 and operator-budget errors. It then runs every
+long-literal, non-UTF-8 and operator-budget errors, and long operator
+chains, flat and in parentheses, near the budget. It then runs every
 command in every format on them in-process through ``cli.main``, with
 ``fmt`` on copies, and prints one line per run: the argv, the exit code,
 and the sha256 of stdout, of stderr and of each file the run rewrote. JSON
@@ -47,6 +48,9 @@ GENERATED = 100
 SKIPPED = {("explain", "--format", "json", "deep_path/deep.ssn")}
 
 
+REFINED = "roles A, B\n\nprotocol P [A, B] {\n  dep n : (v : Int) where v == %s by A;\n  send n A -> B;\n  end\n}\n\nentry P\n"
+
+
 def refinement(operators: int) -> tuple[str, str]:
     """A protocol whose one refinement has ``operators`` operators, nested
     in groups of 100 terms, and a trace that satisfies it."""
@@ -55,8 +59,17 @@ def refinement(operators: int) -> tuple[str, str]:
     while left:
         step = min(left, 99)
         expr, terms, left = "(" + " + ".join([expr] + ["1"] * step) + ")", terms + step, left - step
-    text = f"roles A, B\n\nprotocol P [A, B] {{\n  dep n : (v : Int) where v == {expr} by A;\n  send n A -> B;\n  end\n}}\n\nentry P\n"
-    return text, f"n = {terms}\n"
+    return REFINED % expr, f"n = {terms}\n"
+
+
+def chain(terms: int, grouped: int = 0) -> tuple[str, str]:
+    """A protocol whose refinement sums ``terms`` ones, the first ``grouped``
+    of them in parentheses (which ``fmt`` drops), and a trace that
+    satisfies it."""
+    ones = ["1"] * terms
+    if grouped:
+        ones[:grouped] = ["(" + " + ".join(ones[:grouped]) + ")"]
+    return REFINED % " + ".join(ones), f"n = {terms}\n"
 
 
 ROLES = "roles A, B\n\nprotocol P [A, B] {\n  msg x : Int by A;\n  send x A -> B;\n  %s\n}\n\nentry P\n"
@@ -120,6 +133,9 @@ def write_inputs(root: Path, full: bool = True) -> list[list[str]]:
         for name, operators in (("budget", 500), ("past", 501), ("deep", 991)):
             text, trace = refinement(operators)
             simulate(put(f"errors/{name}.ssn", text), put(f"errors/{name}.trace", trace))
+        for name, terms, grouped in (("c102", 102, 0), ("c120", 120, 60), ("c200", 200, 200), ("c500", 500, 0), ("c501", 501, 0)):
+            text, trace = chain(terms, grouped)
+            simulate(put(f"chains/{name}.ssn", text), put(f"chains/{name}.trace", trace))
 
     for name in protocols:
         copy = f"fmt/{name}"

@@ -38,6 +38,12 @@ COMMANDS = {
     "fmt_check": ["fmt", "--check"],
 }
 SIMULATE = {"simulate": [], "simulate_json": ["--format", "json"]}
+# server.ssn over many `call ... then rec` rounds, each of which reuses what
+# the round before built (`simulator._run` keeps that per run)
+LOOPING = {
+    "simulate_loop": ["simulate", "server.ssn", "--trace", "long.trace", "--format", "text"],
+    "simulate_loop_json": ["simulate", "server.ssn", "--trace", "long.trace", "--format", "json"],
+}
 # error exits: the exit code each run must give, and its argument lists
 ERRORS = {
     "missing_file": (2, [["check", "missing.ssn"], ["explain", "missing.ssn"], ["fmt", "missing.ssn"],
@@ -80,6 +86,8 @@ def _argvs(name: str, protocols, pairs) -> list[list[str]]:
         return [COMMANDS[name] + [p] for p in protocols]
     if name in ERRORS:
         return ERRORS[name][1]
+    if name in LOOPING:
+        return [LOOPING[name]]
     return [["simulate", p, "--trace", t, *SIMULATE[name]] for p, t in pairs]
 
 
@@ -88,7 +96,7 @@ def _run(argv: list[str]) -> int:
         return cli.main(argv)
 
 
-@pytest.mark.parametrize("name", [*COMMANDS, *SIMULATE, *ERRORS])
+@pytest.mark.parametrize("name", [*COMMANDS, *SIMULATE, *LOOPING, *ERRORS])
 def test_command_leaves_no_cyclic_garbage(name, inputs, monkeypatch):
     directory, protocols, pairs = inputs
     monkeypatch.chdir(directory)

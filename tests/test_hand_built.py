@@ -10,13 +10,29 @@ running a file, by hand.
 
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stdout
+
 import pytest
 
 from sessioncheck import check_file, jsonout, parse, parse_trace, printer, simulator
 from sessioncheck.checker import kind_of_ref
 from sessioncheck.diagnostics import Diagnostic
 from sessioncheck.model import INT, BinderRef, BoolLit, NamedType, Proj, RefinedType, RoleId, Span, TupleType, VariantDecl, VarId
-from sessioncheck.syntax import IntV, NewMsg, ProtocolDecl, ReadCase, RoleDecl, SourceFile, TupleV
+from sessioncheck.syntax import (
+    Arm,
+    Call,
+    End,
+    IntV,
+    NewMsg,
+    ProtocolDecl,
+    ReadCase,
+    RoleDecl,
+    Send,
+    SourceFile,
+    TupleV,
+    WildPat,
+)
 
 A = RoleId("A")
 
@@ -95,3 +111,67 @@ def test_hand_built_input(name):
         assert str(raised.value) == str(expected)
     else:
         assert build() == expected
+
+
+# A run reuses what a node built the last time it ran (simulator._run). The
+# parser never puts one node object at two places, but a hand-built AST may,
+# and there the indices can differ. Each case is a file whose entry P calls
+# Q, built twice: with one object for every repeated node, and with a fresh
+# copy at each place.
+X, Y = VarId("x"), VarId("y")
+B, C = RoleId("B"), RoleId("C")
+SHARING = {
+    # the item before `send x A -> B` differs: in Q a send has taught x to C
+    "item_before_differs": (
+        lambda msg_x, send_x, arm: ((msg_x(), send_x(), Call("Q")), (msg_x(), Send(X, A, C), send_x(), End())),
+        "x = 1\nx = 2\n",
+    ),
+    # the item before is the same, but Q's index also holds y
+    "other_item_differs": (
+        lambda msg_x, send_x, arm: ((msg_x(), send_x(), Call("Q")), (NewMsg(Y, INT, A), msg_x(), send_x(), End())),
+        "x = 1\ny = 2\nx = 3\n",
+    ),
+    # one arm in reads of two variables
+    "arm_of_two_reads": (
+        lambda msg_x, send_x, arm: ((msg_x(), ReadCase(X, (arm(),))), (NewMsg(Y, INT, A), ReadCase(Y, (arm(),)))),
+        "x = 1\ny = 2\n",
+    ),
+}
+
+
+def sharing_file(case: str, share: bool) -> SourceFile:
+    def node(build):
+        """A maker of the node: one object at every place if ``share``."""
+        if not share:
+            return build
+        one = build()
+        return lambda: one
+
+    nodes = (node(lambda: NewMsg(X, INT, A)), node(lambda: Send(X, A, B)), node(lambda: Arm(WildPat(), (Call("Q"),))))
+    p_body, q_body = SHARING[case][0](*nodes)
+    roles = tuple(RoleDecl(r.name) for r in (A, B, C))
+    protocols = tuple(ProtocolDecl(name, (), (A, B, C), body) for name, body in (("P", p_body), ("Q", q_body)))
+    return SourceFile(roles, (), protocols, "P")
+
+
+def node_ids(file: SourceFile) -> set[int]:
+    """The ids of the statement and arm objects at the top of each protocol body."""
+    return {id(n) for p in file.protocols for s in p.body for n in (s, *getattr(s, "arms", ()))}
+
+
+def json_bytes(report) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        jsonout.write_report(report)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(SHARING))
+def test_a_node_at_two_places_runs_as_two_copies(case):
+    shared, copied = sharing_file(case, True), sharing_file(case, False)
+    assert len(node_ids(shared)) < len(node_ids(copied))
+    trace = parse_trace(SHARING[case][1])
+    ran, expected = simulator.run_trace(shared, trace), simulator.run_trace(copied, trace)
+    assert ran.events == expected.events
+    assert ran.status == expected.status
+    assert json_bytes(ran) == json_bytes(expected)

@@ -112,7 +112,10 @@ def reports(draw) -> RunReport:
         st.builds(TraceExhausted, st.none() | strings, strings),
         st.builds(TraceMismatch, strings, strings, st.none() | values, strings),
     )
-    return RunReport(draw(st.lists(event, max_size=8)), draw(status))
+    events = draw(st.lists(event, max_size=8))
+    if events:  # a loop logs one event object in many rounds
+        events += draw(st.lists(st.sampled_from(events), max_size=4))
+    return RunReport(events, draw(status))
 
 
 A, B = ROLES[:2]
@@ -137,6 +140,7 @@ EVERY_KIND = [
 @example(RunReport(EVERY_KIND, TraceMismatch("reply", "Str", None, "")))
 @example(RunReport(EVERY_KIND, TraceMismatch("op", "MathsCMD", ConV("Add", TupleV((IntV(-BIG), StrV('"\\')))), "bad")))
 @example(RunReport(EVERY_KIND, TraceExhausted(None, "step limit of 0 exceeded")))
+@example(RunReport(EVERY_KIND * 3, Completed()))  # every event's first, second and third sight
 @example(RunReport(EVERY_KIND, RefinementViolated("reply", Span(3, 7))))
 @example(RunReport(EVERY_KIND, RefinementViolated("reply")))
 @example(RunReport([], TraceMismatch("x", "Int", TupleV((BoolV(True), IntV(1))), "")))  # true, not 1

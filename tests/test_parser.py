@@ -318,7 +318,7 @@ def test_pathological_nesting_is_a_parse_error_not_a_crash():
     [
         (DEEP_EXPR, "nesting deeper than 100 levels"),
         (DEEP_ARMS, "nesting deeper than 100 levels"),
-        (DEEP_CHAIN, "operator chain longer than 100 terms"),
+        (DEEP_CHAIN, "refinement with more than 500 operators"),
         (DEEP_READS, "nesting deeper than 100 levels"),
     ],
     ids=["deep_expr", "deep_arms", "deep_chain", "deep_reads"],
@@ -337,8 +337,8 @@ def test_nesting_limit_gives_exactly_one_error(src, message):
 
 
 
-# Each group holds 100 terms, below the chain cap; the budget bounds the
-# whole tree. "deep" is 10 groups of 100 terms, a tree ~1,000 levels deep.
+# Each group holds 100 terms; the budget bounds the whole tree. "deep" is
+# 10 groups of 100 terms, which would build a tree ~1,000 levels deep.
 @pytest.mark.parametrize(
     "operators, first, total",
     [
@@ -367,6 +367,30 @@ def test_each_refinement_has_its_own_operator_budget():
     text, _ = refinement(400)
     dep = text.splitlines()[3]
     parse(text.replace(dep, dep + "\n" + dep.replace("dep n", "dep m")))
+
+
+CHAIN = "roles A\nprotocol P [A] {\n  msg m : Int by A;\n  dep d : (x : Int) where x == %s by A;\n  end\n}\n"
+
+
+@pytest.mark.parametrize("terms", [102, 200, 500, 501, 5000])
+@pytest.mark.parametrize("grouped", [False, True], ids=["flat", "parenthesised"])
+def test_a_chain_is_bounded_by_the_operator_budget_alone(terms, grouped):
+    # 500 terms take 499 '+' and the '==': the budget exactly
+    chain = " + ".join(["m"] * terms)
+    text = CHAIN % (f"({chain})" if grouped else chain)
+    if terms <= 500:
+        expr, depth = parse(text).protocols[0].body[1].rtype.predicate.rhs, 0
+        while isinstance(expr, Arith):  # one left-nested chain
+            expr, depth = expr.lhs, depth + 1
+        assert depth == terms - 1
+        return
+    with pytest.raises(ParseFailure) as info:
+        parse(text + "protocol Q [A] { msg }\n")
+    # one error, at the operator past the budget; parsing resumes at the next declaration
+    assert [(e.span.line, e.span.col, e.message) for e in info.value.errors] == [
+        (4, nth_operator_col(text, 501), "refinement with more than 500 operators"),
+        (7, 22, "expected a message variable, found '}'"),
+    ]
 
 
 BAD_ARM = "roles A, B\nprotocol P [A, B] {\n  msg m : Int by A;\n  send m A -> B;\n  read m { %s }\n}\n"

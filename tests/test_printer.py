@@ -62,6 +62,17 @@ def test_refined_type_renderings():
     assert format_type(sugar) == "Int where next(m)"
 
 
+def test_a_regrouped_chain_roundtrips():
+    # The printer drops the parentheses of a left-nested group, so these
+    # 120 terms print as one chain; the operator budget, not the chain's
+    # length, decides whether it parses.
+    chain = "(" + " + ".join(["1"] * 60) + ") + " + " + ".join(["1"] * 60)
+    ast = parse(f"roles A\n\nprotocol P [A] {{\n  dep n : (v : Int) where v == {chain} by A;\n  end\n}}\n")
+    text = format_source(ast)
+    assert "v == " + " + ".join(["1"] * 120) + " by A;" in text
+    assert parse(text) == ast
+
+
 def test_roundtrip_seeded_sample():
     rng = random.Random(424242)
     for _ in range(200):

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import io
+import json
+from contextlib import redirect_stdout
+
 import pytest
 
 from conftest import CORPUS
 from sessioncheck import check_file, parse, parse_trace
+from sessioncheck.jsonout import write_report
 from sessioncheck.model import VarId
 from sessioncheck.simulator import (
     CaseTaken,
@@ -21,7 +26,7 @@ from sessioncheck.simulator import (
     eval_ref,
     run_trace,
 )
-from sessioncheck.syntax import BoolV, ConV, IntV, ProtocolDecl, SourceFile, StrV, TupleV
+from sessioncheck.syntax import BoolV, ConV, IntV, ProtocolDecl, ReadCase, Send, SourceFile, StrV, TupleV
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +111,44 @@ def test_server_echo_round(corpus):
     assert ProtocolEvent("recursed", "Server") in report.events
     verdicts = [e for e in report.events if isinstance(e, RefinementChecked)]
     assert [e.var for e in verdicts] == ["welcome", "reply"]
+
+
+def server_rounds(rounds: int) -> str:
+    """A ``server.ssn`` trace of ``rounds`` Echo and Math rounds, then Quit."""
+    lines = []
+    for i in range(rounds):
+        if i % 2:
+            lines += ["cmd = Math", f"op = Add({i}, 1)", f"result = {i + 1}"]
+        else:
+            lines += ["cmd = Echo", 'welcome = "Welcome to Echo!"', f'request = "r{i}"', f'reply = "r{i}"']
+    return "\n".join(lines + ["cmd = Quit"]) + "\n"
+
+
+def sends(block):
+    for stmt in block:
+        if isinstance(stmt, Send):
+            yield stmt
+        elif isinstance(stmt, ReadCase):
+            for arm in stmt.arms:
+                yield from sends(arm.body)
+
+
+def test_a_loop_shares_its_events_across_rounds(corpus):
+    file = load(corpus, "server.ssn")
+    report = run_trace(file, parse_trace(server_rounds(200)))
+    assert isinstance(report.status, Completed)
+    sent = [e for e in report.events if isinstance(e, Sent)]
+    assert len(sent) == 100 * (2 + 4) + 100 * (2 + 3) + 2  # Server's two sends of cmd and the callee's, and Quit's
+    # distinct objects are bounded by the statements, not by the rounds
+    statements = sum(len(list(sends(p.body))) for p in file.protocols)
+    assert statements == 9
+    assert len({id(e) for e in sent}) <= statements
+    assert len({id(e.index_after) for e in sent}) <= statements
+    assert len({id(e) for e in report.events if isinstance(e, CaseTaken)}) == 3
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        write_report(report)
+    assert buf.getvalue() == json.dumps(report.to_json(), indent=2) + "\n"
 
 
 def test_server_echo_wrong_reply_violates(corpus):
