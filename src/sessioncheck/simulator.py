@@ -7,15 +7,16 @@ values and case arms selected by first match; the index is logged after every
 send so runs can be compared step for step against the checker.
 
 Because every entry starts a fresh index, a statement in a loop meets the
-same index each round. A run therefore keeps, per AST node, what the node
-built the last time it ran, and reuses it when the node meets the same
-objects again: a `msg`/`dep`'s item, a refinement's printed predicate and
-names, a `send`'s grown item and its whole `Sent` event, and a `read` arm's
-`CaseTaken`. Every reuse is checked by identity (the item before a send
-`is` the one recorded) or by equality of the new snapshot with the recorded
-one, so a hand-built AST that shares one node between places with different
-indices just misses, and never logs a wrong snapshot. Events that carry
-trace values (`MsgCreated`, `RefinementChecked`) are built every round.
+same index each round. A run therefore keeps what each `msg`/`dep`, `send`
+and taken `read` arm built, under the node's id, as an entry ``(last, what
+it built)``: ``last`` is the entry of the node run just before it, or the
+`ProtocolDecl` for the first node after an entry. A node reuses its entry
+only if that ``last`` `is` the current one. Each entry points back to the
+one before, so this one identity test proves that the same nodes have run
+since the same protocol was entered, and so that the node meets the same
+index; a hand-built AST that shares a node between places just misses.
+Events that carry trace values or the call stack (`MsgCreated`,
+`RefinementChecked`, `ProtocolEvent`) are built every round.
 """
 
 from __future__ import annotations
@@ -248,8 +249,8 @@ Status = Completed | RefinementViolated | TraceExhausted | TraceMismatch
 
 @record
 class RunReport:
-    """A run's events and how it ended. Equal events of a loop may be one
-    immutable object, logged in every round (see the module docstring)."""
+    """A run's events and how it ended. A node run again after the same nodes
+    logs the same immutable `Sent` or `CaseTaken` (see the module docstring)."""
 
     events: list[Event]
     status: Status
@@ -358,14 +359,15 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
     # then rec` in progress; a plain `call` is a tail call and leaves none.
     loops: list[tuple[ProtocolDecl, dict[str, str]]] = []
     param_binding: dict[str, str] = {}
-    # What each AST node built the last time it ran, keyed by the node's id:
-    # a statement, a `dep`'s refined type or a `read` arm (see the module
-    # docstring). The file keeps every node alive, so no id is reused.
-    built: dict[int, object] = {}
+    # Each node's entry ``(last, what it built)``, keyed by the node's id
+    # (see the module docstring). The file keeps every node alive, so no id
+    # is reused.
+    built: dict[int, tuple] = {}
     steps = 0
     while True:  # one pass per protocol entered, each with a fresh store and index
         bindings: dict[str, Value] = {}
         index: WorkingIndex = {}
+        last: object = proto
         block, pos = proto.body, 0
         while True:
             stmt = block[pos] if pos < len(block) else End(None)  # a hand-built AST may fall off its block
@@ -387,42 +389,39 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                 if not value_matches_type(value, declared, file):
                     return TraceMismatch(var, format_type(declared), value, "value does not fit the declared type")
                 bindings[var] = value
-                item = built.get(id(stmt))
-                if item is None or stmt.var in index:  # add_item raises DuplicateVar for the latter
+                made = built.get(id(stmt))  # last, the fresh item and, for a dep, its printed facts
+                if made is None or made[0] is not last:
                     add_item(index, stmt.var, declared, stmt.creator)
-                    built[id(stmt)] = index[stmt.var]
+                    made = (last, index[stmt.var])
+                    if isinstance(stmt, NewDepMsg):
+                        # the predicate, the binder named as the predicate names it, and its free variables
+                        pred, labels = declared.predicate, declared.labels
+                        names = tuple(v.name for v in free_vars_ordered(pred))
+                        made += (format_ref(pred, labels), format_ref(BinderRef(), labels), names)
+                    built[id(stmt)] = made
                 else:
-                    index[stmt.var] = item
+                    index[stmt.var] = made[1]
                 events.append(MsgCreated(var, value, stmt.creator.name))
                 if isinstance(stmt, NewDepMsg):
-                    pred, labels = declared.predicate, declared.labels
                     try:
-                        verdict = eval_ref(pred, bindings, value)
+                        verdict = eval_ref(declared.predicate, bindings, value)
                     except EvalError as err:
                         return TraceMismatch(var, format_type(declared), value, str(err))
-                    facts = built.get(id(declared))
-                    if facts is None:
-                        # the predicate, the binder named as the predicate names it, and its free variables
-                        names = tuple(v.name for v in free_vars_ordered(pred))
-                        facts = built[id(declared)] = (format_ref(pred, labels), format_ref(BinderRef(), labels), names)
-                    predicate, binder, names = facts
+                    _, _, predicate, binder, names = made
                     witness = ((binder, value),) + tuple((name, bindings[name]) for name in names)
                     ok = isinstance(verdict, BoolV) and verdict.value
                     events.append(RefinementChecked(var, predicate, ok, witness))
                     if not ok:
                         return RefinementViolated(var, stmt.span)
             elif isinstance(stmt, Send):
-                before = index.get(stmt.var)
-                made = built.get(id(stmt))  # the item before, the item after and the event, as last run
-                if made is None or made[0] is not before:
+                made = built.get(id(stmt))  # last, the grown item and the event
+                if made is None or made[0] is not last:
                     add_knower(index, stmt.var, stmt.receiver)
-                    made = (before, index[stmt.var], None)
+                    grown = index[stmt.var]
+                    sent = Sent(stmt.var.name, stmt.sender.name, stmt.receiver.name, freeze(index), stmt.span, grown.knowers)
+                    made = built[id(stmt)] = (last, grown, sent)
                 else:
                     index[stmt.var] = made[1]
-                snapshot = freeze(index)
-                if made[2] is None or made[2].index_after.items != snapshot.items:
-                    sent = Sent(stmt.var.name, stmt.sender.name, stmt.receiver.name, snapshot, stmt.span, made[1].knowers)
-                    made = built[id(stmt)] = (before, made[1], sent)
                 events.append(made[2])
             elif isinstance(stmt, ReadCase):
                 value = bindings.get(stmt.var.name)
@@ -431,9 +430,9 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                 arm = next((a for a in stmt.arms if _pattern_matches(a.pattern, value)), None)
                 if arm is None:
                     return TraceMismatch(stmt.var.name, "a matching arm", value, "no case arm matches the value")
-                made = built.get(id(arm))  # the read and its event, as last run
-                if made is None or made[0] is not stmt:
-                    made = built[id(arm)] = (stmt, CaseTaken(stmt.var.name, format_pattern(arm.pattern)))
+                made = built.get(id(arm))  # last and the event
+                if made is None or made[0] is not last:
+                    made = built[id(arm)] = (last, CaseTaken(stmt.var.name, format_pattern(arm.pattern)))
                 events.append(made[1])
                 block, pos = arm.body, 0
             elif isinstance(stmt, Rec):
@@ -457,3 +456,4 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                 break
             else:
                 raise TypeError(f"not a statement: {stmt!r}")
+            last = made  # `rec`, `call` and `end` leave the pass, so only a node with an entry gets here

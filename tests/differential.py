@@ -7,9 +7,10 @@ line, the seed-1 inputs of the three benchmark workloads (from
 long-literal, non-UTF-8 and operator-budget errors, and long operator
 chains, flat and in parentheses, near the budget. It then runs every
 command in every format on them in-process through ``cli.main``, with
-``fmt`` on copies, and prints one line per run: the argv, the exit code,
-and the sha256 of stdout, of stderr and of each file the run rewrote. JSON
-``explain`` of the ``deep_path`` protocol (72 MB) is skipped.
+``fmt`` on copies, each followed by ``fmt --check`` of the rewritten copy
+(exit 2 if it no longer parses), and prints one line per run: the argv,
+the exit code, and the sha256 of stdout, of stderr and of each file the run
+rewrote. JSON ``explain`` of the ``deep_path`` protocol (72 MB) is skipped.
 
 The ``sessioncheck`` on ``PYTHONPATH`` is the one measured, so two
 checkouts are compared by running this one script against each::
@@ -143,6 +144,7 @@ def write_inputs(root: Path, full: bool = True) -> list[list[str]]:
         shutil.copy(root / name, root / copy)
         runs += [["check", name], ["check", "--format", "json", name], ["check", "--color", "always", name]]
         runs += [["explain", name], ["explain", "--format", "json", name], ["fmt", "--check", name], ["fmt", copy]]
+        runs.append(["fmt", "--check", copy])
     return [argv for argv in runs if tuple(argv) not in SKIPPED]
 
 

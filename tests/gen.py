@@ -305,8 +305,22 @@ def _gen_printable_ref(rng: random.Random, labels: tuple[str, ...], vars_: list[
     return Cmp("==", BinderRef(), Arith("+", inner, IntLit(1)), "next")
 
 
+def _gen_chain(rng: random.Random, vars_: list[str]) -> Arith:
+    """A left-nested '+' chain of 100-250 operator-free terms, which the
+    printer writes without parentheses. It stays well within the
+    500-operator budget: ``==`` on records recurses per level, and the
+    round-trip tests compare ASTs with it at the default recursion limit."""
+    atoms = [VarRef(VarId(v)) for v in vars_] + [IntLit(k) for k in range(3)]
+    expr = rng.choice(atoms)
+    for _ in range(rng.randint(99, 249)):
+        expr = Arith("+", expr, rng.choice(atoms))
+    return expr
+
+
 def _gen_refined(rng, variants, vars_) -> RefinedType:
     shape = rng.random()
+    if shape < 0.02:
+        return RefinedType(INT, ("v",), Cmp("==", BinderRef(), _gen_chain(rng, vars_)))
     if shape < 0.35:
         # unlabeled payload: the binder is only reachable through sugar
         return RefinedType(_gen_printable_type(rng, variants), (), _gen_printable_ref(rng, (), vars_))

@@ -733,5 +733,5 @@ def test_the_differential_script_gives_the_same_lines_twice():
     import differential
 
     first = differential.lines(full=False)
-    assert len(first) == 44  # 4 protocols x 7 runs, 8 traces x 2 formats
+    assert len(first) == 48  # 4 protocols x 8 runs, 8 traces x 2 formats
     assert differential.lines(full=False) == first

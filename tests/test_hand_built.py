@@ -123,18 +123,27 @@ B, C = RoleId("B"), RoleId("C")
 SHARING = {
     # the item before `send x A -> B` differs: in Q a send has taught x to C
     "item_before_differs": (
-        lambda msg_x, send_x, arm: ((msg_x(), send_x(), Call("Q")), (msg_x(), Send(X, A, C), send_x(), End())),
+        lambda msg_x, msg_y, send_x, arm: ((msg_x(), send_x(), Call("Q")), (msg_x(), Send(X, A, C), send_x(), End())),
         "x = 1\nx = 2\n",
     ),
     # the item before is the same, but Q's index also holds y
     "other_item_differs": (
-        lambda msg_x, send_x, arm: ((msg_x(), send_x(), Call("Q")), (NewMsg(Y, INT, A), msg_x(), send_x(), End())),
+        lambda msg_x, msg_y, send_x, arm: ((msg_x(), send_x(), Call("Q")), (NewMsg(Y, INT, A), msg_x(), send_x(), End())),
         "x = 1\ny = 2\nx = 3\n",
     ),
     # one arm in reads of two variables
     "arm_of_two_reads": (
-        lambda msg_x, send_x, arm: ((msg_x(), ReadCase(X, (arm(),))), (NewMsg(Y, INT, A), ReadCase(Y, (arm(),)))),
+        lambda msg_x, msg_y, send_x, arm: ((msg_x(), ReadCase(X, (arm(),))), (NewMsg(Y, INT, A), ReadCase(Y, (arm(),)))),
         "x = 1\ny = 2\n",
+    ),
+    # P and Q start with the same `msg x; msg y`, so only the protocol the
+    # chain starts from tells P's read of x from Q's read of y
+    "same_start_in_two_protocols": (
+        lambda msg_x, msg_y, send_x, arm: (
+            (msg_x(), msg_y(), ReadCase(X, (arm(),))),
+            (msg_x(), msg_y(), ReadCase(Y, (arm(),))),
+        ),
+        "x = 1\ny = 2\nx = 3\ny = 4\n",
     ),
 }
 
@@ -147,7 +156,12 @@ def sharing_file(case: str, share: bool) -> SourceFile:
         one = build()
         return lambda: one
 
-    nodes = (node(lambda: NewMsg(X, INT, A)), node(lambda: Send(X, A, B)), node(lambda: Arm(WildPat(), (Call("Q"),))))
+    nodes = (
+        node(lambda: NewMsg(X, INT, A)),
+        node(lambda: NewMsg(Y, INT, A)),
+        node(lambda: Send(X, A, B)),
+        node(lambda: Arm(WildPat(), (Call("Q"),))),
+    )
     p_body, q_body = SHARING[case][0](*nodes)
     roles = tuple(RoleDecl(r.name) for r in (A, B, C))
     protocols = tuple(ProtocolDecl(name, (), (A, B, C), body) for name, body in (("P", p_body), ("Q", q_body)))

@@ -26,7 +26,7 @@ from sessioncheck.simulator import (
     eval_ref,
     run_trace,
 )
-from sessioncheck.syntax import BoolV, ConV, IntV, ProtocolDecl, ReadCase, Send, SourceFile, StrV, TupleV
+from sessioncheck.syntax import BoolV, ConV, IntV, NewDepMsg, NewMsg, ProtocolDecl, ReadCase, Send, SourceFile, StrV, TupleV
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +124,14 @@ def server_rounds(rounds: int) -> str:
     return "\n".join(lines + ["cmd = Quit"]) + "\n"
 
 
-def sends(block):
+def statements(block, kind):
+    """The statements of ``kind`` in ``block`` and in the bodies of its arms."""
     for stmt in block:
-        if isinstance(stmt, Send):
+        if isinstance(stmt, kind):
             yield stmt
         elif isinstance(stmt, ReadCase):
             for arm in stmt.arms:
-                yield from sends(arm.body)
+                yield from statements(arm.body, kind)
 
 
 def test_a_loop_shares_its_events_across_rounds(corpus):
@@ -139,11 +140,18 @@ def test_a_loop_shares_its_events_across_rounds(corpus):
     assert isinstance(report.status, Completed)
     sent = [e for e in report.events if isinstance(e, Sent)]
     assert len(sent) == 100 * (2 + 4) + 100 * (2 + 3) + 2  # Server's two sends of cmd and the callee's, and Quit's
+
+    def count(kind) -> int:
+        return sum(len(list(statements(p.body, kind))) for p in file.protocols)
+
     # distinct objects are bounded by the statements, not by the rounds
-    statements = sum(len(list(sends(p.body))) for p in file.protocols)
-    assert statements == 9
-    assert len({id(e) for e in sent}) <= statements
-    assert len({id(e.index_after) for e in sent}) <= statements
+    assert count(Send) == 9
+    assert len({id(e) for e in sent}) <= count(Send)
+    assert len({id(e.index_after) for e in sent}) <= count(Send)
+    # each msg/dep builds one item per run, and each send one grown item
+    assert len({id(item) for e in sent for item in e.index_after.items}) <= count((NewMsg, NewDepMsg, Send)) == 15
+    predicates = [e.predicate for e in report.events if isinstance(e, RefinementChecked)]
+    assert len(predicates) == 200 and len({id(p) for p in predicates}) <= count(NewDepMsg) == 2
     assert len({id(e) for e in report.events if isinstance(e, CaseTaken)}) == 3
     buf = io.StringIO()
     with redirect_stdout(buf):
