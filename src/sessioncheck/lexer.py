@@ -7,12 +7,14 @@ first named alternative that matches: a word, an int, a string, punctuation,
 the end of the text (``eof``), or any one bad character. Only that prefix
 can span a newline, so the line of a token is the count of newlines before
 it and its column follows from the offset of the last one. Strings are
-double-quoted with ``\\"`` and ``\\\\`` escapes and end at a newline. Errors
-do not stop the scan; a string with a bad escape or no closing quote
-yields no token. A lex error is a ``Diagnostic`` with the ``parse`` code,
-made by ``parse_error`` as the parser's errors are, so the parser adds it
-to its own list as it stands and the CLI reports it as it reports a
-checker finding.
+double-quoted with ``\\"`` and ``\\\\`` escapes and end at a newline; only a
+string that holds a backslash is decoded. Errors do not stop the scan; a
+string with a bad escape or no closing quote yields no token. A lex error
+is a ``Diagnostic`` with the ``parse`` code, made by ``parse_error`` as the
+parser's errors are, so the parser adds it to its own list as it stands
+and the CLI reports it as it reports a checker finding. ``GAP``, ``STRING``
+and ``string_value`` are shared with the parser's trace reader, so that it
+reads a token as this scan does.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import NamedTuple
 from .diagnostics import ERROR, Diagnostic
 from .model import IDENT, Span
 
-__all__ = ["Token", "KEYWORDS", "parse_error", "tokenize"]
+__all__ = ["Token", "GAP", "KEYWORDS", "STRING", "parse_error", "string_value", "tokenize"]
 
 KEYWORDS = frozenset(
     [
@@ -60,15 +62,22 @@ _PUNCT = [
     "<", ">", "[", "]", "{", "}", "(", ")", ",", ";", ":", "|", "=", ".", "+", "-", "*", "!", "_",
 ]
 
+# The whitespace and `--` line comments before a token. It takes
+# whitespace in runs, so a long indent is one step of the regex engine, not
+# one per character.
+GAP = r"(?:[ \t\r\n]+|--[^\n]*)*"
+# A string literal: its body, where a backslash not followed by `"` or `\`
+# is kept for the error, and the closing quote if the line has one.
+STRING = r'(?P<string>"(?P<body>(?:\\["\\]|\\|[^"\\\n])*)(?P<close>")?)'
+
 # Identifiers and numbers are ASCII only: unicode letters and digits fall
-# through to `bad` instead of being accepted the way \w or \d would. The
-# prefix takes whitespace in runs, so a long indent is one step of the
-# regex engine, not one per character.
+# through to `bad` instead of being accepted the way \w or \d would. Since
+# `eof` or `bad` matches wherever the gap ends, a match never backtracks
+# into the gap.
 _MASTER = re.compile(
-    r"(?:[ \t\r\n]+|--[^\n]*)*"
-    r"(?:(?P<word>" + IDENT + ")"
+    GAP + r"(?:(?P<word>" + IDENT + ")"
     r"|(?P<int>[0-9]+)"
-    r'|(?P<string>"(?P<body>(?:\\["\\]|\\|[^"\\\n])*)(?P<close>")?)'
+    r"|" + STRING +
     r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")"
     r"|(?P<eof>\Z)"
     r"|(?P<bad>.))",
@@ -94,6 +103,16 @@ class Token(NamedTuple):
 def parse_error(line: int, col: int, message: str) -> Diagnostic:
     """The record of a lex or parse error at ``line``:``col``."""
     return Diagnostic("parse", ERROR, Span(line, col), message)
+
+
+def string_value(body: str) -> str | None:
+    """The value of a string literal with this body, or None if the body
+    holds a bad escape. Only a body with a backslash runs the escape regex."""
+    if "\\" not in body:
+        return body
+    if "" in _ESCAPE.findall(body):
+        return None
+    return _ESCAPE.sub(r"\1", body)
 
 
 def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
@@ -130,11 +149,12 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
         elif kind == "bad":
             errors.append(parse_error(line, col, f"unexpected character {lexeme!r}"))
         else:  # string
-            escapes = _ESCAPE.findall(m["body"])
-            bad_escapes = escapes.count("")
-            errors.extend(parse_error(line, col, "invalid string escape") for _ in range(bad_escapes))
+            value = string_value(m["body"])
+            if value is None:
+                bad_escapes = _ESCAPE.findall(m["body"]).count("")
+                errors.extend(parse_error(line, col, "invalid string escape") for _ in range(bad_escapes))
             if m["close"] is None:
                 errors.append(parse_error(line, col, "unterminated string literal"))
-            elif not bad_escapes:
-                append(new(Token, ("string", lexeme, _ESCAPE.sub(r"\1", m["body"]), line, col, start)))
+            elif value is not None:
+                append(new(Token, ("string", lexeme, value, line, col, start)))
     return tokens, errors

@@ -31,16 +31,30 @@ statement boundary (';', '}' or a top-level keyword) so several errors
 can be reported in one run. Input nested past the depth cap is the
 exception: it unwinds to the enclosing top-level declaration and parsing
 resumes at the next one, so the cap is reported once.
+
+A `.trace` file is a sequence of `IDENT '=' value` bindings, where
+
+    value := ['-'] INT | STRING | 'true' | 'false'
+           | IDENT ['(' value (',' value)* ')'] | '(' value (',' value)+ ')'
+
+A binding has no span, so a well-formed trace needs no token positions: it
+is read straight from its text, one regex match per binding head and per
+value token, with no token list. At the first thing that is not well
+formed the reader gives up, and the token parser reads the whole text again
+and reports every error, as it does for a `.ssn` file; the tests hold the
+two to the same results.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 
 from .diagnostics import Diagnostic
-from .lexer import Token, parse_error, tokenize
+from .lexer import GAP, KEYWORDS, STRING, Token, parse_error, string_value, tokenize
 from .model import (
     BINARY_OPS,
+    IDENT,
     Arith,
     BaseType,
     BinderRef,
@@ -638,11 +652,110 @@ def parse(text: str) -> SourceFile:
 
 
 # ---------------------------------------------------------------------------
-# Trace files: one `var = value` binding after another.
+# Trace files: one `var = value` binding after another, read directly or,
+# if that gives up, from tokens (see the module docstring).
+
+
+def _gap(name: str) -> str:
+    """`lexer.GAP` taken whole, under a group ``name`` unique in its pattern.
+    A lookahead is atomic in `re`, so a pattern that fails after the gap
+    cannot backtrack into it: it cannot read the tail of a comment as a token
+    (`x = -- 5`), nor try every split of a whitespace run. This is the
+    possessive `*+`, which `re` accepts only from Python 3.11 on."""
+    return f"(?=(?P<{name}>{GAP}))(?P={name})"
+
+
+_HEAD = re.compile(_gap("g1") + "(?P<var>" + IDENT + ")" + _gap("g2") + "=")
+# A value token. `call` is a tag with its opening parenthesis.
+_VALUE = re.compile(
+    _gap("g1") + r"(?:(?:(?P<neg>-)" + _gap("g2") + ")?(?P<int>[0-9]+)"
+    r"|" + STRING +
+    r"|(?P<word>" + IDENT + ")(?P<call>" + _gap("g3") + r"\()?"
+    r"|(?P<tuple>\())"
+)
+_SEPARATOR = re.compile(_gap("g1") + "(?P<sep>[,)])")
+_END = re.compile(GAP)
 
 
 def parse_trace(text: str) -> Trace:
     """Parse a `.trace` file; raises ParseFailure on malformed value syntax."""
+    trace = _read_trace(text)
+    return trace if trace is not None else _parse_trace_tokens(text)
+
+
+def _read_trace(text: str) -> Trace | None:
+    """The trace ``text`` holds, or None where the token path reports an error."""
+    bindings: list[TraceBinding] = []
+    ids: dict[str, VarId] = {}  # one VarId per name, as `_Parser.var` keeps
+    # The values being read: for each open '(' its tag (None for a tuple) and
+    # the items read so far.
+    open_: list[tuple[str | None, list[Value]]] = []
+    pos = 0
+    while (m := _HEAD.match(text, pos)) is not None:
+        name = m["var"]
+        if name in KEYWORDS:
+            return None
+        var = ids.get(name) or ids.setdefault(name, VarId(name))
+        pos = m.end()
+        while True:  # one value token, then the separators that close what it completes
+            m = _VALUE.match(text, pos)
+            if m is None:
+                return None
+            pos = m.end()
+            kind = m.lastgroup
+            if kind == "int":
+                try:
+                    number = int(m["int"])
+                except ValueError:  # past sys.get_int_max_str_digits()
+                    return None
+                value: Value = IntV(-number if m["neg"] else number)
+            elif kind == "string":
+                body = string_value(m["body"])
+                if body is None or m["close"] is None:
+                    return None
+                value = StrV(body)
+            elif kind == "word":
+                word = m["word"]
+                if word in KEYWORDS:
+                    if word != "true" and word != "false":
+                        return None
+                    value = BoolV(word == "true")
+                else:
+                    value = ConV(word)
+            else:  # 'call' or 'tuple': an opening parenthesis
+                word = m["word"]
+                # its items would be nested past the cap
+                if word in KEYWORDS or len(open_) + 2 > _MAX_NESTING:
+                    return None
+                open_.append((word, []))
+                continue
+            while open_:
+                m = _SEPARATOR.match(text, pos)
+                if m is None:
+                    return None
+                pos = m.end()
+                tag, items = open_[-1]
+                items.append(value)
+                if m["sep"] == ",":
+                    break
+                open_.pop()
+                if tag is not None:
+                    value = ConV(tag, items[0] if len(items) == 1 else TupleV(tuple(items)))
+                elif len(items) < 2:
+                    return None
+                else:
+                    value = TupleV(tuple(items))
+            else:  # no '(' is open: the binding's value is complete
+                bindings.append(TraceBinding(var, value))
+                break
+    if _END.match(text, pos).end() != len(text):  # the greedy gap, never backtracked
+        return None
+    return Trace(tuple(bindings))
+
+
+def _parse_trace_tokens(text: str) -> Trace:
+    """Parse a trace from its tokens: the reference for `_read_trace`, and
+    the path that reports every error."""
     p = _Parser(text)
     bindings: list[TraceBinding] = []
     while not p.at("eof"):

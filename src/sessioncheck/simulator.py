@@ -15,12 +15,15 @@ only if that ``last`` `is` the current one. Each entry points back to the
 one before, so this one identity test proves that the same nodes have run
 since the same protocol was entered, and so that the node meets the same
 index; a hand-built AST that shares a node between places just misses.
-Events that carry trace values or the call stack (`MsgCreated`,
-`RefinementChecked`, `ProtocolEvent`) are built every round.
+A protocol step depends on nothing but its kind and protocol, so a run
+builds each `ProtocolEvent` once and logs it at every such step. Events
+that carry trace values (`MsgCreated`, `RefinementChecked`) are built every
+round.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Iterator
 
@@ -250,7 +253,8 @@ Status = Completed | RefinementViolated | TraceExhausted | TraceMismatch
 @record
 class RunReport:
     """A run's events and how it ended. A node run again after the same nodes
-    logs the same immutable `Sent` or `CaseTaken` (see the module docstring)."""
+    logs the same immutable `Sent` or `CaseTaken`, and each protocol step of
+    one kind and protocol is one `ProtocolEvent` (see the module docstring)."""
 
     events: list[Event]
     status: Status
@@ -363,6 +367,7 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
     # (see the module docstring). The file keeps every node alive, so no id
     # is reused.
     built: dict[int, tuple] = {}
+    step = functools.cache(ProtocolEvent)  # the run's one event per kind and protocol
     steps = 0
     while True:  # one pass per protocol entered, each with a fresh store and index
         bindings: dict[str, Value] = {}
@@ -436,7 +441,7 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                 events.append(made[1])
                 block, pos = arm.body, 0
             elif isinstance(stmt, Rec):
-                events.append(ProtocolEvent("recursed", proto.name))
+                events.append(step("recursed", proto.name))
                 break
             elif isinstance(stmt, Call):
                 callee = file.protocol(param_binding.get(stmt.target, stmt.target))
@@ -444,15 +449,15 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                     raise ValueError(f"call target '{stmt.target}' did not resolve; run the checker first")
                 if stmt.then_rec:
                     loops.append((proto, param_binding))
-                events.append(ProtocolEvent("called", callee.name))
+                events.append(step("called", callee.name))
                 proto, param_binding = callee, dict(zip((q.name for q in callee.params), stmt.args))
                 break
             elif isinstance(stmt, End):
-                events.append(ProtocolEvent("ended", proto.name))
+                events.append(step("ended", proto.name))
                 if not loops:
                     return Completed()
                 proto, param_binding = loops.pop()
-                events.append(ProtocolEvent("recursed", proto.name))
+                events.append(step("recursed", proto.name))
                 break
             else:
                 raise TypeError(f"not a statement: {stmt!r}")

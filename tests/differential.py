@@ -3,8 +3,9 @@
 It writes the inputs to a temporary directory: the corpus, 100
 ``tests/gen.py`` files at a fixed seed, each corpus file cut after every
 line, the seed-1 inputs of the three benchmark workloads (from
-``perfbench/workloads.py``), and files with lex, parse, nesting,
-long-literal, non-UTF-8 and operator-budget errors, and long operator
+``perfbench/workloads.py``), files with lex, parse, nesting,
+long-literal, non-UTF-8 and operator-budget errors, traces at each point
+where the direct trace reader gives up and a CRLF trace, and long operator
 chains, flat and in parentheses, near the budget. It then runs every
 command in every format on them in-process through ``cli.main``, with
 ``fmt`` on copies, each followed by ``fmt --check`` of the rewritten copy
@@ -81,6 +82,20 @@ ERRORS = {
     "literal.ssn": ROLES % ("read x { " + "9" * 5000 + " => end; _ => end }"),
     "bad.trace": "x = (1 2)\n",
     "literal.trace": "x = " + "9" * 5000 + "\n",
+    # where the direct trace reader gives up, past the two above
+    "trailing.trace": "x = 1 )\n",
+    "keyword_var.trace": "end = 1\n",
+    "keyword_value.trace": "x = rec\n",
+    "keyword_tag.trace": "x = true(1)\n",
+    "escape.trace": 'x = "a\\q"\n',
+    "unterminated.trace": 'x = "abc\ny = 1\n',
+    "one_tuple.trace": "x = (1)\n",
+    "nesting.trace": "x = " + "T(" * 100 + "1" + ")" * 100 + "\n",
+    # a sign, a comment and '=' next to other tokens
+    "sign.trace": "x = - -- c\n5",
+    "comment_tail.trace": "x = -- 5\n",
+    "double_eq.trace": "x == 1\n",
+    "eq_minus.trace": "x =- 1\n",
 }
 
 
@@ -129,7 +144,8 @@ def write_inputs(root: Path, full: bool = True) -> list[list[str]]:
             put(f"errors/{name}", text)
         put("errors/utf8.ssn", b"roles A\n\xff\xfe\n")
         put("errors/utf8.trace", b"x = \xff\n")
-        for trace in ("bad.trace", "literal.trace", "utf8.trace"):
+        put("errors/crlf.trace", (CORPUS / "tcp_good.trace").read_bytes().replace(b"\n", b"\r\n"))
+        for trace in sorted(name for name in ERRORS if name.endswith(".trace")) + ["utf8.trace", "crlf.trace"]:
             simulate("tcp.ssn", f"errors/{trace}")
         for name, operators in (("budget", 500), ("past", 501), ("deep", 991)):
             text, trace = refinement(operators)

@@ -153,6 +153,9 @@ def test_a_loop_shares_its_events_across_rounds(corpus):
     predicates = [e.predicate for e in report.events if isinstance(e, RefinementChecked)]
     assert len(predicates) == 200 and len({id(p) for p in predicates}) <= count(NewDepMsg) == 2
     assert len({id(e) for e in report.events if isinstance(e, CaseTaken)}) == 3
+    # one object per protocol step: called and ended for each callee, recursed into and ended Server
+    steps = [e for e in report.events if isinstance(e, ProtocolEvent)]
+    assert len(steps) == 100 * 3 + 100 * 3 + 1 and len({id(e) for e in steps}) == len(set(steps)) == 6
     buf = io.StringIO()
     with redirect_stdout(buf):
         write_report(report)
