@@ -10,11 +10,13 @@ text is held at once. A run's status is the one part written from its
 reference builder: the plain data of ``simulator.status_to_json`` goes
 through the same generic writer as a diagnostic's record.
 
-A loop's run logs one shared ``Sent`` object each round (see
-``simulator.RunReport``). ``write_report`` renders each such event at most
-twice per report, whatever the number of rounds, keyed by its id as
-``_json_index`` keys items: an event's text is kept from its second sight
-on, so the text of an event logged once is never held.
+A loop's run logs one shared ``Sent``, ``CaseTaken`` or ``ProtocolEvent``
+object each round (see ``simulator.RunReport``). ``write_report`` renders
+each such event at most twice per report, whatever the number of rounds,
+keyed by its id as ``_json_index`` keys items: an event's text is kept
+from its second sight on, so the text of an event logged once is never
+held. ``MsgCreated`` and ``RefinementChecked`` are built fresh each round
+and rendered each time.
 
 A renderer's ``indent`` is the newline and indentation of the line its
 value starts on; the fields or elements of an object or list go two
@@ -114,13 +116,7 @@ _PROTOCOL_EVENT = _shape(_ELEM, "kind", "protocol")
 
 def _json_event(e, texts: dict[int, str | None]) -> str:
     """``simulator._event_json(e)``; ``texts`` maps the id of an index item
-    or of a ``Sent`` seen before to its text, ``None`` after a first sight."""
-    if isinstance(e, Sent):
-        text = texts.get(id(e))
-        if text is None:
-            text = _SENT % (_json_str(e.var), _json_str(e.sender), _json_str(e.receiver), _json_index(e.index_after, texts))
-            texts[id(e)] = text if id(e) in texts else None
-        return text
+    or of a shared event seen before to its text, ``None`` after a first sight."""
     if isinstance(e, MsgCreated):
         return _MSG_CREATED % (_json_str(e.var), _json_value(e.value, _FIELD), _json_str(e.creator))
     if isinstance(e, RefinementChecked):
@@ -128,11 +124,18 @@ def _json_event(e, texts: dict[int, str | None]) -> str:
         witness = _json_obj(_FIELD, [(k, _json_value(v, _FIELD + "  ")) for k, v in dict(e.witness).items()])
         verdict = "true" if e.verdict else "false"
         return _REFINEMENT_CHECKED % (_json_str(e.var), _json_str(e.predicate), verdict, witness)
-    if isinstance(e, CaseTaken):
-        return _CASE_TAKEN % (_json_str(e.var), _json_str(e.arm))
-    if isinstance(e, ProtocolEvent):
-        return _PROTOCOL_EVENT % (_json_str(e.kind), _json_str(e.protocol))
-    raise TypeError(f"not an event: {e!r}")
+    if not isinstance(e, (Sent, CaseTaken, ProtocolEvent)):
+        raise TypeError(f"not an event: {e!r}")
+    text = texts.get(id(e))
+    if text is None:
+        if isinstance(e, Sent):
+            text = _SENT % (_json_str(e.var), _json_str(e.sender), _json_str(e.receiver), _json_index(e.index_after, texts))
+        elif isinstance(e, CaseTaken):
+            text = _CASE_TAKEN % (_json_str(e.var), _json_str(e.arm))
+        else:
+            text = _PROTOCOL_EVENT % (_json_str(e.kind), _json_str(e.protocol))
+        texts[id(e)] = text if id(e) in texts else None
+    return text
 
 
 def _json_record(record, indent: str) -> str:

@@ -149,6 +149,7 @@ _BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_OPS) for op in ops
 # Depth cap on recursive descent. Inputs past it get a parse error instead
 # of exhausting the interpreter stack.
 _MAX_NESTING = 100
+_TOO_DEEP = f"nesting deeper than {_MAX_NESTING} levels"
 # Operator nodes one refinement may build: a binary operator, '.N', '!',
 # 'literal' or 'next'. It bounds every chain, flat or nested, so a predicate
 # tree stays a few hundred levels deep and every later AST walk that
@@ -164,7 +165,7 @@ def _nested(parse):
         p.nesting += 1
         try:
             if p.nesting > _MAX_NESTING:
-                raise _NestingError(p.peek(), f"nesting deeper than {_MAX_NESTING} levels")
+                raise _NestingError(p.peek(), _TOO_DEEP)
             return parse(p, *args)
         finally:
             p.nesting -= 1
@@ -380,31 +381,41 @@ class _Parser:
         return self.starts_arm(1) or self.peek(1).kind == "}"
 
     def parse_block(self, in_arm: bool) -> Block:
+        """A block's statements. The block takes one level of the depth
+        cap for all of them: past the cap, its first statement raises
+        _NestingError at its first token, and an empty block is reported
+        as at any depth."""
         stmts: list[Stmt] = []
         errors_before = len(self.errors)
-        while True:
-            if self.at("}") or self.at("eof"):
+        self.nesting += 1
+        try:
+            while True:
+                if self.at("}") or self.at("eof"):
+                    break
+                if in_arm and self.starts_arm():
+                    break
+                if self.nesting > _MAX_NESTING:
+                    raise _NestingError(self.peek(), _TOO_DEEP)
+                try:
+                    stmt = self.parse_stmt()
+                    if stmt is not None:
+                        stmts.append(stmt)
+                except _NestingError:
+                    raise
+                except _SyntaxError as err:
+                    self.error(err.tok, err.message)
+                    before = self.pos
+                    self.sync_stmt()
+                    if self.pos == before and not self.at(";"):
+                        break  # stuck on a top-level keyword; let the caller resync
+                if self.at(";"):
+                    if in_arm and self.ends_arm():
+                        break  # the ';' separates arms; leave it for the read loop
+                    self.advance()
+                    continue
                 break
-            if in_arm and self.starts_arm():
-                break
-            try:
-                stmt = self.parse_stmt()
-                if stmt is not None:
-                    stmts.append(stmt)
-            except _NestingError:
-                raise
-            except _SyntaxError as err:
-                self.error(err.tok, err.message)
-                before = self.pos
-                self.sync_stmt()
-                if self.pos == before and not self.at(";"):
-                    break  # stuck on a top-level keyword; let the caller resync
-            if self.at(";"):
-                if in_arm and self.ends_arm():
-                    break  # the ';' separates arms; leave it for the read loop
-                self.advance()
-                continue
-            break
+        finally:
+            self.nesting -= 1
         clean = len(self.errors) == errors_before
         if not stmts:
             if clean:
@@ -413,7 +424,6 @@ class _Parser:
             self.error(self.peek(), "a path must finish with 'end', 'rec', 'call', or 'read'")
         return tuple(stmts)
 
-    @_nested
     def parse_stmt(self) -> Stmt | None:
         """One statement, or None for a read whose every arm was skipped
         (its errors are already recorded)."""
@@ -580,62 +590,67 @@ class _Parser:
         the levels met in one call never rise: each level's operators form
         one chain, and every node's span starts at its chain's first token.
         """
-        start = self.peek()
+        tokens = self.tokens
+        start = tokens[self.pos]
         lhs = self.parse_postfix(labels)
-        while (level := _BINARY_LEVEL.get(self.peek().kind, -1)) >= floor:
+        while (level := _BINARY_LEVEL.get(tokens[self.pos].kind, -1)) >= floor:
             self._operator()
-            op = self.advance().kind
+            op = tokens[self.pos].kind
+            self.pos += 1  # an operator, not 'eof'
             rhs = self.parse_binary(labels, level + 1)
             lhs = _BINARY_NODES[op](op, lhs, rhs, span=self.span_from(start))
         return lhs
 
     def parse_postfix(self, labels) -> RefExpr:
-        start = self.peek()
+        tokens = self.tokens
+        start = tokens[self.pos]
         expr = self.parse_atom(labels)
         while True:
-            if self.at("."):
+            kind = tokens[self.pos].kind
+            if kind == ".":
                 self._operator()
-                self.advance()
+                self.pos += 1
                 idx = self.expect("int", "a 1-based tuple position")
                 position = self.int_value(idx)
                 if position < 1:
                     raise _SyntaxError(idx, "projection positions are 1-based")
                 expr = Proj(expr, position, self.span_from(start))
-            elif self.at("!"):
+            elif kind == "!":
                 self._operator()
-                self.advance()
+                self.pos += 1
                 expr = UnwrapDep(expr, self.span_from(start))
             else:
                 return expr
 
     def parse_atom(self, labels: tuple[str, ...]) -> RefExpr:
-        tok = self.peek()
-        value = self.parse_literal_value()
-        if value is not None:
-            node = IntLit if isinstance(value, IntV) else StrLit if isinstance(value, StrV) else BoolLit
-            return node(value.value, self.span_from(tok))
-        if tok.kind in ("literal", "next"):
-            self._operator()
-            self.advance()
-            self.expect("(")
-            inner = self.parse_ref(labels)
-            self.expect(")")
-            span = self.span_from(tok)
-            if tok.kind == "literal":
-                return Cmp("==", BinderRef(span), inner, "literal", span)
-            return Cmp("==", BinderRef(span), Arith("+", inner, IntLit(1), span), "next", span)
-        if tok.kind == "ident":
-            self.advance()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "ident":
+            self.pos += 1
             name = tok.value
-            span = self.span_from(tok)
+            span = Span(tok.line, tok.col, len(tok.text))
             if name in labels:
                 ref: RefExpr = BinderRef(span)
                 if len(labels) >= 2:
                     ref = Proj(ref, labels.index(name) + 1, span)
                 return ref
             return VarRef(self.var(name), span)
-        if tok.kind == "(":
-            self.advance()
+        value = self.parse_literal_value()
+        if value is not None:
+            node = IntLit if isinstance(value, IntV) else StrLit if isinstance(value, StrV) else BoolLit
+            return node(value.value, self.span_from(tok))
+        if kind == "literal" or kind == "next":
+            self._operator()
+            self.pos += 1
+            self.expect("(")
+            inner = self.parse_ref(labels)
+            self.expect(")")
+            span = self.span_from(tok)
+            if kind == "literal":
+                return Cmp("==", BinderRef(span), inner, "literal", span)
+            return Cmp("==", BinderRef(span), Arith("+", inner, IntLit(1), span), "next", span)
+        if kind == "(":
+            self.pos += 1
             inner = self.parse_ref(labels)
             self.expect(")")
             return inner

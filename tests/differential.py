@@ -5,8 +5,10 @@ It writes the inputs to a temporary directory: the corpus, 100
 line, the seed-1 inputs of the three benchmark workloads (from
 ``perfbench/workloads.py``), files with lex, parse, nesting,
 long-literal, non-UTF-8 and operator-budget errors, traces at each point
-where the direct trace reader gives up and a CRLF trace, and long operator
-chains, flat and in parentheses, near the budget. It then runs every
+where the direct trace reader gives up and a CRLF trace, CRLF and
+tab-indented copies of ``corpus/server.ssn`` (run against the corpus's
+server traces too), and long operator chains, flat and in parentheses,
+near the budget. It then runs every
 command in every format on them in-process through ``cli.main``, with
 ``fmt`` on copies, each followed by ``fmt --check`` of the rewritten copy
 (exit 2 if it no longer parses), and prints one line per run: the argv,
@@ -31,6 +33,7 @@ import hashlib
 import io
 import os
 import random
+import re
 import shutil
 import sys
 import tempfile
@@ -147,6 +150,14 @@ def write_inputs(root: Path, full: bool = True) -> list[list[str]]:
         put("errors/crlf.trace", (CORPUS / "tcp_good.trace").read_bytes().replace(b"\n", b"\r\n"))
         for trace in sorted(name for name in ERRORS if name.endswith(".trace")) + ["utf8.trace", "crlf.trace"]:
             simulate("tcp.ssn", f"errors/{trace}")
+        # Lines and columns after other line ends and indents.
+        server = (CORPUS / "server.ssn").read_bytes()
+        tabbed = re.sub(rb"(?m)^(?:  )+", lambda m: b"\t" * (len(m[0]) // 2), server)
+        for name, text in (("crlf", server.replace(b"\n", b"\r\n")), ("tabs", tabbed)):
+            protocol = put(f"layout/server_{name}.ssn", text)
+            for trace, (target, *_) in sorted(workloads.CORPUS_TRACES.items()):
+                if target == "server.ssn":
+                    simulate(protocol, trace)
         for name, operators in (("budget", 500), ("past", 501), ("deep", 991)):
             text, trace = refinement(operators)
             simulate(put(f"errors/{name}.ssn", text), put(f"errors/{name}.trace", trace))

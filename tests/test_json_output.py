@@ -140,7 +140,9 @@ EVERY_KIND = [
 @example(RunReport(EVERY_KIND, TraceMismatch("reply", "Str", None, "")))
 @example(RunReport(EVERY_KIND, TraceMismatch("op", "MathsCMD", ConV("Add", TupleV((IntV(-BIG), StrV('"\\')))), "bad")))
 @example(RunReport(EVERY_KIND, TraceExhausted(None, "step limit of 0 exceeded")))
-@example(RunReport(EVERY_KIND * 3, Completed()))  # every event's first, second and third sight
+# Each event object three times: the first, second and third sight of every
+# shared kind (Sent, CaseTaken, ProtocolEvent), whose text is kept by id.
+@example(RunReport(EVERY_KIND * 3, Completed()))
 @example(RunReport(EVERY_KIND, RefinementViolated("reply", Span(3, 7))))
 @example(RunReport(EVERY_KIND, RefinementViolated("reply")))
 @example(RunReport([], TraceMismatch("x", "Int", TupleV((BoolV(True), IntV(1))), "")))  # true, not 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from sessioncheck.lexer import tokenize
 
+LONG = "9" * (sys.get_int_max_str_digits() + 1)  # too long to convert: the parser reports it
 ESCAPE = (1, 1, "invalid string escape")
 UNTERMINATED = (1, 1, "unterminated string literal")
 
@@ -33,6 +35,10 @@ CASES = {
     "-->": ([("eof", "", None, 1, 4, 3)], []),
     "é": ([("eof", "", None, 1, 2, 1)], [(1, 1, "unexpected character 'é'")]),
     "\x00": ([("eof", "", None, 1, 2, 1)], [(1, 1, "unexpected character '\\x00'")]),
+    "ab@": ([("ident", "ab", "ab", 1, 1, 0), ("eof", "", None, 1, 4, 3)], [(1, 3, "unexpected character '@'")]),
+    "a\n\x00": ([("ident", "a", "a", 1, 1, 0), ("eof", "", None, 2, 2, 3)], [(2, 1, "unexpected character '\\x00'")]),
+    LONG + " 1": ([("int", LONG, None, 1, 1, 0), ("int", "1", 1, 1, len(LONG) + 2, len(LONG) + 1),
+                   ("eof", "", None, 1, len(LONG) + 3, len(LONG) + 2)], []),
     'm1 <= "a\\"b\\\\"\n  end->!=': (
         [
             ("ident", "m1", "m1", 1, 1, 0),
@@ -48,7 +54,7 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("src", list(CASES), ids=[repr(s) for s in CASES])
+@pytest.mark.parametrize("src", list(CASES), ids=[repr(s)[:60] for s in CASES])
 def test_exact_tokens_and_errors(src):
     tokens, errors = tokenize(src)
     assert [(t.kind, t.text, t.value, t.line, t.col, t.offset) for t in tokens] == CASES[src][0]

@@ -337,6 +337,34 @@ def test_nesting_limit_gives_exactly_one_error(src, message):
 
 
 
+def _nested_reads(depth: int, inner: str) -> tuple[str, int]:
+    """A protocol of ``depth`` reads, each in an arm of the one before, around
+    ``inner``, and the column ``inner`` starts at on line 2."""
+    head = "protocol P [A] { msg m : Int by A; " + "read m { _ => " * depth
+    return "roles A\n" + head + inner + " }" * depth + " }", len(head) + 1
+
+
+# The protocol's body is one level and each arm another; a type adds one.
+@pytest.mark.parametrize(
+    "depth, inner, at, message",
+    [
+        (99, "end", None, None),
+        (100, "end", 0, "nesting deeper than 100 levels"),
+        (100, "", 1, "expected a statement"),  # an empty block past the cap is not a statement past it
+        (99, "msg n : (Int, Int) by A; end", 8, "nesting deeper than 100 levels"),
+    ],
+    ids=["at_cap", "past_cap", "empty_past_cap", "type_past_cap"],
+)
+def test_the_depth_cap_on_blocks(depth, inner, at, message):
+    src, col = _nested_reads(depth, inner)
+    if message is None:
+        parse(src)
+        return
+    with pytest.raises(ParseFailure) as info:
+        parse(src)
+    assert [(e.span.line, e.span.col, e.message) for e in info.value.errors] == [(2, col + at, message)]
+
+
 # Each group holds 100 terms; the budget bounds the whole tree. "deep" is
 # 10 groups of 100 terms, which would build a tree ~1,000 levels deep.
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ import pytest
 
 import sessioncheck
 from sessioncheck.diagnostics import Diagnostic
-from sessioncheck.model import INT, BaseType, KnowledgeIndex, KnowledgeItem, RoleId, Span, TupleType, VarId, VarRef
+from sessioncheck.model import INT, BaseType, KnowledgeIndex, KnowledgeItem, RoleId, Span, TupleType, VarId, VarRef, add_item, add_knower
 from sessioncheck.simulator import Completed, ProtocolEvent, RunReport, Sent
 
 
@@ -162,6 +162,20 @@ def test_record_contract(name):
             setattr(record, n, getattr(record, n))
         with pytest.raises(AttributeError):
             delattr(record, n)
+
+
+def test_records_keep_their_fields_in_slots():
+    for name, cls in RECORDS.items():
+        assert cls.__slots__ == tuple(p.name for p in _fields(cls)), name
+        assert not hasattr(cls(*SAMPLES[name]), "__dict__"), name
+    # `add_knower` builds the grown item without its constructor.
+    x, a, b = VarId("x"), RoleId("A"), RoleId("B")
+    working: dict = {}
+    add_item(working, x, INT, a, Span(1, 1))
+    add_knower(working, x, b)
+    built = KnowledgeItem(x, INT, (a, b))
+    assert working[x] == built and hash(working[x]) == hash(built)
+    assert working[x].origin == Span(1, 1)
 
 
 @pytest.mark.parametrize(
