@@ -361,7 +361,7 @@ class _Checker:
         deps = free_vars_ordered(stmt.rtype.predicate)
         all_bound = True
         for v in deps:
-            item = index.get(v)
+            item = index.get(v.name)
             if item is None:
                 self.flag("E009", stmt.span, f"predicate references '{v.name}', which is not bound on this path")
                 all_bound = False
@@ -373,7 +373,7 @@ class _Checker:
                     related=item.origin,
                 )
         if all_bound:
-            env = {v.name: index[v].type for v in deps}
+            env = {v.name: index[v.name].type for v in deps}
             try:
                 result = kind_of_ref(stmt.rtype.predicate, env, stmt.rtype.payload)
                 if _base(result) != "Bool":
@@ -383,7 +383,7 @@ class _Checker:
         self.bind_var(stmt.var, stmt.rtype, stmt.creator, stmt.span, index)
 
     def bind_var(self, var, type_, creator, span, index: WorkingIndex) -> None:
-        item = index.get(var)
+        item = index.get(var.name)
         if item is not None:
             self.flag(
                 "E009",
@@ -400,7 +400,7 @@ class _Checker:
         self.check_role(stmt.receiver, stmt.span, "receiver")
         if stmt.sender == stmt.receiver:
             self.flag("E011", stmt.span, f"'{stmt.sender.name}' cannot send '{stmt.var.name}' to itself")
-        item = index.get(stmt.var)
+        item = index.get(stmt.var.name)
         if item is None:
             self.flag("E009", stmt.span, f"message variable '{stmt.var.name}' is not bound on this path")
             return
@@ -414,7 +414,7 @@ class _Checker:
         add_knower(index, stmt.var, stmt.receiver)
 
     def check_read(self, stmt: ReadCase, index: WorkingIndex, path: str, guarded: bool) -> None:
-        item = index.get(stmt.var)
+        item = index.get(stmt.var.name)
         if item is None:  # nothing to check the arms against
             self.flag("E009", stmt.span, f"message variable '{stmt.var.name}' is not bound on this path")
         else:

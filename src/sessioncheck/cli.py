@@ -170,30 +170,31 @@ _STEP_WORDS = {"recursed": "rec", "called": "call", "ended": "end"}
 
 
 def _print_report(report: RunReport) -> None:
+    write = sys.stdout.write  # one write per line: print makes two
     for e in report.events:
         if isinstance(e, MsgCreated):
-            print(f"created  {e.var} = {format_value(e.value)} by {e.creator}")
+            write(f"created  {e.var} = {format_value(e.value)} by {e.creator}\n")
         elif isinstance(e, RefinementChecked):
             verdict = "holds" if e.verdict else "FAILS"
-            print(f"refined  {e.var}: {e.predicate} {verdict}")
+            write(f"refined  {e.var}: {e.predicate} {verdict}\n")
         elif isinstance(e, Sent):
             knowers = ", ".join(r.name for r in e.knowers)
-            print(f"sent     {e.var} {e.sender} -> {e.receiver}; known to {knowers}")
+            write(f"sent     {e.var} {e.sender} -> {e.receiver}; known to {knowers}\n")
         elif isinstance(e, CaseTaken):
-            print(f"case     {e.var} => {e.arm}")
+            write(f"case     {e.var} => {e.arm}\n")
         elif isinstance(e, ProtocolEvent):
-            print(f"{_STEP_WORDS[e.kind]:<8} {e.protocol}")
+            write(f"{_STEP_WORDS[e.kind]:<8} {e.protocol}\n")
     s = report.status
     if isinstance(s, Completed):
-        print("status: completed")
+        write("status: completed\n")
     elif isinstance(s, RefinementViolated):
-        print(f"status: refinement violated on '{s.var}'")
+        write(f"status: refinement violated on '{s.var}'\n")
     elif isinstance(s, TraceExhausted):
         where = f" at '{s.var}'" if s.var else ""
-        print(f"status: trace exhausted{where} ({s.note})")
+        write(f"status: trace exhausted{where} ({s.note})\n")
     elif isinstance(s, TraceMismatch):
         got = format_value(s.got) if s.got is not None else "nothing"
-        print(f"status: trace mismatch on '{s.var}': expected {s.expected}, got {got} ({s.note})")
+        write(f"status: trace mismatch on '{s.var}': expected {s.expected}, got {got} ({s.note})\n")
 
 
 def _cmd_explain(args, color: bool) -> int:

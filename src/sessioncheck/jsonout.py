@@ -10,13 +10,14 @@ text is held at once. A run's status is the one part written from its
 reference builder: the plain data of ``simulator.status_to_json`` goes
 through the same generic writer as a diagnostic's record.
 
-A loop's run logs one shared ``Sent``, ``CaseTaken`` or ``ProtocolEvent``
-object each round (see ``simulator.RunReport``). ``write_report`` renders
-each such event at most twice per report, whatever the number of rounds,
-keyed by its id as ``_json_index`` keys items: an event's text is kept
-from its second sight on, so the text of an event logged once is never
-held. ``MsgCreated`` and ``RefinementChecked`` are built fresh each round
-and rendered each time.
+A loop's run logs one shared event object wherever a round repeats what
+an earlier round logged: a ``Sent``, ``CaseTaken`` or ``ProtocolEvent``,
+and a ``MsgCreated`` or ``RefinementChecked`` of the same value objects
+(see ``simulator.RunReport``). ``write_report`` keys every event by its id,
+as ``_json_index`` keys items, and looks its text up before it renders: an
+event is rendered at most twice per report, whatever the number of rounds,
+as its text is kept from its second sight on, so the text of an event
+logged once is never held.
 
 A renderer's ``indent`` is the newline and indentation of the line its
 value starts on; the fields or elements of an object or list go two
@@ -115,26 +116,25 @@ _PROTOCOL_EVENT = _shape(_ELEM, "kind", "protocol")
 
 
 def _json_event(e, texts: dict[int, str | None]) -> str:
-    """``simulator._event_json(e)``; ``texts`` maps the id of an index item
-    or of a shared event seen before to its text, ``None`` after a first sight."""
+    """``simulator._event_json(e)``, for an event whose text ``texts`` does
+    not hold; ``texts`` maps the id of an index item or of an event seen
+    before to its text, ``None`` after a first sight."""
     if isinstance(e, MsgCreated):
-        return _MSG_CREATED % (_json_str(e.var), _json_value(e.value, _FIELD), _json_str(e.creator))
-    if isinstance(e, RefinementChecked):
+        text = _MSG_CREATED % (_json_str(e.var), _json_value(e.value, _FIELD), _json_str(e.creator))
+    elif isinstance(e, RefinementChecked):
         # As in a dict, a repeated name keeps its first place and its last value.
         witness = _json_obj(_FIELD, [(k, _json_value(v, _FIELD + "  ")) for k, v in dict(e.witness).items()])
         verdict = "true" if e.verdict else "false"
-        return _REFINEMENT_CHECKED % (_json_str(e.var), _json_str(e.predicate), verdict, witness)
-    if not isinstance(e, (Sent, CaseTaken, ProtocolEvent)):
+        text = _REFINEMENT_CHECKED % (_json_str(e.var), _json_str(e.predicate), verdict, witness)
+    elif isinstance(e, Sent):
+        text = _SENT % (_json_str(e.var), _json_str(e.sender), _json_str(e.receiver), _json_index(e.index_after, texts))
+    elif isinstance(e, CaseTaken):
+        text = _CASE_TAKEN % (_json_str(e.var), _json_str(e.arm))
+    elif isinstance(e, ProtocolEvent):
+        text = _PROTOCOL_EVENT % (_json_str(e.kind), _json_str(e.protocol))
+    else:
         raise TypeError(f"not an event: {e!r}")
-    text = texts.get(id(e))
-    if text is None:
-        if isinstance(e, Sent):
-            text = _SENT % (_json_str(e.var), _json_str(e.sender), _json_str(e.receiver), _json_index(e.index_after, texts))
-        elif isinstance(e, CaseTaken):
-            text = _CASE_TAKEN % (_json_str(e.var), _json_str(e.arm))
-        else:
-            text = _PROTOCOL_EVENT % (_json_str(e.kind), _json_str(e.protocol))
-        texts[id(e)] = text if id(e) in texts else None
+    texts[id(e)] = text if id(e) in texts else None
     return text
 
 
@@ -173,7 +173,7 @@ def write_report(report: RunReport) -> None:
     """``simulate --format json``: ``report.to_json()``."""
     texts: dict[int, str | None] = {}
     sys.stdout.write('{\n  "status": ' + _json_record(status_to_json(report.status), _TOP) + ',\n  "events": ')
-    _write_json_list((_json_event(e, texts) for e in report.events), _TOP)
+    _write_json_list((texts.get(id(e)) or _json_event(e, texts) for e in report.events), _TOP)
     sys.stdout.write("\n}\n")
 
 

@@ -8,11 +8,13 @@ It comes in two forms. ``KnowledgeIndex`` is the frozen snapshot, a tuple
 of immutable ``KnowledgeItem`` values, and ``introduce``/``learn``/
 ``knows``/``all_know`` over it are the pure reference semantics. The
 checker and the simulator instead thread one insertion-ordered working
-map (``WorkingIndex``, a dict from var to item) along each control path
-and update it in place with ``add_item`` and ``add_knower``, which behave
-like ``introduce`` and ``learn`` but cost O(1). ``freeze`` turns a working
-map into a snapshot that shares its items, so a snapshot costs one tuple
-of pointers and is made only where something reads it.
+map (``WorkingIndex``, a dict from a variable's name to its item) along
+each control path and update it in place with ``add_item`` and
+``add_knower``, which behave like ``introduce`` and ``learn`` but cost
+O(1). The map is keyed by name, not by ``VarId``: a ``str`` caches its
+hash, so a lookup runs no record's Python-level ``__hash__``. ``freeze``
+turns a working map into a snapshot that shares its items, so a snapshot
+costs one tuple of pointers and is made only where something reads it.
 
 Payload types are only the four the parser builds (``BaseType``,
 ``TupleType``, ``NamedType``, ``RefinedType``): every indexed type is a
@@ -382,8 +384,9 @@ class KnowledgeIndex:
 
 EMPTY_INDEX = KnowledgeIndex()
 
-# The index of one control path while it is checked or run, updated in place.
-WorkingIndex = dict[VarId, KnowledgeItem]
+# The index of one control path while it is checked or run, updated in
+# place: each item under its variable's name.
+WorkingIndex = dict[str, KnowledgeItem]
 
 
 def introduce(index: KnowledgeIndex, var: VarId, type: TypeExpr, creator: RoleId) -> KnowledgeIndex:
@@ -418,14 +421,16 @@ def all_know(index: KnowledgeIndex, var: VarId, participants: Iterable[RoleId]) 
 def add_item(
     working: WorkingIndex, var: VarId, type: TypeExpr, creator: RoleId, origin: Span | None = None
 ) -> None:
-    """In-place ``introduce``: add a fresh item whose only knower is the creator."""
-    if var in working:
+    """In-place ``introduce``: add a fresh item, under ``var.name``, whose
+    only knower is the creator."""
+    if var.name in working:
         raise DuplicateVar(var.name)
-    working[var] = KnowledgeItem(var, type, (creator,), origin)
+    working[var.name] = KnowledgeItem(var, type, (creator,), origin)
 
 
 def add_knower(working: WorkingIndex, var: VarId, role: RoleId) -> None:
-    """In-place ``learn``: add ``role`` to the knowers of ``var``; idempotent.
+    """In-place ``learn``: add ``role`` to the knowers of ``var``, the item
+    under ``var.name``; idempotent.
 
     The item is replaced, never mutated, so snapshots that share it keep
     their contents; replacing a key keeps its place in the order. The new
@@ -433,7 +438,7 @@ def add_knower(working: WorkingIndex, var: VarId, role: RoleId) -> None:
     checked knowers), so it is built, like ``freeze``'s snapshot, without
     ``KnowledgeItem.__post_init__``.
     """
-    item = working.get(var)
+    item = working.get(var.name)
     if item is None:
         raise UnknownVar(var.name)
     if role not in item.knowers:
@@ -442,7 +447,7 @@ def add_knower(working: WorkingIndex, var: VarId, role: RoleId) -> None:
         object.__setattr__(grown, "type", item.type)
         object.__setattr__(grown, "knowers", item.knowers + (role,))
         object.__setattr__(grown, "origin", item.origin)
-        working[var] = grown
+        working[var.name] = grown
 
 
 def freeze(working: WorkingIndex) -> KnowledgeIndex:

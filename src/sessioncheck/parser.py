@@ -42,11 +42,17 @@ is read straight from its text, one regex match per binding head and per
 value token, with no token list. At the first thing that is not well
 formed the reader gives up, and the token parser reads the whole text again
 and reports every error, as it does for a `.ssn` file; the tests hold the
-two to the same results.
+two to the same results. The reader shares what a trace repeats: a flat
+value token (an int with its sign, a string, a bare tag, `true` or
+`false`) written the same way again gives the same value object, and a
+name bound to such a token again gives the same `TraceBinding`, so a loop
+that binds a value again hands the simulator the same objects (see
+`simulator`). A compound value is built fresh each time.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 
@@ -680,16 +686,20 @@ def _gap(name: str) -> str:
     return f"(?=(?P<{name}>{GAP}))(?P={name})"
 
 
-_HEAD = re.compile(_gap("g1") + "(?P<var>" + IDENT + ")" + _gap("g2") + "=")
-# A value token. `call` is a tag with its opening parenthesis.
-_VALUE = re.compile(
-    _gap("g1") + r"(?:(?:(?P<neg>-)" + _gap("g2") + ")?(?P<int>[0-9]+)"
-    r"|" + STRING +
-    r"|(?P<word>" + IDENT + ")(?P<call>" + _gap("g3") + r"\()?"
-    r"|(?P<tuple>\())"
-)
-_SEPARATOR = re.compile(_gap("g1") + "(?P<sep>[,)])")
-_END = re.compile(GAP)
+@functools.cache
+def _trace_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern, re.Pattern]:
+    """The reader's patterns: a binding's head, a value token, a separator
+    and the end. They are compiled on the first `parse_trace`, as `check`,
+    `fmt` and `explain` read no trace."""
+    head = re.compile(_gap("g1") + "(?P<var>" + IDENT + ")" + _gap("g2") + "=")
+    # A value token. `call` is a tag with its opening parenthesis.
+    value = re.compile(
+        _gap("g1") + r"(?:(?:(?P<neg>-)" + _gap("g2") + ")?(?P<int>[0-9]+)"
+        r"|" + STRING +
+        r"|(?P<word>" + IDENT + ")(?P<call>" + _gap("g3") + r"\()?"
+        r"|(?P<tuple>\())"
+    )
+    return head, value, re.compile(_gap("g1") + "(?P<sep>[,)])"), re.compile(GAP)
 
 
 def parse_trace(text: str) -> Trace:
@@ -700,52 +710,66 @@ def parse_trace(text: str) -> Trace:
 
 def _read_trace(text: str) -> Trace | None:
     """The trace ``text`` holds, or None where the token path reports an error."""
+    head, value_token, separator, end = _trace_patterns()
     bindings: list[TraceBinding] = []
     ids: dict[str, VarId] = {}  # one VarId per name, as `_Parser.var` keeps
+    # One value per flat value token, keyed by the token's text as matched,
+    # and one binding per name and such token: the same text is read the
+    # same way.
+    flat: dict[str, Value] = {}
+    shared: dict[tuple[str, str], TraceBinding] = {}
     # The values being read: for each open '(' its tag (None for a tuple) and
     # the items read so far.
     open_: list[tuple[str | None, list[Value]]] = []
     pos = 0
-    while (m := _HEAD.match(text, pos)) is not None:
+    while (m := head.match(text, pos)) is not None:
         name = m["var"]
         if name in KEYWORDS:
             return None
         var = ids.get(name) or ids.setdefault(name, VarId(name))
         pos = m.end()
         while True:  # one value token, then the separators that close what it completes
-            m = _VALUE.match(text, pos)
+            m = value_token.match(text, pos)
             if m is None:
                 return None
             pos = m.end()
-            kind = m.lastgroup
-            if kind == "int":
-                try:
-                    number = int(m["int"])
-                except ValueError:  # past sys.get_int_max_str_digits()
-                    return None
-                value: Value = IntV(-number if m["neg"] else number)
-            elif kind == "string":
-                body = string_value(m["body"])
-                if body is None or m["close"] is None:
-                    return None
-                value = StrV(body)
-            elif kind == "word":
-                word = m["word"]
-                if word in KEYWORDS:
-                    if word != "true" and word != "false":
+            token = m[0]
+            value: Value | None = flat.get(token)
+            if value is None:
+                kind = m.lastgroup
+                if kind == "int":
+                    try:
+                        number = int(m["int"])
+                    except ValueError:  # past sys.get_int_max_str_digits()
                         return None
-                    value = BoolV(word == "true")
-                else:
-                    value = ConV(word)
-            else:  # 'call' or 'tuple': an opening parenthesis
-                word = m["word"]
-                # its items would be nested past the cap
-                if word in KEYWORDS or len(open_) + 2 > _MAX_NESTING:
-                    return None
-                open_.append((word, []))
-                continue
+                    value = IntV(-number if m["neg"] else number)
+                elif kind == "string":
+                    body = string_value(m["body"])
+                    if body is None or m["close"] is None:
+                        return None
+                    value = StrV(body)
+                elif kind == "word":
+                    word = m["word"]
+                    if word in KEYWORDS:
+                        if word != "true" and word != "false":
+                            return None
+                        value = BoolV(word == "true")
+                    else:
+                        value = ConV(word)
+                else:  # 'call' or 'tuple': an opening parenthesis
+                    word = m["word"]
+                    # its items would be nested past the cap
+                    if word in KEYWORDS or len(open_) + 2 > _MAX_NESTING:
+                        return None
+                    open_.append((word, []))
+                    continue
+                flat[token] = value
+            if not open_:  # a flat value is the whole binding's value
+                pair = (name, token)
+                bindings.append(shared.get(pair) or shared.setdefault(pair, TraceBinding(var, value)))
+                break
             while open_:
-                m = _SEPARATOR.match(text, pos)
+                m = separator.match(text, pos)
                 if m is None:
                     return None
                 pos = m.end()
@@ -760,10 +784,10 @@ def _read_trace(text: str) -> Trace | None:
                     return None
                 else:
                     value = TupleV(tuple(items))
-            else:  # no '(' is open: the binding's value is complete
+            else:  # the last ')' closed: the binding's compound value is complete
                 bindings.append(TraceBinding(var, value))
                 break
-    if _END.match(text, pos).end() != len(text):  # the greedy gap, never backtracked
+    if end.match(text, pos).end() != len(text):  # the greedy gap, never backtracked
         return None
     return Trace(tuple(bindings))
 

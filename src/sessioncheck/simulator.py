@@ -16,9 +16,20 @@ one before, so this one identity test proves that the same nodes have run
 since the same protocol was entered, and so that the node meets the same
 index; a hand-built AST that shares a node between places just misses.
 A protocol step depends on nothing but its kind and protocol, so a run
-builds each `ProtocolEvent` once and logs it at every such step. Events
-that carry trace values (`MsgCreated`, `RefinementChecked`) are built every
-round.
+builds each `ProtocolEvent` once and logs it at every such step.
+
+Events that carry trace values follow a second rule, by value identity.
+The trace reader keeps one object per repeated flat value and binding (see
+`parser`), so a loop that binds the same value again hands the run the same
+object. A `msg`/`dep` node keeps the `MsgCreated` it logged for each value
+object it met and logs it again when a binding's value `is` that object;
+the node then skips `value_matches_type`, as it accepted that very object
+before. A `dep` keeps, per value object, the `RefinementChecked` it logged
+last, and reuses it only if, in addition, the current binding of every
+free variable `is` the object its witness records: the predicate reads
+nothing else, so its verdict cannot differ. Otherwise the node evaluates
+the predicate again. The test is `is`, not `==`: an equal value that is
+another object is checked again.
 """
 
 from __future__ import annotations
@@ -253,8 +264,11 @@ Status = Completed | RefinementViolated | TraceExhausted | TraceMismatch
 @record
 class RunReport:
     """A run's events and how it ended. A node run again after the same nodes
-    logs the same immutable `Sent` or `CaseTaken`, and each protocol step of
-    one kind and protocol is one `ProtocolEvent` (see the module docstring)."""
+    logs the same immutable `Sent` or `CaseTaken`, each protocol step of one
+    kind and protocol is one `ProtocolEvent`, and a `msg`/`dep` node that
+    meets the same value object again logs the same `MsgCreated` and, if its
+    witness is the same objects, the same `RefinementChecked` (see the
+    module docstring)."""
 
     events: list[Event]
     status: Status
@@ -367,6 +381,10 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
     # (see the module docstring). The file keeps every node alive, so no id
     # is reused.
     built: dict[int, tuple] = {}
+    # The value events of each `msg`/`dep` node, ``(MsgCreated, last
+    # RefinementChecked or None)``, keyed by the ids of the node and of the
+    # value; the MsgCreated keeps the value alive, so no id is reused.
+    values: dict[tuple[int, int], tuple] = {}
     step = functools.cache(ProtocolEvent)  # the run's one event per kind and protocol
     steps = 0
     while True:  # one pass per protocol entered, each with a fresh store and index
@@ -388,16 +406,20 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                 if binding is None:
                     return TraceExhausted(var, "trace has no binding left")
                 value = binding.value
-                if binding.var != stmt.var:
+                if binding.var.name != var:
                     note = f"trace binds '{binding.var.name}' where '{var}' was expected"
                     return TraceMismatch(var, format_type(declared), value, note)
-                if not value_matches_type(value, declared, file):
-                    return TraceMismatch(var, format_type(declared), value, "value does not fit the declared type")
+                met = (id(stmt), id(value))
+                logged = values.get(met)
+                if logged is None:
+                    if not value_matches_type(value, declared, file):
+                        return TraceMismatch(var, format_type(declared), value, "value does not fit the declared type")
+                    logged = values[met] = (MsgCreated(var, value, stmt.creator.name), None)
                 bindings[var] = value
                 made = built.get(id(stmt))  # last, the fresh item and, for a dep, its printed facts
                 if made is None or made[0] is not last:
                     add_item(index, stmt.var, declared, stmt.creator)
-                    made = (last, index[stmt.var])
+                    made = (last, index[var])
                     if isinstance(stmt, NewDepMsg):
                         # the predicate, the binder named as the predicate names it, and its free variables
                         pred, labels = declared.predicate, declared.labels
@@ -405,28 +427,32 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                         made += (format_ref(pred, labels), format_ref(BinderRef(), labels), names)
                     built[id(stmt)] = made
                 else:
-                    index[stmt.var] = made[1]
-                events.append(MsgCreated(var, value, stmt.creator.name))
+                    index[var] = made[1]
+                events.append(logged[0])
                 if isinstance(stmt, NewDepMsg):
-                    try:
-                        verdict = eval_ref(declared.predicate, bindings, value)
-                    except EvalError as err:
-                        return TraceMismatch(var, format_type(declared), value, str(err))
-                    _, _, predicate, binder, names = made
-                    witness = ((binder, value),) + tuple((name, bindings[name]) for name in names)
-                    ok = isinstance(verdict, BoolV) and verdict.value
-                    events.append(RefinementChecked(var, predicate, ok, witness))
-                    if not ok:
+                    checked = logged[1]
+                    if checked is None or not all(bindings.get(name) is v for name, v in checked.witness[1:]):
+                        try:
+                            verdict = eval_ref(declared.predicate, bindings, value)
+                        except EvalError as err:
+                            return TraceMismatch(var, format_type(declared), value, str(err))
+                        _, _, predicate, binder, names = made
+                        witness = ((binder, value),) + tuple((name, bindings[name]) for name in names)
+                        ok = isinstance(verdict, BoolV) and verdict.value
+                        checked = RefinementChecked(var, predicate, ok, witness)
+                        values[met] = (logged[0], checked)
+                    events.append(checked)
+                    if not checked.verdict:
                         return RefinementViolated(var, stmt.span)
             elif isinstance(stmt, Send):
                 made = built.get(id(stmt))  # last, the grown item and the event
                 if made is None or made[0] is not last:
                     add_knower(index, stmt.var, stmt.receiver)
-                    grown = index[stmt.var]
+                    grown = index[stmt.var.name]
                     sent = Sent(stmt.var.name, stmt.sender.name, stmt.receiver.name, freeze(index), stmt.span, grown.knowers)
                     made = built[id(stmt)] = (last, grown, sent)
                 else:
-                    index[stmt.var] = made[1]
+                    index[stmt.var.name] = made[1]
                 events.append(made[2])
             elif isinstance(stmt, ReadCase):
                 value = bindings.get(stmt.var.name)

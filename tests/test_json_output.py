@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gen import gen_checkable_file
-from sessioncheck import check_file, parse
+from sessioncheck import check_file, jsonout, parse
 from sessioncheck.cli import _explain_json, main
 from sessioncheck.diagnostics import CODES, ERROR, WARNING, Diagnostic
 from sessioncheck.jsonout import write_diagnostics, write_explain, write_report
@@ -141,13 +141,27 @@ EVERY_KIND = [
 @example(RunReport(EVERY_KIND, TraceMismatch("op", "MathsCMD", ConV("Add", TupleV((IntV(-BIG), StrV('"\\')))), "bad")))
 @example(RunReport(EVERY_KIND, TraceExhausted(None, "step limit of 0 exceeded")))
 # Each event object three times: the first, second and third sight of every
-# shared kind (Sent, CaseTaken, ProtocolEvent), whose text is kept by id.
+# kind, whose text is kept by id.
 @example(RunReport(EVERY_KIND * 3, Completed()))
 @example(RunReport(EVERY_KIND, RefinementViolated("reply", Span(3, 7))))
 @example(RunReport(EVERY_KIND, RefinementViolated("reply")))
 @example(RunReport([], TraceMismatch("x", "Int", TupleV((BoolV(True), IntV(1))), "")))  # true, not 1
 def test_report_writer_is_the_stdlib_rendering(report):
     assert written(write_report, report) == stdlib(report.to_json())
+
+
+def test_each_event_object_is_rendered_at_most_twice(monkeypatch):
+    rendered: list[int] = []
+
+    def counted(e, texts):
+        rendered.append(id(e))
+        return render(e, texts)
+
+    render = jsonout._json_event
+    monkeypatch.setattr(jsonout, "_json_event", counted)
+    report = RunReport(EVERY_KIND * 5, Completed())
+    assert written(write_report, report) == stdlib(report.to_json())
+    assert sorted(rendered) == sorted([id(e) for e in EVERY_KIND] * 2)
 
 
 # ---------------------------------------------------------------------------

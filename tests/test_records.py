@@ -174,8 +174,8 @@ def test_records_keep_their_fields_in_slots():
     add_item(working, x, INT, a, Span(1, 1))
     add_knower(working, x, b)
     built = KnowledgeItem(x, INT, (a, b))
-    assert working[x] == built and hash(working[x]) == hash(built)
-    assert working[x].origin == Span(1, 1)
+    assert working["x"] == built and hash(working["x"]) == hash(built)
+    assert working["x"].origin == Span(1, 1)
 
 
 @pytest.mark.parametrize(

@@ -156,6 +156,13 @@ def test_a_loop_shares_its_events_across_rounds(corpus):
     # one object per protocol step: called and ended for each callee, recursed into and ended Server
     steps = [e for e in report.events if isinstance(e, ProtocolEvent)]
     assert len(steps) == 100 * 3 + 100 * 3 + 1 and len({id(e) for e in steps}) == len(set(steps)) == 6
+    # a value event is shared when its node meets the same value object again
+    created = [e for e in report.events if isinstance(e, MsgCreated)]
+    assert len(created) == 100 * 3 + 100 * 4 + 1
+    assert len({id(e) for e in created}) <= len({(e.var, e.creator, e.value) for e in created}) == 404
+    assert len({id(e) for e in report.events if isinstance(e, MsgCreated) and e.var == "cmd"}) == 3
+    checked = [e for e in report.events if isinstance(e, RefinementChecked)]
+    assert len({id(e) for e in checked}) <= len({(e.var, e.witness) for e in checked}) == 101
     buf = io.StringIO()
     with redirect_stdout(buf):
         write_report(report)
@@ -166,6 +173,18 @@ def test_server_echo_wrong_reply_violates(corpus):
     trace = parse_trace('cmd = Echo\nwelcome = "Welcome to Echo!"\nrequest = "hi"\nreply = "ho"\ncmd = Quit')
     report = run_trace(load(corpus, "server.ssn"), trace)
     assert report.status == RefinementViolated("reply")
+
+
+def test_a_shared_reply_is_checked_against_the_new_request(corpus):
+    # The second `reply` is the very object the first round accepted, but
+    # its `request` is another value now, so its verdict must be computed again.
+    echo = 'cmd = Echo\nwelcome = "Welcome to Echo!"\nrequest = "{}"\nreply = "a"\n'
+    trace = parse_trace(echo.format("a") + echo.format("b") + "cmd = Quit\n")
+    assert trace.bindings[3] is trace.bindings[7]
+    report = run_trace(load(corpus, "server.ssn"), trace)
+    assert report.status == RefinementViolated("reply")
+    verdicts = [(e.var, e.verdict) for e in report.events if isinstance(e, RefinementChecked)]
+    assert verdicts == [("welcome", True), ("reply", True), ("welcome", True), ("reply", False)]
 
 
 def test_server_math_round(corpus):

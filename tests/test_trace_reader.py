@@ -12,13 +12,17 @@ from __future__ import annotations
 import random
 import re
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 
 import pytest
 from conftest import CORPUS
 
-from sessioncheck import lexer, parser
-from sessioncheck.parser import ParseFailure, _MAX_NESTING, _parse_trace_tokens, _read_trace, parse_trace
+from sessioncheck import cli, lexer, parser
+from sessioncheck.jsonout import write_report
+from sessioncheck.parser import ParseFailure, _MAX_NESTING, _parse_trace_tokens, _read_trace, parse, parse_trace
 from sessioncheck.printer import format_value
+from sessioncheck.simulator import run_trace
 from sessioncheck.syntax import BoolV, ConV, IntV, StrV, TupleV
 
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
@@ -50,6 +54,40 @@ def test_the_reader_accepts_every_corpus_trace(path):
 def test_the_reader_accepts_a_long_trace():
     lines, _ = workloads._long(random.Random("reader"), 300)
     assert_read_directly("\n".join(lines) + "\n")
+
+
+def test_the_reader_shares_repeated_flat_values_and_bindings():
+    text = 'cmd = Echo\nrequest = "hi"\nreply = "hi"\nn = -3\nop = Mul(1, 2)\n' * 2 + "cmd = Echo\nok = true\nok = true\n"
+    trace = _read_trace(text)
+    assert trace == _parse_trace_tokens(text)
+    first, second, last = trace.bindings[:5], trace.bindings[5:10], trace.bindings[10:]
+    # one binding per repeated name and flat value, and one value per flat token
+    for a, b in zip(first[:4], second[:4]):
+        assert a is b
+    assert first[0] is last[0] and last[1] is last[2]
+    assert first[1] is not first[2] and first[1].value is first[2].value == StrV("hi")
+    assert first[3].value == IntV(-3)
+    # a compound value is built each time
+    assert first[4] is not second[4] and first[4].value is not second[4].value
+    assert first[4].value == second[4].value == ConV("Mul", TupleV((IntV(1), IntV(2))))
+
+
+def test_a_long_trace_runs_alike_from_either_reader(corpus):
+    file = parse((corpus / "server.ssn").read_text())
+    lines, _ = workloads._long(random.Random("shared"), 300)
+    text = "\n".join(lines) + "\n"
+    shared, fresh = parse_trace(text), _parse_trace_tokens(text)
+    assert len({id(b) for b in shared.bindings}) < len({id(b) for b in fresh.bindings}) == len(lines)
+    reports = [run_trace(file, trace) for trace in (shared, fresh)]
+    assert reports[0] == reports[1] and reports[0].completed
+    for render in (write_report, cli._print_report):
+        outputs = []
+        for report in reports:
+            buf = StringIO()
+            with redirect_stdout(buf):
+                render(report)
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1]
 
 
 def random_value(rng: random.Random, depth: int = 0):
@@ -105,7 +143,7 @@ def test_each_give_up_falls_back_to_the_token_errors(text):
 
 def test_the_patterns_use_no_syntax_newer_than_python_3_10():
     # possessive quantifiers and atomic groups came to `re` in Python 3.11
-    for pattern in (lexer._MASTER, parser._HEAD, parser._VALUE, parser._SEPARATOR, parser._END):
+    for pattern in (lexer._MASTER, *parser._trace_patterns()):
         assert re.search(r"[*+?}]\+|\(\?>", pattern.pattern) is None, pattern.pattern
 
 
