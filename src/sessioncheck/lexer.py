@@ -20,9 +20,9 @@ only a string that holds a backslash is decoded. Errors do not stop the
 scan; a string with a bad escape or no closing quote yields no token. A lex
 error is a ``Diagnostic`` with the ``parse`` code, made by ``parse_error``
 as the parser's errors are, so the parser adds it to its own list as it
-stands and the CLI reports it as it reports a checker finding. ``GAP``,
-``STRING`` and ``string_value`` are shared with the parser's trace reader,
-so that it reads a token as this scan does.
+stands and the CLI reports it as it reports a checker finding. The
+parser's trace reader walks the same scan's tuples and decodes strings
+with ``string_value``, so a trace has no token syntax of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .diagnostics import ERROR, Diagnostic
 from .model import IDENT, Span
 
-__all__ = ["Token", "GAP", "KEYWORDS", "STRING", "parse_error", "string_value", "tokenize"]
+__all__ = ["Token", "KEYWORDS", "parse_error", "string_value", "tokenize"]
 
 KEYWORDS = frozenset(
     [
@@ -70,23 +70,19 @@ _PUNCT = [
     "<", ">", "[", "]", "{", "}", "(", ")", ",", ";", ":", "|", "=", ".", "+", "-", "*", "!", "_",
 ]
 
-# The whitespace and `--` line comments before a token. It takes
-# whitespace in runs, so a long indent is one step of the regex engine, not
-# one per character.
-GAP = r"(?:[ \t\r\n]+|--[^\n]*)*"
-# A string literal: its body, where a backslash not followed by `"` or `\`
-# is kept for the error, and the closing quote if the line has one.
-STRING = r'(?P<string>"(?P<body>(?:\\["\\]|\\|[^"\\\n])*)(?P<close>")?)'
-
-# Identifiers and numbers are ASCII only: unicode letters and digits fall
-# through to `bad` instead of being accepted the way \w or \d would. Since
-# the end of the text or `bad` matches wherever the gap ends, a match never
-# backtracks into the gap. The end is the one alternative with no group, so
-# that every group of its match is empty.
+# The first group is the gap, the whitespace and `--` line comments before
+# a token. It takes whitespace in runs, so a long indent is one step of the
+# regex engine, not one per character. Identifiers and numbers are ASCII
+# only: unicode letters and digits fall through to `bad` instead of being
+# accepted the way \w or \d would. A string's body keeps a backslash not
+# followed by `"` or `\` for the error, and its closing quote is there only
+# if the line has one. Since the end of the text or `bad` matches wherever
+# the gap ends, a match never backtracks into the gap. The end is the one
+# alternative with no group, so that every group of its match is empty.
 _MASTER = re.compile(
-    "(" + GAP + r")(?:(?P<word>" + IDENT + ")"
+    r"((?:[ \t\r\n]+|--[^\n]*)*)(?:(?P<word>" + IDENT + ")"
     r"|(?P<int>[0-9]+)"
-    r"|" + STRING +
+    r'|(?P<string>"(?P<body>(?:\\["\\]|\\|[^"\\\n])*)(?P<close>")?)'
     r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")"
     r"|\Z"
     r"|(?P<bad>.))",

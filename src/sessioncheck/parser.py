@@ -38,29 +38,27 @@ A `.trace` file is a sequence of `IDENT '=' value` bindings, where
            | IDENT ['(' value (',' value)* ')'] | '(' value (',' value)+ ')'
 
 A binding has no span, so a well-formed trace needs no token positions: it
-is read straight from its text, one regex match per binding head and per
-value token, with no token list. At the first thing that is not well
-formed the reader gives up, and the token parser reads the whole text again
-and reports every error, as it does for a `.ssn` file; the tests hold the
-two to the same results. The reader shares what a trace repeats: a flat
-value token (an int with its sign, a string, a bare tag, `true` or
-`false`) written the same way again gives the same value object, and a
-name bound to such a token again gives the same `TraceBinding`, so a loop
-that binds a value again hands the simulator the same objects (see
-`simulator`). A compound value is built fresh each time.
+is read by walking the lexer's scan of the text (`lexer._MASTER.findall`,
+one tuple of group texts per token) by index, with no `Token` list and no
+pattern of its own. At the first thing that is not well formed the reader
+gives up, and the token parser reads the whole text again and reports
+every error, as it does for a `.ssn` file; the tests hold the two to the
+same results. The reader shares what a trace repeats: a flat value token
+(an int with its sign, a string, a bare tag, `true` or `false`) with the
+same text again gives the same value object, and a name bound to such a
+token again gives the same `TraceBinding`, so a loop that binds a value
+again hands the simulator the same objects (see `simulator`). A compound
+value is built fresh each time.
 """
 
 from __future__ import annotations
 
-import functools
-import re
 import sys
 
 from .diagnostics import Diagnostic
-from .lexer import GAP, KEYWORDS, STRING, Token, parse_error, string_value, tokenize
+from .lexer import _MASTER, KEYWORDS, Token, parse_error, string_value, tokenize
 from .model import (
     BINARY_OPS,
-    IDENT,
     Arith,
     BaseType,
     BinderRef,
@@ -677,31 +675,6 @@ def parse(text: str) -> SourceFile:
 # if that gives up, from tokens (see the module docstring).
 
 
-def _gap(name: str) -> str:
-    """`lexer.GAP` taken whole, under a group ``name`` unique in its pattern.
-    A lookahead is atomic in `re`, so a pattern that fails after the gap
-    cannot backtrack into it: it cannot read the tail of a comment as a token
-    (`x = -- 5`), nor try every split of a whitespace run. This is the
-    possessive `*+`, which `re` accepts only from Python 3.11 on."""
-    return f"(?=(?P<{name}>{GAP}))(?P={name})"
-
-
-@functools.cache
-def _trace_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern, re.Pattern]:
-    """The reader's patterns: a binding's head, a value token, a separator
-    and the end. They are compiled on the first `parse_trace`, as `check`,
-    `fmt` and `explain` read no trace."""
-    head = re.compile(_gap("g1") + "(?P<var>" + IDENT + ")" + _gap("g2") + "=")
-    # A value token. `call` is a tag with its opening parenthesis.
-    value = re.compile(
-        _gap("g1") + r"(?:(?:(?P<neg>-)" + _gap("g2") + ")?(?P<int>[0-9]+)"
-        r"|" + STRING +
-        r"|(?P<word>" + IDENT + ")(?P<call>" + _gap("g3") + r"\()?"
-        r"|(?P<tuple>\())"
-    )
-    return head, value, re.compile(_gap("g1") + "(?P<sep>[,)])"), re.compile(GAP)
-
-
 def parse_trace(text: str) -> Trace:
     """Parse a `.trace` file; raises ParseFailure on malformed value syntax."""
     trace = _read_trace(text)
@@ -710,72 +683,79 @@ def parse_trace(text: str) -> Trace:
 
 def _read_trace(text: str) -> Trace | None:
     """The trace ``text`` holds, or None where the token path reports an error."""
-    head, value_token, separator, end = _trace_patterns()
+    # The lexer's scan, one tuple of group texts per token (see `lexer`):
+    # the gap, word, int, string, string body, closing quote, punct and bad
+    # character. It ends in a tuple with no token group set, the end.
+    scan = _MASTER.findall(text)
     bindings: list[TraceBinding] = []
     ids: dict[str, VarId] = {}  # one VarId per name, as `_Parser.var` keeps
-    # One value per flat value token, keyed by the token's text as matched,
-    # and one binding per name and such token: the same text is read the
-    # same way.
+    # One value per flat value token, keyed by the token's text ("-" and the
+    # digits for a negative int), and one binding per name and such token:
+    # the same text is read the same way.
     flat: dict[str, Value] = {}
     shared: dict[tuple[str, str], TraceBinding] = {}
     # The values being read: for each open '(' its tag (None for a tuple) and
     # the items read so far.
     open_: list[tuple[str | None, list[Value]]] = []
-    pos = 0
-    while (m := head.match(text, pos)) is not None:
-        name = m["var"]
-        if name in KEYWORDS:
-            return None
-        var = ids.get(name) or ids.setdefault(name, VarId(name))
-        pos = m.end()
+    i = 0
+    while (name := scan[i][1]) and name not in KEYWORDS and scan[i + 1][6] == "=":
+        i += 2
         while True:  # one value token, then the separators that close what it completes
-            m = value_token.match(text, pos)
-            if m is None:
-                return None
-            pos = m.end()
-            token = m[0]
+            _, word, digits, string, body, close, punct, _ = scan[i]
+            i += 1
+            if punct == "(" or word and scan[i][6] == "(":  # a tuple, or a tag and its '('
+                # a keyword tag, or items nested past the cap
+                if word in KEYWORDS or len(open_) + 2 > _MAX_NESTING:
+                    return None
+                if word:
+                    i += 1  # past the tag's '('
+                open_.append((word or None, []))
+                continue
+            if punct == "-" and scan[i][2]:
+                digits = scan[i][2]
+                token = "-" + digits
+                i += 1
+            else:
+                token = word or digits or string
+                if not token:
+                    return None
+            if not open_ and (binding := shared.get((name, token))) is not None:
+                bindings.append(binding)
+                break
             value: Value | None = flat.get(token)
             if value is None:
-                kind = m.lastgroup
-                if kind == "int":
-                    try:
-                        number = int(m["int"])
-                    except ValueError:  # past sys.get_int_max_str_digits()
-                        return None
-                    value = IntV(-number if m["neg"] else number)
-                elif kind == "string":
-                    body = string_value(m["body"])
-                    if body is None or m["close"] is None:
-                        return None
-                    value = StrV(body)
-                elif kind == "word":
-                    word = m["word"]
+                if word:
                     if word in KEYWORDS:
                         if word != "true" and word != "false":
                             return None
                         value = BoolV(word == "true")
                     else:
                         value = ConV(word)
-                else:  # 'call' or 'tuple': an opening parenthesis
-                    word = m["word"]
-                    # its items would be nested past the cap
-                    if word in KEYWORDS or len(open_) + 2 > _MAX_NESTING:
+                elif digits:
+                    try:
+                        number = int(digits)
+                    except ValueError:  # past sys.get_int_max_str_digits()
                         return None
-                    open_.append((word, []))
-                    continue
+                    value = IntV(-number if punct else number)  # punct is the sign
+                else:
+                    body = string_value(body)
+                    if body is None or not close:
+                        return None
+                    value = StrV(body)
                 flat[token] = value
-            if not open_:  # a flat value is the whole binding's value
-                pair = (name, token)
-                bindings.append(shared.get(pair) or shared.setdefault(pair, TraceBinding(var, value)))
+            if not open_:  # a flat value is the whole binding's value, not shared yet
+                var = ids.get(name) or ids.setdefault(name, VarId(name))
+                bindings.append(binding := TraceBinding(var, value))
+                shared[name, token] = binding
                 break
             while open_:
-                m = separator.match(text, pos)
-                if m is None:
+                sep = scan[i][6]
+                if sep != "," and sep != ")":
                     return None
-                pos = m.end()
+                i += 1
                 tag, items = open_[-1]
                 items.append(value)
-                if m["sep"] == ",":
+                if sep == ",":
                     break
                 open_.pop()
                 if tag is not None:
@@ -785,11 +765,11 @@ def _read_trace(text: str) -> Trace | None:
                 else:
                     value = TupleV(tuple(items))
             else:  # the last ')' closed: the binding's compound value is complete
+                var = ids.get(name) or ids.setdefault(name, VarId(name))
                 bindings.append(TraceBinding(var, value))
                 break
-    if end.match(text, pos).end() != len(text):  # the greedy gap, never backtracked
-        return None
-    return Trace(tuple(bindings))
+    # Anything but the end is an error the token path reports.
+    return None if any(scan[i][1:]) else Trace(tuple(bindings))
 
 
 def _parse_trace_tokens(text: str) -> Trace:

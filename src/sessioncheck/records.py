@@ -13,9 +13,10 @@ the ``deep_path`` benchmark's protocol builds 14,022 records. Writing into
 the ``long_trace`` benchmark's ``simulate`` 1.12x slower, as attribute
 reads of such instances lose their specialised fast path. A field whose
 default is ``quiet(...)`` takes no part in ``==``, ``hash`` or ``repr``.
-Fields cannot be reassigned or deleted. It replaces ``dataclasses``, whose
-import and code generation were the largest part of starting the
-command-line tool.
+Fields cannot be reassigned or deleted, so ``copy``, ``deepcopy`` and
+``pickle`` rebuild a record through its constructor, quiet fields
+included. It replaces ``dataclasses``, whose import and code generation
+were the largest part of starting the command-line tool.
 """
 
 
@@ -38,6 +39,10 @@ def _no_assign(self, name, value):
 
 def _no_delete(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _reduce(self):
+    return type(self), tuple(getattr(self, n) for n in self.__slots__)
 
 
 def record(cls):
@@ -63,6 +68,6 @@ def record(cls):
     made = {"_d": defaults, **{f"_set_{n}": getattr(cls, n).__set__ for n in names}}
     exec("\n".join(src), made)
     cls.__init__, cls.__eq__, cls.__hash__ = made["__init__"], made["__eq__"], made["__hash__"]
-    cls.__repr__ = _repr
+    cls.__repr__, cls.__reduce__ = _repr, _reduce
     cls.__setattr__, cls.__delattr__ = _no_assign, _no_delete
     return cls

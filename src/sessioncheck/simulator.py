@@ -263,12 +263,8 @@ Status = Completed | RefinementViolated | TraceExhausted | TraceMismatch
 
 @record
 class RunReport:
-    """A run's events and how it ended. A node run again after the same nodes
-    logs the same immutable `Sent` or `CaseTaken`, each protocol step of one
-    kind and protocol is one `ProtocolEvent`, and a `msg`/`dep` node that
-    meets the same value object again logs the same `MsgCreated` and, if its
-    witness is the same objects, the same `RefinementChecked` (see the
-    module docstring)."""
+    """A run's events and how it ended. Equal events of a loop may be one
+    object; the module docstring gives the reuse rules."""
 
     events: list[Event]
     status: Status

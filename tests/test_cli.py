@@ -600,17 +600,6 @@ def test_a_text_check_leaves_the_json_writers_unloaded(corpus):
     assert out.splitlines()[-1] == "0 False"
 
 
-def test_only_a_trace_compiles_the_trace_patterns(corpus):
-    out = _fresh_python(
-        "from sessioncheck import parser; from sessioncheck.cli import main; "
-        f"main(['check', {str(corpus / 'server.ssn')!r}]); print(parser._trace_patterns.cache_info().currsize); "
-        f"main(['simulate', {str(corpus / 'server.ssn')!r}, '--trace', {str(corpus / 'server_quit.trace')!r}]); "
-        "print(parser._trace_patterns.cache_info().currsize)"
-    )
-    lines = out.splitlines()
-    assert (lines[0], lines[-2], lines[-1]) == ("0", "status: completed", "1")
-
-
 @contextlib.contextmanager
 def _collector(on: bool):
     """Run the block with the cyclic collector switched on or off, then put

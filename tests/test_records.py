@@ -7,13 +7,16 @@ with it every check below.
 
 from __future__ import annotations
 
+import copy
 import importlib
 import inspect
+import pickle
 import pkgutil
 
 import pytest
 
 import sessioncheck
+from sessioncheck import check_file, parse, parse_trace, run_trace
 from sessioncheck.diagnostics import Diagnostic
 from sessioncheck.model import INT, BaseType, KnowledgeIndex, KnowledgeItem, RoleId, Span, TupleType, VarId, VarRef, add_item, add_knower
 from sessioncheck.simulator import Completed, ProtocolEvent, RunReport, Sent
@@ -205,3 +208,27 @@ def test_records_holding_lists_compare_by_value():
     events = [ProtocolEvent("recursed", "P"), ProtocolEvent("called", "P"), ProtocolEvent("ended", "P")]
     assert RunReport(events, Completed()) == RunReport(list(events), Completed())
     assert RunReport(events, Completed()) != RunReport(events[:1], Completed())
+
+
+def _every_field(obj):
+    """``obj`` with each record unfolded into its class name and every field,
+    quiet ones included, so that spans and knowers are compared too."""
+    if type(obj) in RECORDS.values():
+        return (type(obj).__name__, *(_every_field(getattr(obj, n)) for n in type(obj).__slots__))
+    if isinstance(obj, (list, tuple)):
+        return [_every_field(item) for item in obj]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "copy_", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_records_survive_copy_deepcopy_and_pickle(corpus, copy_):
+    file = parse((corpus / "tcp.ssn").read_text())
+    trace = parse_trace((corpus / "tcp_good.trace").read_text())
+    report = run_trace(file, trace)
+    assert report.completed and file.protocols[0].span is not None
+    for record in (Span(1, 2, 3), file, trace, check_file(file, record_steps=True), report):
+        copied = copy_(record)
+        assert type(copied) is type(record) and copied == record
+        assert _every_field(copied) == _every_field(record)

@@ -18,7 +18,7 @@ from io import StringIO
 import pytest
 from conftest import CORPUS
 
-from sessioncheck import cli, lexer, parser
+from sessioncheck import cli, lexer
 from sessioncheck.jsonout import write_report
 from sessioncheck.parser import ParseFailure, _MAX_NESTING, _parse_trace_tokens, _read_trace, parse, parse_trace
 from sessioncheck.printer import format_value
@@ -117,6 +117,9 @@ def test_the_reader_reads_back_printed_values():
 # Each text stops the reader at one of its give-up points; the token path reports it.
 GIVE_UPS = {
     "no match": "x = (1 2)\n",
+    "no equals sign": "x 1\n",
+    "sign without digits": "x = -y\n",
+    "bad character": "x = @\n",
     "trailing text": "x = 1 )\n",
     "keyword variable": "end = 1\n",
     "keyword value": "x = rec\n",
@@ -142,9 +145,9 @@ def test_each_give_up_falls_back_to_the_token_errors(text):
 
 
 def test_the_patterns_use_no_syntax_newer_than_python_3_10():
-    # possessive quantifiers and atomic groups came to `re` in Python 3.11
-    for pattern in (lexer._MASTER, *parser._trace_patterns()):
-        assert re.search(r"[*+?}]\+|\(\?>", pattern.pattern) is None, pattern.pattern
+    # possessive quantifiers and atomic groups came to `re` in Python 3.11;
+    # the lexer's scan is the one pattern both readers use
+    assert re.search(r"[*+?}]\+|\(\?>", lexer._MASTER.pattern) is None, lexer._MASTER.pattern
 
 
 def test_the_deepest_value_the_cap_allows_is_read_directly():
