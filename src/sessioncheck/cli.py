@@ -6,6 +6,13 @@ was closed before the output was written, 2 an input could not be read or
 parsed, or fmt could not write a file back (and, for simulate, a file that
 fails the checker or has no protocol to run).
 
+Each command loads only the modules it runs: ``check`` and ``explain``
+never load the simulator, ``fmt`` loads neither the checker nor the
+simulator, and only ``--format json`` loads the JSON writers (and with
+them both). ``check_file`` and ``run_trace`` are thin functions here that
+import the real one when called, so the commands call them, and tests and
+the benchmark's tracer replace them, by their names in this module.
+
 ``main`` runs with the cyclic garbage collector off, because a run's data
 is acyclic (tests/test_cycles.py), and restores the caller's setting.
 """
@@ -16,32 +23,46 @@ import argparse
 import errno
 import functools
 import gc
-import json  # perfbench/tracing.py wraps cli.json.dumps
 import os
 import stat
 import sys
+from typing import TYPE_CHECKING
 
-from .checker import CheckResult, check_file, resolve_entry
 from .diagnostics import ERROR
-from .model import KnowledgeIndex
 from .parser import ParseFailure, parse, parse_trace
 from .printer import format_source, format_type, format_value
-from .simulator import (
-    CaseTaken,
-    Completed,
-    MsgCreated,
-    ProtocolEvent,
-    RefinementChecked,
-    RefinementViolated,
-    RunReport,
-    Sent,
-    TraceExhausted,
-    TraceMismatch,
-    index_to_json,
-    run_trace,
-)
+
+if TYPE_CHECKING:  # each command loads the checker and simulator only if it runs them
+    from .checker import CheckResult
+    from .model import KnowledgeIndex
+    from .simulator import RunReport
 
 __all__ = ["main"]
+
+
+def __getattr__(name: str):
+    # No command needs json; perfbench/tracing.py wraps cli.json.dumps.
+    if name == "json":
+        import json
+
+        return json
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def check_file(file, **options):
+    """``checker.check_file``, which the commands call by this name: ``fmt``
+    never loads the checker."""
+    from .checker import check_file as check
+
+    return check(file, **options)
+
+
+def run_trace(file, trace, **options):
+    """``simulator.run_trace``, which ``simulate`` calls by this name: only
+    ``simulate`` loads the simulator."""
+    from .simulator import run_trace as run
+
+    return run(file, trace, **options)
 
 
 def _want_color(choice: str, stream) -> bool:
@@ -146,6 +167,8 @@ def _cmd_check(args, color: bool) -> int:
 
 
 def _cmd_simulate(args, color: bool) -> int:
+    from .checker import resolve_entry
+
     loaded = _load_checked(args.files[0], _warner(color))
     if loaded is None or loaded[1].errors:
         return 2  # a file that fails the checker is never executed
@@ -170,6 +193,18 @@ _STEP_WORDS = {"recursed": "rec", "called": "call", "ended": "end"}
 
 
 def _print_report(report: RunReport) -> None:
+    from .simulator import (
+        CaseTaken,
+        Completed,
+        MsgCreated,
+        ProtocolEvent,
+        RefinementChecked,
+        RefinementViolated,
+        Sent,
+        TraceExhausted,
+        TraceMismatch,
+    )
+
     write = sys.stdout.write  # one write per line: print makes two
     for e in report.events:
         if isinstance(e, MsgCreated):
@@ -250,6 +285,8 @@ def _print_explain(result: CheckResult) -> None:
 
 
 def _explain_json(result: CheckResult) -> dict:
+    from .simulator import index_to_json
+
     return {
         "steps": [
             {

@@ -2,12 +2,18 @@
 
 It reads a class's annotated fields in order and rebuilds the class with
 ``__slots__`` equal to them, so an instance has no ``__dict__``. It then
-compiles, in one ``exec``, an ``__init__`` (ending in ``__post_init__`` when
-the class has one), a class-aware ``__eq__`` and a ``__hash__``. The
-``__init__`` stores each field through its slot's descriptor
-(``cls.<field>.__set__``). A ``Span`` then takes ~410 ns to build instead of
-~650 ns through ``object.__setattr__`` into an instance ``__dict__``
-(timeit, Python 3.11), and a field reads as fast as before; one parse of
+gives the class an ``__init__`` (ending in ``__post_init__`` when the class
+has one), a class-aware ``__eq__`` and a ``__hash__``, each a copy of a
+template compiled by one ``exec`` per shape: the number of fields and, for
+``__init__``, whether it calls ``__post_init__``. The copy renames the
+template's parameters to the class's fields (``co_varnames``) and its
+attribute reads to the shown fields (``co_names``), so the package's 56
+record classes share 18 templates; an ``exec`` per class took 7-12 ms of
+every start of the command-line tool. The ``__init__`` stores each
+field through its slot's descriptor (``cls.<field>.__set__``). A ``Span``
+then takes ~410 ns to build instead of ~650 ns through
+``object.__setattr__`` into an instance ``__dict__`` (timeit, Python
+3.11), and a field reads as fast as before; one parse of
 the ``deep_path`` benchmark's protocol builds 14,022 records. Writing into
 ``self.__dict__`` directly builds as fast, but a prototype that did so ran
 the ``long_trace`` benchmark's ``simulate`` 1.12x slower, as attribute
@@ -18,6 +24,8 @@ Fields cannot be reassigned or deleted, so ``copy``, ``deepcopy`` and
 included. It replaces ``dataclasses``, whose import and code generation
 were the largest part of starting the command-line tool.
 """
+
+from types import FunctionType
 
 
 class quiet:
@@ -45,29 +53,48 @@ def _reduce(self):
     return type(self), tuple(getattr(self, n) for n in self.__slots__)
 
 
+# Compiled templates by source text. Field i is ``_f{i}`` in a template, and
+# ``_s{i}`` is its setter in the globals of each class's ``__init__``.
+_TEMPLATES: dict[str, dict] = {}
+
+
+def _template(src: str) -> dict:
+    """The functions ``src`` defines, compiled by one ``exec`` per distinct text."""
+    made = _TEMPLATES.get(src)
+    if made is None:
+        made = _TEMPLATES[src] = {}
+        exec(src, made)
+    return made
+
+
 def record(cls):
     own = dict(cls.__dict__)
     names = list(own.get("__annotations__", ()))
     defaults = {n: own[n].default if isinstance(own[n], quiet) else own[n] for n in names if n in own}
     shown = tuple(n for n in names if not isinstance(own.get(n), quiet))
+    if any(n not in defaults for n in names[len(names) - len(defaults):]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
     for n in (*names, "__dict__", "__weakref__"):
         own.pop(n, None)
-    own["__slots__"], own["_shown"] = tuple(names), shown
-    cls = type(cls)(cls.__name__, cls.__bases__, own)
-    params = [f"{n}=_d[{n!r}]" if n in defaults else n for n in names]
-    sets = [f"_set_{n}(self, {n})" for n in names]
+    fields = [f"_f{i}" for i in range(len(names))]
+    sets = [f"_s{i}(self, {f})" for i, f in enumerate(fields)]
     if "__post_init__" in own:
         sets.append("self.__post_init__()")
-    mine = "".join(f"self.{n}, " for n in shown)
-    src = [f"def __init__(self, {', '.join(params)}):", *(f"    {s}" for s in sets or ["pass"]),
-           "def __eq__(self, other):",
-           "    if other.__class__ is not self.__class__: return NotImplemented",
-           f"    return ({mine}) == ({mine.replace('self.', 'other.')})",
-           f"def __hash__(self): return hash(({mine}))"]
-    # The functions' globals: the defaults and each slot's setter.
-    made = {"_d": defaults, **{f"_set_{n}": getattr(cls, n).__set__ for n in names}}
-    exec("\n".join(src), made)
-    cls.__init__, cls.__eq__, cls.__hash__ = made["__init__"], made["__eq__"], made["__hash__"]
-    cls.__repr__, cls.__reduce__ = _repr, _reduce
-    cls.__setattr__, cls.__delattr__ = _no_assign, _no_delete
+    init = _template(f"def __init__(self, {', '.join(fields)}):\n    " + "\n    ".join(sets or ["pass"]))["__init__"].__code__
+    setters: dict = {}  # the globals of __init__, filled once the class has its slots
+    own["__init__"] = FunctionType(init.replace(co_varnames=("self", *names)), setters, "__init__",
+                                   tuple(defaults[n] for n in names if n in defaults))
+    mine = "".join(f"self._f{i}, " for i in range(len(shown)))
+    compare = _template("\n".join(["def __eq__(self, other):",
+                                   "    if other.__class__ is not self.__class__: return NotImplemented",
+                                   f"    return ({mine}) == ({mine.replace('self.', 'other.')})",
+                                   f"def __hash__(self): return hash(({mine}))"]))
+    rename = dict(zip(fields, shown))
+    for method in ("__eq__", "__hash__"):
+        code = compare[method].__code__
+        own[method] = FunctionType(code.replace(co_names=tuple(rename.get(n, n) for n in code.co_names)), compare, method)
+    own.update(__slots__=tuple(names), _shown=shown, __repr__=_repr, __reduce__=_reduce,
+               __setattr__=_no_assign, __delattr__=_no_delete)
+    cls = type(cls)(cls.__name__, cls.__bases__, own)
+    setters.update((f"_s{i}", getattr(cls, n).__set__) for i, n in enumerate(names))
     return cls

@@ -25,6 +25,11 @@ def run_cli(*args: str, cwd=None, env=None) -> subprocess.CompletedProcess:
     )
 
 
+def fresh_python(code: str, *argv: str) -> str:
+    """The stdout of ``python -c code argv...`` in a fresh interpreter, which must exit 0."""
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60, check=True).stdout
+
+
 def check_source(text: str, **kwargs):
     from sessioncheck import check_file, parse
 

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, fresh_python
 
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
 
@@ -56,7 +56,12 @@ def test_every_workload_op_gives_its_expected_answer(name, tmp_path, monkeypatch
 
 
 def test_no_hook_goes_stale_beyond_the_known_ones():
-    assert set(tracing.missing_hooks()) <= STALE_HOOKS
+    # In a fresh interpreter that has imported only the tracer, so that no
+    # earlier test's command can have bound a name the tracer looks up.
+    code = "import sys; sys.path[:0] = sys.argv[1:]; import tracing; print(*tracing.missing_hooks(), sep='\\n')"
+    paths = [str(CORPUS.parent / "src"), str(CORPUS.parent / "perfbench")]
+    out = fresh_python(code, *paths)
+    assert set(out.split()) <= STALE_HOOKS
 
 
 # Token texts of the benchmark's inputs, which hold no comments and no

@@ -14,7 +14,7 @@ import sys
 import jsonschema
 import pytest
 
-from conftest import nth_operator_col, run_cli
+from conftest import CORPUS, fresh_python, nth_operator_col, run_cli
 
 DIAGNOSTICS_SCHEMA = {
     "type": "array",
@@ -578,13 +578,9 @@ def test_color_auto_looks_at_the_stream_diagnostics_go_to(
     assert "\x1b[" not in other
 
 
-def _fresh_python(code: str) -> str:
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True).stdout
-
-
 def test_importing_the_cli_loads_no_dataclasses():
     # Building the records through dataclasses was most of a cold `check`.
-    out = _fresh_python(
+    out = fresh_python(
         "import sys; before = 'dataclasses' in sys.modules; import sessioncheck.cli; "
         "print(before, 'dataclasses' in sys.modules)"
     )
@@ -593,11 +589,40 @@ def test_importing_the_cli_loads_no_dataclasses():
 
 
 def test_a_text_check_leaves_the_json_writers_unloaded(corpus):
-    out = _fresh_python(
+    out = fresh_python(
         "import sys; from sessioncheck.cli import main; "
         f"code = main(['check', {str(corpus / 'tcp.ssn')!r}]); print(code, 'sessioncheck.jsonout' in sys.modules)"
     )
     assert out.splitlines()[-1] == "0 False"
+
+
+TCP = str(CORPUS / "tcp.ssn")
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["check", TCP], {"sessioncheck.simulator", "sessioncheck.jsonout", "json"}),
+        (["explain", TCP], {"sessioncheck.simulator"}),
+        (["fmt", "--check", TCP], {"sessioncheck.checker", "sessioncheck.simulator"}),
+        (["simulate", TCP, "--trace", str(CORPUS / "tcp_good.trace")], {"sessioncheck.jsonout"}),
+    ],
+    ids=["check", "explain", "fmt", "simulate"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, unloaded):
+    # A cold `python -m sessioncheck argv`, then its exit code and every module loaded.
+    out = fresh_python(
+        "import runpy, sys\n"
+        f"sys.argv = ['sessioncheck', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('sessioncheck', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as stop:\n"
+        "    print(stop.code, *sys.modules)\n"
+    )
+    code, *modules = out.splitlines()[-1].split()
+    assert code == "0"
+    assert {"sessioncheck.cli", "sessioncheck.parser"} <= set(modules)
+    assert set(modules) & unloaded == set()
 
 
 @contextlib.contextmanager
@@ -689,7 +714,7 @@ def test_library_calls_leave_the_collector_alone(corpus, on):
 
 @pytest.mark.parametrize("on", [True, False], ids=["enabled", "disabled"])
 def test_importing_sessioncheck_leaves_the_collector_alone(on):
-    out = _fresh_python(f"import gc; gc.{'enable' if on else 'disable'}(); import sessioncheck.cli; print(gc.isenabled())")
+    out = fresh_python(f"import gc; gc.{'enable' if on else 'disable'}(); import sessioncheck.cli; print(gc.isenabled())")
     assert out == f"{on}\n"
 
 

@@ -16,6 +16,7 @@ import pkgutil
 import pytest
 
 import sessioncheck
+from conftest import fresh_python
 from sessioncheck import check_file, parse, parse_trace, run_trace
 from sessioncheck.diagnostics import Diagnostic
 from sessioncheck.model import INT, BaseType, KnowledgeIndex, KnowledgeItem, RoleId, Span, TupleType, VarId, VarRef, add_item, add_knower
@@ -165,6 +166,41 @@ def test_record_contract(name):
             setattr(record, n, getattr(record, n))
         with pytest.raises(AttributeError):
             delattr(record, n)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_record_methods_keep_their_contract(name, monkeypatch):
+    """Each class's methods, made from templates shared by shape, still
+    hash as the tuple of shown fields, take keywords and defaults, and
+    end in the class's own ``__post_init__``."""
+    cls, args = CASES[name]
+    fields = _fields(cls)
+    record = cls(*args)
+    assert hash(record) == hash(tuple(getattr(record, p.name) for p in fields if p.name not in _quiet(cls)))
+    required = {p.name: a for p, a in zip(fields, args) if p.default is p.empty}
+    bare = cls(**required)
+    assert bare == cls(*(required.get(p.name, p.default) for p in fields))
+    assert all(getattr(bare, p.name) is p.default for p in fields if p.name not in required)
+    if "__post_init__" in vars(cls):
+        seen = []
+        monkeypatch.setattr(cls, "__post_init__", lambda self: seen.append(self))
+        assert cls(**dict(zip((p.name for p in fields), args))) is seen[0]
+
+
+def test_importing_every_module_makes_one_exec_per_template_shape():
+    out = fresh_python(
+        "import builtins, sys\n"
+        "made, real = [], builtins.exec\n"
+        "def counting(*args):\n"
+        "    made.append(sys._getframe(1).f_globals['__name__'])\n"
+        "    return real(*args)\n"
+        "builtins.exec = counting\n"
+        "import sessioncheck.cli, sessioncheck.jsonout\n"
+        "print(made.count('sessioncheck.records'))"
+    )
+    inits = {(len(_fields(cls)), "__post_init__" in vars(cls)) for cls in RECORDS.values()}
+    compares = {len(_fields(cls)) - len(_quiet(cls)) for cls in RECORDS.values()}
+    assert int(out) <= len(inits) + len(compares) < len(RECORDS) // 2
 
 
 def test_records_keep_their_fields_in_slots():
