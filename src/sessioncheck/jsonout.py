@@ -10,6 +10,11 @@ text is held at once. A run's status is the one part written from its
 reference builder: the plain data of ``simulator.status_to_json`` goes
 through the same generic writer as a diagnostic's record.
 
+The three writers share one list writer. An element's text starts with
+the comma, newline and indentation that come before it in the list, and
+the list writer writes each text as it is, one write per element; only
+the first is copied, to open the list.
+
 A loop's run logs one shared event object wherever a round repeats what
 an earlier round logged: a ``Sent``, ``CaseTaken`` or ``ProtocolEvent``,
 and a ``MsgCreated`` or ``RefinementChecked`` of the same value objects
@@ -17,7 +22,10 @@ and a ``MsgCreated`` or ``RefinementChecked`` of the same value objects
 as ``_json_index`` keys items, and looks its text up before it renders: an
 event is rendered at most twice per report, whatever the number of rounds,
 as its text is kept from its second sight on, so the text of an event
-logged once is never held.
+logged once is never held. From its third sight on, a repeated event is
+written as that same string object: no text is built for it, and a
+stream that keeps what it is given, such as an ``io.StringIO`` before
+``getvalue``, keeps one more reference, not one more copy.
 
 A renderer's ``indent`` is the newline and indentation of the line its
 value starts on; the fields or elements of an object or list go two
@@ -46,6 +54,9 @@ _TOP = "\n  "  # the report's own fields
 _ELEM = _TOP + "  "  # an event, step or final index
 _FIELD = _ELEM + "  "  # its fields, among them its index
 _ITEM = _FIELD + "  "  # an index item
+# An element's text starts with the separator before it (see _write_json_list):
+_TOP_SEP = "," + _TOP  # a diagnostic
+_ELEM_SEP = "," + _ELEM  # an event, step or final index
 
 
 def _json_obj(indent: str, fields) -> str:
@@ -108,17 +119,17 @@ def _json_index(index: KnowledgeIndex, items: dict[int, str]) -> str:
     return _json_list(texts, _FIELD)
 
 
-_SENT = _shape(_ELEM, "var", "sender", "receiver", "index_after", kind="sent")
-_MSG_CREATED = _shape(_ELEM, "var", "value", "creator", kind="msg_created")
-_REFINEMENT_CHECKED = _shape(_ELEM, "var", "predicate", "verdict", "witness", kind="refinement_checked")
-_CASE_TAKEN = _shape(_ELEM, "var", "arm", kind="case_taken")
-_PROTOCOL_EVENT = _shape(_ELEM, "kind", "protocol")
+_SENT = _ELEM_SEP + _shape(_ELEM, "var", "sender", "receiver", "index_after", kind="sent")
+_MSG_CREATED = _ELEM_SEP + _shape(_ELEM, "var", "value", "creator", kind="msg_created")
+_REFINEMENT_CHECKED = _ELEM_SEP + _shape(_ELEM, "var", "predicate", "verdict", "witness", kind="refinement_checked")
+_CASE_TAKEN = _ELEM_SEP + _shape(_ELEM, "var", "arm", kind="case_taken")
+_PROTOCOL_EVENT = _ELEM_SEP + _shape(_ELEM, "kind", "protocol")
 
 
 def _json_event(e, texts: dict[int, str | None]) -> str:
-    """``simulator._event_json(e)``, for an event whose text ``texts`` does
-    not hold; ``texts`` maps the id of an index item or of an event seen
-    before to its text, ``None`` after a first sight."""
+    """``simulator._event_json(e)`` after its separator, for an event whose
+    text ``texts`` does not hold; ``texts`` maps the id of an index item or
+    of an event seen before to its text, ``None`` after a first sight."""
     if isinstance(e, MsgCreated):
         text = _MSG_CREATED % (_json_str(e.var), _json_value(e.value, _FIELD), _json_str(e.creator))
     elif isinstance(e, RefinementChecked):
@@ -157,32 +168,38 @@ def _json_record(record, indent: str) -> str:
     raise TypeError(f"not JSON data: {record!r}")
 
 
-def _write_json_list(texts, indent: str) -> None:
+def _write_json_list(texts, sep: str) -> None:
     """Write a list whose elements' texts come from the iterable ``texts``,
-    one write per element, so only one element's text is held at a time."""
+    each starting with ``sep``, a comma and the newline and indentation of
+    an element: one write per element, so only one element's text is held
+    at a time, and each text written as the object given but the first,
+    whose comma becomes ``[``. The list closes two spaces left of ``sep``."""
     write = sys.stdout.write
-    inner = indent + "  "
-    sep = "[" + inner
+    texts = iter(texts)
+    first = next(texts, None)
+    if first is None:
+        write("[]")
+        return
+    write("[" + first[1:])
     for text in texts:
-        write(sep + text)
-        sep = "," + inner
-    write("[]" if sep[0] == "[" else indent + "]")
+        write(text)
+    write(sep[1:-2] + "]")
 
 
 def write_report(report: RunReport) -> None:
     """``simulate --format json``: ``report.to_json()``."""
     texts: dict[int, str | None] = {}
     sys.stdout.write('{\n  "status": ' + _json_record(status_to_json(report.status), _TOP) + ',\n  "events": ')
-    _write_json_list((texts.get(id(e)) or _json_event(e, texts) for e in report.events), _TOP)
+    _write_json_list((texts.get(id(e)) or _json_event(e, texts) for e in report.events), _ELEM_SEP)
     sys.stdout.write("\n}\n")
 
 
-_STEP = _shape(_ELEM, "protocol", "path", "line", "col", "statement", "index_after")
-_FINAL = _shape(_ELEM, "path", "index")
+_STEP = _ELEM_SEP + _shape(_ELEM, "protocol", "path", "line", "col", "statement", "index_after")
+_FINAL = _ELEM_SEP + _shape(_ELEM, "path", "index")
 
 
 def _json_step(rec: StepRecord, items: dict[int, str]) -> str:
-    """One element of ``cli._explain_json(result)["steps"]``."""
+    """One element of ``cli._explain_json(result)["steps"]``, after its separator."""
     line, col = int.__repr__(rec.span.line), int.__repr__(rec.span.col)
     index = _json_index(rec.index_after, items)
     return _STEP % (_json_str(rec.protocol), _json_str(rec.path), line, col, _json_str(rec.text), index)
@@ -192,14 +209,14 @@ def write_explain(result: CheckResult) -> None:
     """``explain --format json``: ``cli._explain_json(result)``."""
     items: dict[int, str] = {}  # shared: steps and final indices put their items at one depth
     sys.stdout.write('{\n  "steps": ')
-    _write_json_list((_json_step(rec, items) for rec in result.step_log), _TOP)
+    _write_json_list((_json_step(rec, items) for rec in result.step_log), _ELEM_SEP)
     sys.stdout.write(',\n  "final_indices": ')
     finals = (_FINAL % (_json_str(label), _json_index(index, items)) for label, index in result.final_indices)
-    _write_json_list(finals, _TOP)
+    _write_json_list(finals, _ELEM_SEP)
     sys.stdout.write("\n}\n")
 
 
 def write_diagnostics(diags: list[dict]) -> None:
     """``check --format json``: the list of diagnostics' JSON records."""
-    _write_json_list((_json_record(d, "\n  ") for d in diags), "\n")
+    _write_json_list((_TOP_SEP + _json_record(d, _TOP) for d in diags), _TOP_SEP)
     sys.stdout.write("\n")

@@ -4,7 +4,11 @@ One trace drives all roles. Each protocol entered (the entry, a `rec`, a
 `call`, or the loop back after `call ... then rec`) starts a fresh store and
 index. Bindings are consumed in order, refinements evaluated on the real
 values and case arms selected by first match; the index is logged after every
-send so runs can be compared step for step against the checker.
+send so runs can be compared step for step against the checker. The run
+picks each statement's branch once, from its exact type, and a `msg` and a
+`dep` share one branch that tells them apart once; only a statement whose
+type is none of the statement records pays for more: a subclass runs as
+the record it extends, and anything else is a `TypeError`.
 
 Because every entry starts a fresh index, a statement in a loop meets the
 same index each round. A run therefore keeps what each `msg`/`dep`, `send`
@@ -367,6 +371,11 @@ def run_trace(file: SourceFile, trace: Trace, *, max_steps: int = 10_000) -> Run
     return RunReport(events, _run(file, entry, iter(trace.bindings), max_steps, events))
 
 
+# The statement records, in the order the run tests them: a dict, for its
+# order and its one-step membership test.
+_STATEMENTS = dict.fromkeys((NewMsg, NewDepMsg, Send, ReadCase, Rec, Call, End))
+
+
 def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], max_steps: int, events: list[Event]) -> Status:
     """Run from ``proto``, appending to ``events``; return how the run ended."""
     # The callers to loop back into when a callee ends, one per `call ...
@@ -395,9 +404,13 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
             if steps > max_steps:
                 return TraceExhausted(None, f"step limit of {max_steps} exceeded")
 
-            if isinstance(stmt, (NewMsg, NewDepMsg)):
+            kind = type(stmt)  # the one dispatch per statement
+            if kind not in _STATEMENTS:  # a subclass runs as the record it extends
+                kind = next((k for k in _STATEMENTS if isinstance(stmt, k)), kind)
+            if kind is NewMsg or kind is NewDepMsg:
+                dep = kind is NewDepMsg
                 var = stmt.var.name
-                declared: TypeExpr = stmt.type if isinstance(stmt, NewMsg) else stmt.rtype
+                declared: TypeExpr = stmt.rtype if dep else stmt.type
                 binding = next(trace, None)
                 if binding is None:
                     return TraceExhausted(var, "trace has no binding left")
@@ -416,7 +429,7 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                 if made is None or made[0] is not last:
                     add_item(index, stmt.var, declared, stmt.creator)
                     made = (last, index[var])
-                    if isinstance(stmt, NewDepMsg):
+                    if dep:
                         # the predicate, the binder named as the predicate names it, and its free variables
                         pred, labels = declared.predicate, declared.labels
                         names = tuple(v.name for v in free_vars_ordered(pred))
@@ -425,7 +438,7 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                 else:
                     index[var] = made[1]
                 events.append(logged[0])
-                if isinstance(stmt, NewDepMsg):
+                if dep:
                     checked = logged[1]
                     if checked is None or not all(bindings.get(name) is v for name, v in checked.witness[1:]):
                         try:
@@ -440,7 +453,7 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                     events.append(checked)
                     if not checked.verdict:
                         return RefinementViolated(var, stmt.span)
-            elif isinstance(stmt, Send):
+            elif kind is Send:
                 made = built.get(id(stmt))  # last, the grown item and the event
                 if made is None or made[0] is not last:
                     add_knower(index, stmt.var, stmt.receiver)
@@ -450,7 +463,7 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                 else:
                     index[stmt.var.name] = made[1]
                 events.append(made[2])
-            elif isinstance(stmt, ReadCase):
+            elif kind is ReadCase:
                 value = bindings.get(stmt.var.name)
                 if value is None:
                     return TraceMismatch(stmt.var.name, "bound message", None, "read of a variable with no value")
@@ -462,10 +475,10 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                     made = built[id(arm)] = (last, CaseTaken(stmt.var.name, format_pattern(arm.pattern)))
                 events.append(made[1])
                 block, pos = arm.body, 0
-            elif isinstance(stmt, Rec):
+            elif kind is Rec:
                 events.append(step("recursed", proto.name))
                 break
-            elif isinstance(stmt, Call):
+            elif kind is Call:
                 callee = file.protocol(param_binding.get(stmt.target, stmt.target))
                 if callee is None:
                     raise ValueError(f"call target '{stmt.target}' did not resolve; run the checker first")
@@ -474,7 +487,7 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                 events.append(step("called", callee.name))
                 proto, param_binding = callee, dict(zip((q.name for q in callee.params), stmt.args))
                 break
-            elif isinstance(stmt, End):
+            elif kind is End:
                 events.append(step("ended", proto.name))
                 if not loops:
                     return Completed()

@@ -59,6 +59,15 @@ protocol P [A] {
 
 NODE = object()  # no node of any kind
 
+
+class MsgLike(NewMsg):
+    pass
+
+
+class EndLike(End):
+    pass
+
+
 CASES = {
     # checker.check_type: a refined payload is checked as its payload
     "check_type_refined": (
@@ -87,6 +96,11 @@ CASES = {
     "run_trace_statement": (
         lambda: simulator.run_trace(protocol_file(NODE), parse_trace("")),
         TypeError(f"not a statement: {NODE!r}"),
+    ),
+    # a subclass of a statement record runs as the record it extends
+    "run_trace_statement_subclass": (
+        lambda: simulator.run_trace(protocol_file(MsgLike(VarId("x"), INT, A), EndLike()), parse_trace("x = 1\n")),
+        simulator.run_trace(protocol_file(NewMsg(VarId("x"), INT, A), End()), parse_trace("x = 1\n")),
     ),
     "value_to_json": (lambda: simulator.value_to_json(NODE), TypeError(f"not a value: {NODE!r}")),
     "event_json": (lambda: simulator.RunReport([NODE], simulator.Completed()).to_json(), TypeError(f"not an event: {NODE!r}")),

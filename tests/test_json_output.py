@@ -164,6 +164,33 @@ def test_each_event_object_is_rendered_at_most_twice(monkeypatch):
     assert sorted(rendered) == sorted([id(e) for e in EVERY_KIND] * 2)
 
 
+def test_a_repeated_event_is_written_as_one_shared_string():
+    class Recorder(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.strings: list[str] = []
+
+        def write(self, s):
+            self.strings.append(s)
+            return super().write(s)
+
+    report = RunReport(EVERY_KIND * 4, Completed())
+    out = Recorder()
+    with redirect_stdout(out):
+        write_report(report)
+    assert out.getvalue() == stdlib(report.to_json())
+    # the status, then one write per event, then the list's and the report's ends
+    events = out.strings[1:-2]
+    assert len(events) == len(report.events)
+    second = {}
+    for sight, (e, text) in enumerate(zip(report.events, events)):
+        rounds = sight // len(EVERY_KIND)
+        if rounds == 1:
+            second[id(e)] = text
+        elif rounds > 1:
+            assert text is second[id(e)], (sight, e)
+
+
 # ---------------------------------------------------------------------------
 # explain, against _explain_json(result), and diagnostics, against their records
 
@@ -214,6 +241,29 @@ def test_writer_streams_list_elements_at_depth_0_and_1():
         # one write per event or diagnostic, so no write holds more than a small part of the document
         assert len(out.sizes) >= 50
         assert max(out.sizes) < len(out.getvalue()) / 25
+
+
+def test_writers_need_only_write_on_the_stream(corpus):
+    class WriteOnly:
+        def __init__(self):
+            self.parts: list[str] = []
+
+        def write(self, s):
+            self.parts.append(s)
+            return len(s)
+
+    result = check_file(parse((corpus / "server.ssn").read_text()), record_steps=True)
+    records = [Diagnostic("E003", ERROR, Span(1, 1), "sender does not know m").to_json("f.ssn")] * 3
+    report = RunReport(EVERY_KIND * 3, Completed())
+    for write, obj, reference in (
+        (write_report, report, report.to_json()),
+        (write_explain, result, _explain_json(result)),
+        (write_diagnostics, records, records),
+    ):
+        out = WriteOnly()
+        with redirect_stdout(out):
+            write(obj)
+        assert "".join(out.parts) == stdlib(reference)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sessioncheck import lexer
 from sessioncheck.lexer import tokenize
+from sessioncheck.model import IDENT
 
 LONG = "9" * (sys.get_int_max_str_digits() + 1)  # too long to convert: the parser reports it
 ESCAPE = (1, 1, "invalid string escape")
@@ -92,3 +94,31 @@ def test_token_text_and_position_match_its_offset(src):
             pos = _BAD_STRING.match(src, pos, t.offset).end() if src[pos] == '"' else pos + 1
         end = t.offset + len(t.text)
 
+
+# The scan before its gap and string body were unrolled and its single
+# punctuation characters put in one class, kept verbatim as the reference
+# the unrolled pattern must agree with match for match.
+_REFERENCE_MASTER = re.compile(
+    r"((?:[ \t\r\n]+|--[^\n]*)*)(?:(?P<word>" + IDENT + ")"
+    r"|(?P<int>[0-9]+)"
+    r'|(?P<string>"(?P<body>(?:\\["\\]|\\|[^"\\\n])*)(?P<close>")?)'
+    r"|(?P<punct>" + "|".join(map(re.escape, lexer._PUNCT)) + ")"
+    r"|\Z"
+    r"|(?P<bad>.))",
+    re.DOTALL,
+)
+
+SCAN_PIECES = ['"', "\\", "--", "\n", "\r\n", "-", "<", ">", "=", "!", "_", "é", "a", "Z", "q", "0", "7", " "]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(SCAN_PIECES), max_size=30).map("".join))
+@example('"a\\"b"')
+@example('"a\\\\"')
+@example('"a\\q"')
+@example('"abc')
+@example('"a\\')
+@example("a--b")
+@example("<=<->=>")
+def test_the_scan_matches_the_reference_pattern(src):
+    assert lexer._MASTER.findall(src) == _REFERENCE_MASTER.findall(src)
