@@ -1,48 +1,55 @@
 """Tokenizer shared by the `.ssn` and `.trace` grammars.
 
 One compiled master regex scans the whole text in one ``findall``, with
-one match per token. Each match starts with the whitespace and ``--`` line
-comments before the token (the gap), then takes the first alternative that
-matches: a word, an int, a string, punctuation, the end of the text, or
-any one bad character. ``findall`` gives each match as one tuple of its
-groups' texts, so the loop reads a token's kind from the one group that is
-not empty, and the end of the text from all of them being empty. It keeps
-the offset by adding up the lengths, and the line by counting the newlines
-in each gap: only a gap can span a newline, so a token's column follows
-from the offset of the last one. The loop makes no match object and no
-``lastgroup``, ``start`` or ``count`` call per token. On the 15,344 tokens
-of the ``deep_path`` benchmark's protocol that cuts the Python work after
-the regex by about a fifth, more than ``findall``'s eight group strings per
-match add to the regex's own time, and ``tokenize`` takes ~5% less time
-than a ``finditer`` loop did (Python 3.11, in-process, best of 41). The
-gap and a string's body are written as unrolled loops, a run of plain
-characters and then rounds that each start with a special one (see
-``_MASTER``), so the regex engine takes an indent or the text between two
-escapes in one tight loop instead of trying alternatives per character.
-With the single punctuation characters in one class, that makes
-``findall`` 0.77x as long as the loops over alternatives did on the
-``long_trace`` benchmark's trace, 0.90x on ``deep_path``'s protocol and
-0.87x on the corpus (Python 3.11, in-process, median of 31 paired rounds),
-for the same list of matches. Strings are double-quoted with ``\\"`` and
-``\\\\`` escapes and end at a newline; only a string that holds a
-backslash is decoded. Errors do not stop the scan; a string with a bad
-escape or no closing quote yields no token. A lex error is a
-``Diagnostic`` with the ``parse`` code, made by ``parse_error`` as the
-parser's errors are, so the parser adds it to its own list as it stands
-and the CLI reports it as it reports a checker finding. The parser's
-trace reader walks the same scan's tuples and decodes strings
-with ``string_value``, so a trace has no token syntax of its own.
+one match per token and three groups per match: the gap (whitespace and
+``--`` line comments) before the token, the token's text, and a string's
+closing quote. A token's text is a word, an int, a string, punctuation,
+one bad character, or empty at the end of the text. The gap and a string's
+body are written as unrolled loops (see ``_MASTER``).
+
+``tokenize`` turns the scan into parallel lists, one entry per token:
+kinds, texts, values and start offsets, with no object per token. The
+lists are built by C-level passes over the scan: the offsets add up the
+gap and text lengths with ``itertools.accumulate``, and a keyword's or
+punctuation token's kind is its text, looked up in ``_KIND`` through
+``map``. One Python loop then visits only the tokens that lookup missed;
+there, a token's kind follows from its first character (``_FIRST``): a
+letter gives ``ident``, a digit ``int``, ``"`` ``string``, the empty text
+``eof``, and anything else is a bad character. That loop makes the int
+and string values and every lex error. On the ``deep_path`` benchmark's
+protocol, 15,345 tokens of which 5,681 are not keywords or punctuation,
+``tokenize`` takes 0.64-0.68x the time of the loop that built one token
+tuple per match (Python 3.11, in-process, medians of 21-31 paired rounds).
+
+No token carries a line or column. ``line_starts`` makes a table of the
+offset each line starts at, and ``position`` finds a line and column in
+it with ``bisect``; that is done only where a source span or an error is
+made (6,382 spans for the 15,345 tokens of that protocol). Only ``\n`` ends a line, so ``\r``
+and a tab each take one column.
+
+Strings are double-quoted with ``\"`` and ``\\`` escapes and end at a
+newline; only a string that holds a backslash is decoded. Errors do not
+stop the scan; a string with a bad escape or no closing quote and a bad
+character yield no token. A lex error is a ``Diagnostic`` with the
+``parse`` code, made by ``parse_error`` as the parser's errors are, so the
+parser adds it to its own list as it stands and the CLI reports it as it
+reports a checker finding. The parser's trace reader walks the same
+scan's tuples (see ``parser``) and decodes strings with ``string_value``,
+so a trace has no token syntax of its own.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import accumulate, compress, count
+from operator import add, not_, sub
 
 from .diagnostics import ERROR, Diagnostic
 from .model import IDENT, Span
 
-__all__ = ["Token", "KEYWORDS", "parse_error", "string_value", "tokenize"]
+__all__ = ["KEYWORDS", "line_starts", "parse_error", "position", "string_value", "tokenize"]
 
 KEYWORDS = frozenset(
     [
@@ -79,28 +86,34 @@ _PUNCT = [
     "<", ">", "[", "]", "{", "}", "(", ")", ",", ";", ":", "|", "=", ".", "+", "-", "*", "!", "_",
 ]
 
-# The first group is the gap, the whitespace and `--` line comments before
-# a token. Identifiers and numbers are ASCII only: unicode letters and
-# digits fall through to `bad` instead of being accepted the way \w or \d
-# would. A string's body keeps a backslash not followed by `"` or `\` for
-# the error, and its closing quote is there only if the line has one.
-# The gap and the string body are written unrolled, `plain*(?:special
-# plain*)*`, rather than as a loop over alternatives: the engine then takes
-# each run of plain characters (an indent, the text between two escapes)
-# in one tight loop, with no choice point per character, and matches the
-# same text, as only `special` can start another round. Punctuation is the
-# multi-character operators, longest first, then one class of the single
-# characters. Since the end of the text or `bad` matches wherever the gap
-# ends, a match never backtracks into the gap. The end is the one
-# alternative with no group, so that every group of its match is empty.
+# A keyword or punctuation token is its own kind.
+_KIND = {text: text for text in (*KEYWORDS, *_PUNCT)}
+# Any other token's kind follows from its first character; the end of the
+# text is the one empty token, and any other character is `bad`.
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_FIRST = {**dict.fromkeys(_LETTERS, "ident"), **dict.fromkeys("0123456789", "int"), '"': "string", "": "eof"}
+
+# Three groups: the gap (whitespace and `--` line comments before a token),
+# the token's text, and a string's closing quote, which is there only if
+# the line has one. Identifiers and numbers are ASCII only: unicode letters
+# and digits fall through to `bad` instead of being accepted the way \w or
+# \d would. A string's body keeps a backslash not followed by `"` or `\`
+# for the error. The gap and the string body are written unrolled,
+# `plain*(?:special plain*)*`, rather than as a loop over alternatives: the
+# engine then takes each run of plain characters (an indent, the text
+# between two escapes) in one tight loop, with no choice point per
+# character, and matches the same text, as only `special` can start another
+# round. Punctuation is the multi-character operators, longest first, then
+# one class of the single characters. Since the end of the text or a bad
+# character matches wherever the gap ends, a match never backtracks into the
+# gap. The end is the one alternative that takes no character.
 _MASTER = re.compile(
-    r"([ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*)(?:(?P<word>" + IDENT + ")"
-    r"|(?P<int>[0-9]+)"
-    r'|(?P<string>"(?P<body>[^"\\\n]*(?:\\["\\]?[^"\\\n]*)*)(?P<close>")?)'
-    r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCT if len(p) > 1)
-    + "|[" + "".join(re.escape(p) for p in _PUNCT if len(p) == 1) + "])"
-    r"|\Z"
-    r"|(?P<bad>.))",
+    r"([ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*)(" + IDENT
+    + r"|[0-9]+"
+    r'|"[^"\\\n]*(?:\\["\\]?[^"\\\n]*)*(")?'
+    r"|" + "|".join(re.escape(p) for p in _PUNCT if len(p) > 1)
+    + "|[" + "".join(re.escape(p) for p in _PUNCT if len(p) == 1) + "]"
+    r"|\Z|.)",
     re.DOTALL,
 )
 
@@ -109,20 +122,22 @@ _MASTER = re.compile(
 _ESCAPE = re.compile(r'\\(["\\]?)')
 
 
-class Token(NamedTuple):
-    kind: str  # keyword text, punct text, or one of: ident, int, string, eof
-    text: str
-    # str for ident/string, int for int, None otherwise; also None for an
-    # int literal longer than the interpreter converts (the parser reports it)
-    value: object
-    line: int
-    col: int
-    offset: int
-
-
 def parse_error(line: int, col: int, message: str) -> Diagnostic:
     """The record of a lex or parse error at ``line``:``col``."""
     return Diagnostic("parse", ERROR, Span(line, col), message)
+
+
+def line_starts(text: str) -> list[int]:
+    """The offset of each line's first character, for ``position``, and then
+    ``len(text) + 1``, past every offset. Only ``\\n`` ends a line."""
+    # Each line is one character longer than its text, for its newline.
+    return list(accumulate(map((1).__add__, map(len, text.split("\n"))), initial=0))
+
+
+def position(starts: list[int], offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset``, given ``line_starts``."""
+    line = bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
 
 
 def string_value(body: str) -> str | None:
@@ -135,53 +150,54 @@ def string_value(body: str) -> str | None:
     return _ESCAPE.sub(r"\1", body)
 
 
-def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
-    tokens: list[Token] = []
-    errors: list[Diagnostic] = []
-    append = tokens.append
-    new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
-    line = 1
-    line_start = 0  # offset of the first character of the current line
-    offset = 0  # of the gap, then of the token after it
-    for gap, word, digits, string, body, close, punct, bad in _MASTER.findall(text):
-        if gap:
-            if newlines := gap.count("\n"):
-                line += newlines
-                line_start = offset + gap.rindex("\n") + 1
-            offset += len(gap)
-        col = offset - line_start + 1
-        if word:
-            if word in KEYWORDS:  # a keyword token is its own kind
-                append(new(Token, (word, word, None, line, col, offset)))
-            else:
-                append(new(Token, ("ident", word, word, line, col, offset)))
-            offset += len(word)
-        elif punct:  # so is a punctuation token
-            append(new(Token, (punct, punct, None, line, col, offset)))
-            offset += len(punct)
-        elif digits:
+def tokenize(text: str) -> tuple[list[str], Sequence[str], list[object], list[int], list[Diagnostic]]:
+    """The tokens of ``text`` as parallel lists, and its lex errors.
+
+    Token ``i`` has kind ``kinds[i]`` (a keyword's or punctuation token's
+    text, or ``ident``, ``int``, ``string`` or ``eof``), text ``texts[i]``,
+    value ``values[i]`` (the name of an ident, the int of an int, None for
+    an int longer than the interpreter converts, which the parser reports,
+    the decoded string of a string, None otherwise) and start offset
+    ``offsets[i]``. The last token is the one ``eof``.
+    """
+    scan = _MASTER.findall(text)
+    if len(scan) > 1 and not scan[-2][1]:
+        # After a match that reaches the end, `\Z` matches once more, empty;
+        # only the first empty match is the end.
+        del scan[-1]
+    gaps, texts, closes = zip(*scan)
+    lengths = list(map(len, texts))
+    offsets = list(map(sub, accumulate(map(add, map(len, gaps), lengths)), lengths))
+    kinds: list = list(map(_KIND.get, texts))
+    values: list[object] = [None] * len(kinds)
+    faults: list[tuple[int, str]] = []  # (index, message) of each lex error
+    for i in compress(count(), map(not_, kinds)):  # the tokens `_KIND` missed
+        tok = texts[i]
+        kind = kinds[i] = _FIRST.get(tok[:1], "bad")
+        if kind == "ident":
+            values[i] = tok
+        elif kind == "int":
             try:
-                value = int(digits)
+                values[i] = int(tok)
             except ValueError:  # past sys.get_int_max_str_digits()
-                value = None
-            append(new(Token, ("int", digits, value, line, col, offset)))
-            offset += len(digits)
-        elif string:
-            value = string_value(body)
+                pass
+        elif kind == "string":
+            close = closes[i]
+            body = tok[1:-1] if close else tok[1:]
+            value = values[i] = string_value(body)
             if value is None:
-                bad_escapes = _ESCAPE.findall(body).count("")
-                errors.extend(parse_error(line, col, "invalid string escape") for _ in range(bad_escapes))
+                faults.extend([(i, "invalid string escape")] * _ESCAPE.findall(body).count(""))
             if not close:
-                errors.append(parse_error(line, col, "unterminated string literal"))
-            elif value is not None:
-                append(new(Token, ("string", string, value, line, col, offset)))
-            offset += len(string)
-        elif bad:
-            errors.append(parse_error(line, col, f"unexpected character {bad!r}"))
-            offset += 1
-        else:
-            # The end of the text. After a match that reaches it, `\Z`
-            # matches once more, empty; only the first makes the 'eof' token.
-            append(new(Token, ("eof", "", None, line, col, offset)))
-            break
-    return tokens, errors
+                faults.append((i, "unterminated string literal"))
+        elif kind == "bad":
+            faults.append((i, f"unexpected character {tok!r}"))
+    if not faults:
+        return kinds, texts, values, offsets, []
+    # A string or character that gave an error yields no token.
+    starts = line_starts(text)
+    errors = [parse_error(*position(starts, offsets[i]), message) for i, message in faults]
+    keep = [True] * len(kinds)
+    for i, _ in faults:
+        keep[i] = False
+    kinds, texts, values, offsets = (list(compress(tokens, keep)) for tokens in (kinds, texts, values, offsets))
+    return kinds, texts, values, offsets, errors

@@ -32,6 +32,12 @@ can be reported in one run. Input nested past the depth cap is the
 exception: it unwinds to the enclosing top-level declaration and parsing
 resumes at the next one, so the cap is reported once.
 
+The parser reads the parallel token lists of ``lexer.tokenize`` by
+position: ``kinds[pos]`` decides every rule, ``texts[pos]`` gives a name,
+``values[pos]`` an int or a string, and an error records the position of
+the token it is reported at. Line and column are looked up in the text's
+table of line starts only when a ``Span`` or an error is made.
+
 A `.trace` file is a sequence of `IDENT '=' value` bindings, where
 
     value := ['-'] INT | STRING | 'true' | 'false'
@@ -39,24 +45,26 @@ A `.trace` file is a sequence of `IDENT '=' value` bindings, where
 
 A binding has no span, so a well-formed trace needs no token positions: it
 is read by walking the lexer's scan of the text (`lexer._MASTER.findall`,
-one tuple of group texts per token) by index, with no `Token` list and no
-pattern of its own. At the first thing that is not well formed the reader
-gives up, and the token parser reads the whole text again and reports
-every error, as it does for a `.ssn` file; the tests hold the two to the
-same results. The reader shares what a trace repeats: a flat value token
-(an int with its sign, a string, a bare tag, `true` or `false`) with the
-same text again gives the same value object, and a name bound to such a
-token again gives the same `TraceBinding`, so a loop that binds a value
-again hands the simulator the same objects (see `simulator`). A compound
-value is built fresh each time.
+one (gap, token text, closing quote) tuple per token) by index, with no
+token lists and no pattern of its own; a value token's kind follows from
+its first character, as in the lexer. At the first thing that is not well
+formed the reader gives up, and the token parser reads the whole text
+again and reports every error, as it does for a `.ssn` file; the tests
+hold the two to the same results. The reader shares what a trace repeats:
+a flat value token (an int with its sign, a string, a bare tag, `true` or
+`false`) with the same text again gives the same value object, and a name
+bound to such a token again gives the same `TraceBinding`, so a loop that
+binds a value again hands the simulator the same objects (see
+`simulator`). A compound value is built fresh each time.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 
 from .diagnostics import Diagnostic
-from .lexer import _MASTER, KEYWORDS, Token, parse_error, string_value, tokenize
+from .lexer import _FIRST, _MASTER, KEYWORDS, line_starts, parse_error, position, string_value, tokenize
 from .model import (
     BINARY_OPS,
     Arith,
@@ -126,14 +134,10 @@ class ParseFailure(Exception):
 
 
 class _SyntaxError(Exception):
-    def __init__(self, tok: Token, message: str):
+    def __init__(self, pos: int, message: str):
         super().__init__(message)
-        self.tok = tok
+        self.pos = pos  # of the token the error is reported at
         self.message = message
-
-
-def _expected(tok: Token, want: str) -> _SyntaxError:
-    return _SyntaxError(tok, f"expected {want}, found {tok.text!r}" if tok.kind != "eof" else f"expected {want}, found end of input")
 
 
 class _NestingError(_SyntaxError):
@@ -169,7 +173,7 @@ def _nested(parse):
         p.nesting += 1
         try:
             if p.nesting > _MAX_NESTING:
-                raise _NestingError(p.peek(), _TOO_DEEP)
+                raise _NestingError(p.pos, _TOO_DEEP)
             return parse(p, *args)
         finally:
             p.nesting -= 1
@@ -178,8 +182,14 @@ def _nested(parse):
 
 
 class _Parser:
+    """The parse state: the token lists of ``tokenize``, read by position
+    ``pos``. A rule takes a token (``pos += 1``) only once it has checked
+    that token's kind, and no rule takes 'eof', so ``pos`` never passes
+    the last token."""
+
     def __init__(self, text: str):
-        self.tokens, self.errors = tokenize(text)
+        self.kinds, self.texts, self.values, self.offsets, self.errors = tokenize(text)
+        self.line_starts = line_starts(text)
         self.pos = 0
         self.nesting = 0
         self.operators = 0  # built so far by the refinement being parsed
@@ -191,37 +201,37 @@ class _Parser:
         """Count an operator against the refinement's budget."""
         self.operators += 1
         if self.operators > _MAX_OPERATORS:
-            raise _NestingError(self.peek(), f"refinement with more than {_MAX_OPERATORS} operators")
+            raise _NestingError(self.pos, f"refinement with more than {_MAX_OPERATORS} operators")
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, k: int = 0) -> Token:
-        # In bounds: a lookahead of k > 0 is only taken past a token that is
-        # not 'eof', so position pos + k - 1 is before the last token.
-        return self.tokens[self.pos + k]
+    def peek(self, k: int = 0) -> str:
+        """The kind of the token ``k`` ahead. In bounds: a lookahead of
+        k > 0 is only taken past a token that is not 'eof', so position
+        pos + k - 1 is before the last token."""
+        return self.kinds[self.pos + k]
 
     def at(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind  # pos never passes 'eof'
+        return self.kinds[self.pos] == kind
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            raise _expected(tok, what or f"'{kind}'")
-        self.pos += 1  # never past 'eof': no rule expects it
-        return tok
+    def expect(self, kind: str, what: str | None = None) -> int:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.expected(what or f"'{kind}'")
+        self.pos = pos + 1  # never past 'eof': no rule expects it
+        return pos
 
     def ident(self, what: str) -> str:
-        tok = self.tokens[self.pos]
-        if tok.kind != "ident":
-            raise _expected(tok, what)
-        self.pos += 1
-        return tok.value
+        pos = self.pos
+        if self.kinds[pos] != "ident":
+            raise self.expected(what)
+        self.pos = pos + 1
+        return self.texts[pos]
+
+    def expected(self, want: str) -> _SyntaxError:
+        """The error for finding the current token where ``want`` belongs."""
+        found = repr(self.texts[self.pos]) if self.kinds[self.pos] != "eof" else "end of input"
+        return _SyntaxError(self.pos, f"expected {want}, found {found}")
 
     def var(self, name: str) -> VarId:
         return self.vars.get(name) or self.vars.setdefault(name, VarId(name))
@@ -233,29 +243,35 @@ class _Parser:
         """``x (',' x)*``: one or more results of ``parse_one()``."""
         out = [parse_one()]
         while self.at(","):
-            self.advance()
+            self.pos += 1
             out.append(parse_one())
         return out
 
-    def int_value(self, tok: Token) -> int:
+    def int_value(self, pos: int) -> int:
         """An int token's value; one past the interpreter's int/str digit limit is an error."""
-        if tok.value is None:
-            raise _SyntaxError(tok, f"integer literal longer than {sys.get_int_max_str_digits()} digits")
-        return tok.value
+        value = self.values[pos]
+        if value is None:
+            raise _SyntaxError(pos, f"integer literal longer than {sys.get_int_max_str_digits()} digits")
+        return value
 
-    def span_from(self, start: Token) -> Span:
-        """From ``start`` to the end of the last token taken, which ``start`` is or precedes."""
-        end = self.tokens[self.pos - 1]
-        return Span(start.line, start.col, max(end.offset + len(end.text) - start.offset, 1))
+    def span_from(self, start: int) -> Span:
+        """From the token at ``start`` to the end of the last token taken,
+        which ``start`` is or precedes."""
+        offsets = self.offsets
+        offset = offsets[start]
+        end = self.pos - 1
+        starts = self.line_starts
+        line = bisect_right(starts, offset)  # `position`, inlined: a parse makes a span per construct
+        return Span(line, offset - starts[line - 1] + 1, max(offsets[end] + len(self.texts[end]) - offset, 1))
 
-    def error(self, tok: Token, message: str) -> None:
-        self.errors.append(parse_error(tok.line, tok.col, message))
+    def error(self, pos: int, message: str) -> None:
+        self.errors.append(parse_error(*position(self.line_starts, self.offsets[pos]), message))
 
     def sync_stmt(self) -> None:
         """Skip to the next statement boundary."""
         depth = 0
         while not self.at("eof"):
-            kind = self.peek().kind
+            kind = self.peek()
             if depth == 0 and kind in (";", "}") or kind in _TOP_KEYWORDS:
                 return
             if kind in ("{", "(", "["):
@@ -264,7 +280,7 @@ class _Parser:
                 depth -= 1
                 if depth < 0:
                     return
-            self.advance()
+            self.pos += 1
 
     def sync_arm(self) -> bool:
         """Skip the rest of an arm whose head did not parse, up to the ';'
@@ -273,21 +289,21 @@ class _Parser:
         arm body holds no ';' or '}' inside parentheses or brackets."""
         start = self.pos
         depth = 0
-        while not self.at("eof") and self.peek().kind not in _TOP_KEYWORDS:
-            kind = self.peek().kind
+        while not self.at("eof") and self.peek() not in _TOP_KEYWORDS:
+            kind = self.peek()
             if depth == 0 and (kind == "}" or kind == ";" and self.ends_arm()):
                 return True
             if kind == "{":
                 depth += 1
             elif kind == "}":
                 depth -= 1
-            self.advance()
+            self.pos += 1
         self.pos = start
         return False
 
     def sync_top(self) -> None:
-        while not self.at("eof") and self.peek().kind not in _TOP_KEYWORDS:
-            self.advance()
+        while not self.at("eof") and self.peek() not in _TOP_KEYWORDS:
+            self.pos += 1
 
     # -- top level ---------------------------------------------------------
 
@@ -298,7 +314,7 @@ class _Parser:
         entry: str | None = None
         while not self.at("eof"):
             try:
-                kind = self.peek().kind
+                kind = self.peek()
                 if kind == "roles":
                     roles.extend(self.parse_roles())
                 elif kind == "type":
@@ -306,15 +322,16 @@ class _Parser:
                 elif kind == "protocol":
                     protocols.append(self.parse_protocol())
                 elif kind == "entry":
-                    tok = self.advance()
+                    start = self.pos
+                    self.pos += 1
                     name = self.ident("a protocol name")
                     if entry is not None:
-                        self.error(tok, "duplicate entry declaration")
+                        self.error(start, "duplicate entry declaration")
                     entry = name
                 else:
-                    raise _SyntaxError(self.peek(), "expected 'roles', 'type', 'protocol', or 'entry'")
+                    raise _SyntaxError(self.pos, "expected 'roles', 'type', 'protocol', or 'entry'")
             except _SyntaxError as err:
-                self.error(err.tok, err.message)
+                self.error(err.pos, err.message)
                 self.sync_top()
         return SourceFile(tuple(roles), tuple(variants), tuple(protocols), entry)
 
@@ -322,8 +339,8 @@ class _Parser:
         self.expect("roles")
 
         def role() -> RoleDecl:
-            tok = self.expect("ident", "a role name")
-            return RoleDecl(tok.value, Span(tok.line, tok.col, len(tok.text)))
+            pos = self.expect("ident", "a role name")
+            return RoleDecl(self.texts[pos], self.span_from(pos))
 
         return self.comma_list(role)
 
@@ -333,33 +350,34 @@ class _Parser:
         self.expect("=")
         ctors = [self.parse_ctor()]
         while self.at("|"):
-            self.advance()
+            self.pos += 1
             ctors.append(self.parse_ctor())
         return VariantDecl(name, tuple(ctors), self.span_from(start))
 
     def parse_ctor(self) -> Ctor:
-        tok = self.expect("ident", "a constructor tag")
+        start = self.expect("ident", "a constructor tag")
         payload: TypeExpr | None = None
         if self.at("("):
-            self.advance()
+            self.pos += 1
             elems = self.comma_list(self.parse_type)
             self.expect(")")
             payload = elems[0] if len(elems) == 1 else TupleType(tuple(elems))
-        return Ctor(tok.value, payload, self.span_from(tok))
+        return Ctor(self.texts[start], payload, self.span_from(start))
 
     def parse_protocol(self) -> ProtocolDecl:
         start = self.expect("protocol")
         name = self.ident("a protocol name")
 
         def param() -> ProtoParam:
-            tok = self.expect("ident", "a parameter name")
+            pos = self.expect("ident", "a parameter name")
+            span = self.span_from(pos)
             self.expect(":")
             self.expect("protocol")
-            return ProtoParam(tok.value, self.parse_role_list(), Span(tok.line, tok.col, len(tok.text)))
+            return ProtoParam(self.texts[pos], self.parse_role_list(), span)
 
         params: list[ProtoParam] = []
         if self.at("<"):
-            self.advance()
+            self.pos += 1
             params = self.comma_list(param)
             self.expect(">")
         participants = self.parse_role_list()
@@ -377,12 +395,12 @@ class _Parser:
     # -- statements ----------------------------------------------------------
 
     def starts_arm(self, k: int = 0) -> bool:
-        kind = self.peek(k).kind
-        return kind in _PATTERN_STARTS or kind == "ident" and self.peek(k + 1).kind == "=>"
+        kind = self.peek(k)
+        return kind in _PATTERN_STARTS or kind == "ident" and self.peek(k + 1) == "=>"
 
     def ends_arm(self) -> bool:
         """At a ';' that separates arms (or ends the last one)."""
-        return self.starts_arm(1) or self.peek(1).kind == "}"
+        return self.starts_arm(1) or self.peek(1) == "}"
 
     def parse_block(self, in_arm: bool) -> Block:
         """A block's statements. The block takes one level of the depth
@@ -399,7 +417,7 @@ class _Parser:
                 if in_arm and self.starts_arm():
                     break
                 if self.nesting > _MAX_NESTING:
-                    raise _NestingError(self.peek(), _TOO_DEEP)
+                    raise _NestingError(self.pos, _TOO_DEEP)
                 try:
                     stmt = self.parse_stmt()
                     if stmt is not None:
@@ -407,7 +425,7 @@ class _Parser:
                 except _NestingError:
                     raise
                 except _SyntaxError as err:
-                    self.error(err.tok, err.message)
+                    self.error(err.pos, err.message)
                     before = self.pos
                     self.sync_stmt()
                     if self.pos == before and not self.at(";"):
@@ -415,7 +433,7 @@ class _Parser:
                 if self.at(";"):
                     if in_arm and self.ends_arm():
                         break  # the ';' separates arms; leave it for the read loop
-                    self.advance()
+                    self.pos += 1
                     continue
                 break
         finally:
@@ -423,33 +441,33 @@ class _Parser:
         clean = len(self.errors) == errors_before
         if not stmts:
             if clean:
-                self.error(self.peek(), "expected a statement")
+                self.error(self.pos, "expected a statement")
         elif clean and not isinstance(stmts[-1], TERMINATORS):
-            self.error(self.peek(), "a path must finish with 'end', 'rec', 'call', or 'read'")
+            self.error(self.pos, "a path must finish with 'end', 'rec', 'call', or 'read'")
         return tuple(stmts)
 
     def parse_stmt(self) -> Stmt | None:
         """One statement, or None for a read whose every arm was skipped
         (its errors are already recorded)."""
-        tok = self.peek()
-        kind = tok.kind
+        start = self.pos
+        kind = self.kinds[start]
         if kind in ("msg", "dep"):
-            self.advance()
+            self.pos += 1
             var = self.var(self.ident("a message variable"))
             self.expect(":")
             type_ = self.parse_type() if kind == "msg" else self.parse_refined_type()
             self.expect("by")
             creator = self.role(self.ident("a role name"))
-            return (NewMsg if kind == "msg" else NewDepMsg)(var, type_, creator, self.span_from(tok))
+            return (NewMsg if kind == "msg" else NewDepMsg)(var, type_, creator, self.span_from(start))
         if kind == "send":
-            self.advance()
+            self.pos += 1
             var = self.var(self.ident("a message variable"))
             sender = self.role(self.ident("the sending role"))
             self.expect("->")
             receiver = self.role(self.ident("the receiving role"))
-            return Send(var, sender, receiver, self.span_from(tok))
+            return Send(var, sender, receiver, self.span_from(start))
         if kind == "read":
-            self.advance()
+            self.pos += 1
             var = self.var(self.ident("a message variable"))
             self.expect("{")
             arms = [self.parse_arm()]
@@ -457,121 +475,130 @@ class _Parser:
             # error already stands for that; a skipped arm (None) stops at ';' or '}'.
             while self.at(";") or self.starts_arm():
                 if self.at(";"):
-                    self.advance()
+                    self.pos += 1
                     if self.at("}"):
                         break
                 elif arms[-1].body:
-                    err = _expected(self.peek(), "'}'")
-                    self.error(err.tok, err.message)
+                    err = self.expected("'}'")
+                    self.error(err.pos, err.message)
                 arms.append(self.parse_arm())
             self.expect("}")
             arms = [arm for arm in arms if arm is not None]
-            return ReadCase(var, tuple(arms), self.span_from(tok)) if arms else None
+            return ReadCase(var, tuple(arms), self.span_from(start)) if arms else None
         if kind == "rec":
-            self.advance()
-            return Rec(self.span_from(tok))
+            self.pos += 1
+            return Rec(self.span_from(start))
         if kind == "call":
-            self.advance()
+            self.pos += 1
             target = self.ident("a protocol name")
             args: list[str] = []
             if self.at("("):
-                self.advance()
+                self.pos += 1
                 args = self.comma_list(lambda: self.ident("a protocol name"))
                 self.expect(")")
             then_rec = False
             if self.at("then"):
-                self.advance()
+                self.pos += 1
                 self.expect("rec")
                 then_rec = True
-            return Call(target, tuple(args), then_rec, self.span_from(tok))
+            return Call(target, tuple(args), then_rec, self.span_from(start))
         if kind == "end":
-            self.advance()
-            return End(self.span_from(tok))
-        raise _SyntaxError(tok, "expected a statement")
+            self.pos += 1
+            return End(self.span_from(start))
+        raise _SyntaxError(start, "expected a statement")
 
     def parse_arm(self) -> Arm | None:
         """One arm, or None when its pattern or '=>' is bad and an arm
         boundary follows: the error is recorded and the arm skipped, so the
         read's other arms still parse. Without a boundary the error goes
         to statement-level recovery."""
-        start = self.peek()
+        start = self.pos
         try:
             pattern = self.parse_pattern()
             self.expect("=>")
         except _SyntaxError as err:
             if not self.sync_arm():
                 raise
-            self.error(err.tok, err.message)
+            self.error(err.pos, err.message)
             return None
         body = self.parse_block(in_arm=True)
         return Arm(pattern, body, self.span_from(start))
 
     def parse_pattern(self) -> Pattern:
-        tok = self.peek()
-        if tok.kind == "_":
-            self.advance()
-            return WildPat(self.span_from(tok))
-        if tok.kind == "ident":
-            self.advance()
-            return CtorPat(tok.value, self.span_from(tok))
+        start = self.pos
+        kind = self.kinds[start]
+        if kind == "_":
+            self.pos += 1
+            return WildPat(self.span_from(start))
+        if kind == "ident":
+            self.pos += 1
+            return CtorPat(self.texts[start], self.span_from(start))
         value = self.parse_literal_value()
         if value is None:
-            raise _SyntaxError(tok, "expected a pattern (constructor tag, literal, or '_')")
-        return LitPat(value, self.span_from(tok))
+            raise _SyntaxError(start, "expected a pattern (constructor tag, literal, or '_')")
+        return LitPat(value, self.span_from(start))
 
     def parse_literal_value(self) -> Value | None:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return IntV(self.int_value(tok))
-        if tok.kind == "-" and self.peek(1).kind == "int":
-            self.advance()
-            return IntV(-self.int_value(self.advance()))
-        if tok.kind == "string":
-            self.advance()
-            return StrV(tok.value)
-        if tok.kind in ("true", "false"):
-            self.advance()
-            return BoolV(tok.kind == "true")
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "int":
+            self.pos += 1
+            return IntV(self.int_value(pos))
+        if kind == "-" and self.peek(1) == "int":
+            self.pos += 2
+            return IntV(-self.int_value(pos + 1))
+        if kind == "string":
+            self.pos += 1
+            return StrV(self.values[pos])
+        if kind in ("true", "false"):
+            self.pos += 1
+            return BoolV(kind == "true")
         return None
 
     # -- types ---------------------------------------------------------------
 
     @_nested
     def parse_type(self) -> TypeExpr:
-        tok = self.peek()
-        if tok.kind in ("Int", "Bool", "Str"):
-            self.advance()
-            return BaseType(tok.kind, Span(tok.line, tok.col, len(tok.text)))
-        if tok.kind == "ident":
-            self.advance()
-            return NamedType(tok.value, Span(tok.line, tok.col, len(tok.text)))
-        if tok.kind == "(":
-            self.advance()
+        start = self.pos
+        kind = self.kinds[start]
+        if kind in ("Int", "Bool", "Str"):
+            self.pos += 1
+            return BaseType(kind, self.span_from(start))
+        if kind == "ident":
+            self.pos += 1
+            return NamedType(self.texts[start], self.span_from(start))
+        if kind == "(":
+            self.pos += 1
             elems = self.comma_list(self.parse_type)
             self.expect(")", "',' or ')' in tuple type")
             if len(elems) < 2:
-                raise _SyntaxError(tok, "tuple type needs at least two components")
-            return TupleType(tuple(elems), self.span_from(tok))
-        raise _SyntaxError(tok, "expected a type")
+                raise _SyntaxError(start, "tuple type needs at least two components")
+            return TupleType(tuple(elems), self.span_from(start))
+        raise _SyntaxError(start, "expected a type")
 
     def parse_refined_type(self) -> RefinedType:
-        start = self.peek()
+        start = self.pos
         labels: tuple[str, ...]
         payload: TypeExpr
-        if start.kind == "(" and self.peek(1).kind == "ident" and self.peek(2).kind == ":":
-            self.advance()
-
-            def component() -> tuple[str, TypeExpr]:
+        if self.kinds[start] == "(" and self.peek(1) == "ident" and self.peek(2) == ":":
+            self.pos += 1
+            names: list[str] = []
+            types: list[TypeExpr] = []
+            distinct = True
+            while True:  # label ':' type (',' label ':' type)*
                 label = self.ident("a component label")
+                distinct = distinct and label not in names
+                names.append(label)
                 self.expect(":")
-                return label, self.parse_type()
-
-            labels, types = zip(*self.comma_list(component))
+                types.append(self.parse_type())
+                if not self.at(","):
+                    break
+                self.pos += 1
             self.expect(")")
-            if len(set(labels)) != len(labels):
+            if not distinct:
                 raise _SyntaxError(start, "component labels must be distinct")
-            payload = types[0] if len(types) == 1 else TupleType(types)
+            labels = tuple(names)
+            payload = types[0] if len(types) == 1 else TupleType(tuple(types))
         else:
             labels = ()
             payload = self.parse_type()
@@ -594,23 +621,23 @@ class _Parser:
         the levels met in one call never rise: each level's operators form
         one chain, and every node's span starts at its chain's first token.
         """
-        tokens = self.tokens
-        start = tokens[self.pos]
+        kinds = self.kinds
+        start = self.pos
         lhs = self.parse_postfix(labels)
-        while (level := _BINARY_LEVEL.get(tokens[self.pos].kind, -1)) >= floor:
+        while (level := _BINARY_LEVEL.get(kinds[self.pos], -1)) >= floor:
             self._operator()
-            op = tokens[self.pos].kind
+            op = kinds[self.pos]
             self.pos += 1  # an operator, not 'eof'
             rhs = self.parse_binary(labels, level + 1)
             lhs = _BINARY_NODES[op](op, lhs, rhs, span=self.span_from(start))
         return lhs
 
     def parse_postfix(self, labels) -> RefExpr:
-        tokens = self.tokens
-        start = tokens[self.pos]
+        kinds = self.kinds
+        start = self.pos
         expr = self.parse_atom(labels)
         while True:
-            kind = tokens[self.pos].kind
+            kind = kinds[self.pos]
             if kind == ".":
                 self._operator()
                 self.pos += 1
@@ -627,12 +654,12 @@ class _Parser:
                 return expr
 
     def parse_atom(self, labels: tuple[str, ...]) -> RefExpr:
-        tok = self.tokens[self.pos]
-        kind = tok.kind
+        start = self.pos
+        kind = self.kinds[start]
         if kind == "ident":
             self.pos += 1
-            name = tok.value
-            span = Span(tok.line, tok.col, len(tok.text))
+            name = self.texts[start]
+            span = self.span_from(start)
             if name in labels:
                 ref: RefExpr = BinderRef(span)
                 if len(labels) >= 2:
@@ -642,14 +669,14 @@ class _Parser:
         value = self.parse_literal_value()
         if value is not None:
             node = IntLit if isinstance(value, IntV) else StrLit if isinstance(value, StrV) else BoolLit
-            return node(value.value, self.span_from(tok))
+            return node(value.value, self.span_from(start))
         if kind == "literal" or kind == "next":
             self._operator()
             self.pos += 1
             self.expect("(")
             inner = self.parse_ref(labels)
             self.expect(")")
-            span = self.span_from(tok)
+            span = self.span_from(start)
             if kind == "literal":
                 return Cmp("==", BinderRef(span), inner, "literal", span)
             return Cmp("==", BinderRef(span), Arith("+", inner, IntLit(1), span), "next", span)
@@ -658,7 +685,7 @@ class _Parser:
             inner = self.parse_ref(labels)
             self.expect(")")
             return inner
-        raise _SyntaxError(tok, "expected a refinement expression")
+        raise _SyntaxError(start, "expected a refinement expression")
 
 
 def parse(text: str) -> SourceFile:
@@ -683,9 +710,8 @@ def parse_trace(text: str) -> Trace:
 
 def _read_trace(text: str) -> Trace | None:
     """The trace ``text`` holds, or None where the token path reports an error."""
-    # The lexer's scan, one tuple of group texts per token (see `lexer`):
-    # the gap, word, int, string, string body, closing quote, punct and bad
-    # character. It ends in a tuple with no token group set, the end.
+    # The lexer's scan, one (gap, token text, closing quote) tuple per token
+    # (see `lexer`). It ends in a tuple with an empty token text, the end.
     scan = _MASTER.findall(text)
     bindings: list[TraceBinding] = []
     ids: dict[str, VarId] = {}  # one VarId per name, as `_Parser.var` keeps
@@ -698,50 +724,53 @@ def _read_trace(text: str) -> Trace | None:
     # the items read so far.
     open_: list[tuple[str | None, list[Value]]] = []
     i = 0
-    while (name := scan[i][1]) and name not in KEYWORDS and scan[i + 1][6] == "=":
+    # A name already bound is an ident; any other is checked as the token path would.
+    while (
+        (name := scan[i][1]) in ids or _FIRST.get(name[:1]) == "ident" and name not in KEYWORDS
+    ) and scan[i + 1][1] == "=":
         i += 2
         while True:  # one value token, then the separators that close what it completes
-            _, word, digits, string, body, close, punct, _ = scan[i]
+            _, token, close = scan[i]
             i += 1
-            if punct == "(" or word and scan[i][6] == "(":  # a tuple, or a tag and its '('
+            # a tuple, or a tag and its '(' (the end, '', is the last token)
+            if token == "(" or token and scan[i][1] == "(" and _FIRST.get(token[:1]) == "ident":
                 # a keyword tag, or items nested past the cap
-                if word in KEYWORDS or len(open_) + 2 > _MAX_NESTING:
+                if token in KEYWORDS or len(open_) + 2 > _MAX_NESTING:
                     return None
-                if word:
+                tag = None
+                if token != "(":
+                    tag = token
                     i += 1  # past the tag's '('
-                open_.append((word or None, []))
+                open_.append((tag, []))
                 continue
-            if punct == "-" and scan[i][2]:
-                digits = scan[i][2]
-                token = "-" + digits
+            if token == "-" and _FIRST.get(scan[i][1][:1]) == "int":  # the sign of an int
+                token += scan[i][1]
                 i += 1
-            else:
-                token = word or digits or string
-                if not token:
-                    return None
             if not open_ and (binding := shared.get((name, token))) is not None:
                 bindings.append(binding)
                 break
             value: Value | None = flat.get(token)
             if value is None:
-                if word:
-                    if word in KEYWORDS:
-                        if word != "true" and word != "false":
+                kind = _FIRST.get(token.lstrip("-")[:1])  # of a signed int, its digits
+                if kind == "ident":
+                    if token in KEYWORDS:
+                        if token != "true" and token != "false":
                             return None
-                        value = BoolV(word == "true")
+                        value = BoolV(token == "true")
                     else:
-                        value = ConV(word)
-                elif digits:
+                        value = ConV(token)
+                elif kind == "int":
                     try:
-                        number = int(digits)
+                        value = IntV(int(token))
                     except ValueError:  # past sys.get_int_max_str_digits()
                         return None
-                    value = IntV(-number if punct else number)  # punct is the sign
-                else:
-                    body = string_value(body)
+                elif kind == "string":
+                    body = string_value(token[1:-1])
                     if body is None or not close:
                         return None
                     value = StrV(body)
+                else:  # punctuation, a bad character, the end or a lone '-'
+                    return None
                 flat[token] = value
             if not open_:  # a flat value is the whole binding's value, not shared yet
                 var = ids.get(name) or ids.setdefault(name, VarId(name))
@@ -749,7 +778,7 @@ def _read_trace(text: str) -> Trace | None:
                 shared[name, token] = binding
                 break
             while open_:
-                sep = scan[i][6]
+                sep = scan[i][1]
                 if sep != "," and sep != ")":
                     return None
                 i += 1
@@ -769,7 +798,7 @@ def _read_trace(text: str) -> Trace | None:
                 bindings.append(TraceBinding(var, value))
                 break
     # Anything but the end is an error the token path reports.
-    return None if any(scan[i][1:]) else Trace(tuple(bindings))
+    return None if scan[i][1] else Trace(tuple(bindings))
 
 
 def _parse_trace_tokens(text: str) -> Trace:
@@ -779,12 +808,12 @@ def _parse_trace_tokens(text: str) -> Trace:
     bindings: list[TraceBinding] = []
     while not p.at("eof"):
         try:
-            tok = p.expect("ident", "a message variable")
+            name = p.ident("a message variable")
             p.expect("=")
             value = _parse_value(p)
-            bindings.append(TraceBinding(p.var(tok.value), value))
+            bindings.append(TraceBinding(p.var(name), value))
         except _SyntaxError as err:
-            p.error(err.tok, err.message)
+            p.error(err.pos, err.message)
             break
     if p.errors:
         raise ParseFailure(p.errors)
@@ -793,24 +822,26 @@ def _parse_trace_tokens(text: str) -> Trace:
 
 @_nested
 def _parse_value(p: _Parser) -> Value:
-    tok = p.peek()
+    start = p.pos
     lit = p.parse_literal_value()
     if lit is not None:
         return lit
-    if tok.kind == "ident":
-        p.advance()
+    kind = p.peek()
+    if kind == "ident":
+        tag = p.texts[start]
+        p.pos += 1
         if p.at("("):
-            p.advance()
+            p.pos += 1
             args = p.comma_list(lambda: _parse_value(p))
             p.expect(")")
             arg = args[0] if len(args) == 1 else TupleV(tuple(args))
-            return ConV(tok.value, arg)
-        return ConV(tok.value)
-    if tok.kind == "(":
-        p.advance()
+            return ConV(tag, arg)
+        return ConV(tag)
+    if kind == "(":
+        p.pos += 1
         items = p.comma_list(lambda: _parse_value(p))
         p.expect(")", "',' or ')' in tuple value")
         if len(items) < 2:
-            raise _SyntaxError(tok, "tuple value needs at least two components")
+            raise _SyntaxError(start, "tuple value needs at least two components")
         return TupleV(tuple(items))
-    raise _SyntaxError(tok, "expected a value")
+    raise _SyntaxError(start, "expected a value")

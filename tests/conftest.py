@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
 
@@ -28,6 +29,27 @@ def run_cli(*args: str, cwd=None, env=None) -> subprocess.CompletedProcess:
 def fresh_python(code: str, *argv: str) -> str:
     """The stdout of ``python -c code argv...`` in a fresh interpreter, which must exit 0."""
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60, check=True).stdout
+
+
+class Tok(NamedTuple):
+    """One token of ``tokenize``'s parallel lists, with its line and column."""
+
+    kind: str
+    text: str
+    value: object
+    line: int
+    col: int
+    offset: int
+
+
+def lexed(text: str) -> tuple[list[Tok], list]:
+    """The tokens of ``text``, one ``Tok`` each, and its lex errors."""
+    from sessioncheck.lexer import line_starts, position, tokenize
+
+    kinds, texts, values, offsets, errors = tokenize(text)
+    starts = line_starts(text)
+    tokens = [Tok(k, t, v, *position(starts, o), o) for k, t, v, o in zip(kinds, texts, values, offsets)]
+    return tokens, errors
 
 
 def check_source(text: str, **kwargs):

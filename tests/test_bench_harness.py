@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, fresh_python
+from conftest import CORPUS, fresh_python, lexed
 
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
 
@@ -64,6 +64,30 @@ def test_no_hook_goes_stale_beyond_the_known_ones():
     assert set(out.split()) <= STALE_HOOKS
 
 
+def test_the_parser_tokenizes_through_the_name_the_harness_wraps(monkeypatch):
+    # The harness times the lexer by replacing `parser.tokenize`; the parser
+    # must look the name up there at each parse, not keep its own reference.
+    from sessioncheck import lexer, parser
+
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return lexer.tokenize(text)
+
+    monkeypatch.setattr(parser, "tokenize", counted)
+    text = (CORPUS / "tcp.ssn").read_text()
+    parse(text)
+    assert calls == [text]
+
+
+def test_the_first_token_list_counts_every_token_with_eof():
+    # `lexer.tokens` counts `len(result[0])` of each `parser.tokenize` call.
+    for text, count in [("", 1), ("roles A, B", 5), ('x = "a\\q" 1', 4), ("a\n-- c\n@", 2)]:
+        assert len(tokenize(text)[0]) == count, text
+        assert len(tokenize(text)[0]) == len(lexed(text)[0])
+
+
 # Token texts of the benchmark's inputs, which hold no comments and no
 # string escapes.
 WORDS = re.compile(r'[A-Za-z][A-Za-z0-9_]*|[0-9]+|"[^"\n]*"|->|=>|==|!=|<=|\S')
@@ -71,7 +95,7 @@ WORDS = re.compile(r'[A-Za-z][A-Za-z0-9_]*|[0-9]+|"[^"\n]*"|->|=>|==|!=|<=|\S')
 
 def lex_checked(text: str, first: tuple, last: str) -> list:
     """Tokens of ``text``, checked against ``WORDS`` and at both ends."""
-    tokens, errors = tokenize(text)
+    tokens, errors = lexed(text)
     assert errors == []
     assert len(tokens) == len(WORDS.findall(text)) + 1
     assert [t.text for t in tokens[:-1]] == WORDS.findall(text)

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sessioncheck import lexer
-from sessioncheck.lexer import tokenize
 from sessioncheck.model import IDENT
+
+from conftest import lexed
 
 LONG = "9" * (sys.get_int_max_str_digits() + 1)  # too long to convert: the parser reports it
 ESCAPE = (1, 1, "invalid string escape")
@@ -58,7 +59,7 @@ CASES = {
 
 @pytest.mark.parametrize("src", list(CASES), ids=[repr(s)[:60] for s in CASES])
 def test_exact_tokens_and_errors(src):
-    tokens, errors = tokenize(src)
+    tokens, errors = lexed(src)
     assert [(t.kind, t.text, t.value, t.line, t.col, t.offset) for t in tokens] == CASES[src][0]
     assert [(e.span.line, e.span.col, e.message) for e in errors] == CASES[src][1]
 
@@ -72,7 +73,7 @@ _BAD_STRING = re.compile(r'"(?:\\["\\]|[^"\n])*"?')
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.sampled_from(list('"\\-\t\r\n\x0b\x00é aZ_19(=<>!.') + ["--", "roles", "\r\n"])).map("".join))
 def test_token_text_and_position_match_its_offset(src):
-    tokens, errors = tokenize(src)
+    tokens, errors = lexed(src)
     assert tokens[-1].kind == "eof" and tokens[-1].offset == len(src)
     assert [t.kind for t in tokens].count("eof") == 1
     for t in tokens:
@@ -95,9 +96,9 @@ def test_token_text_and_position_match_its_offset(src):
         end = t.offset + len(t.text)
 
 
-# The scan before its gap and string body were unrolled and its single
-# punctuation characters put in one class, kept verbatim as the reference
-# the unrolled pattern must agree with match for match.
+# The scan before its gap and string body were unrolled, its single
+# punctuation characters put in one class and its token groups made one,
+# kept verbatim as the reference the scan must agree with match for match.
 _REFERENCE_MASTER = re.compile(
     r"((?:[ \t\r\n]+|--[^\n]*)*)(?:(?P<word>" + IDENT + ")"
     r"|(?P<int>[0-9]+)"
@@ -121,4 +122,9 @@ SCAN_PIECES = ['"', "\\", "--", "\n", "\r\n", "-", "<", ">", "=", "!", "_", "é"
 @example("a--b")
 @example("<=<->=>")
 def test_the_scan_matches_the_reference_pattern(src):
-    assert lexer._MASTER.findall(src) == _REFERENCE_MASTER.findall(src)
+    # The reference's groups: gap, word, int, string, string body, closing
+    # quote, punct and bad character. At most one token group is not empty,
+    # and its text is the scan's token text.
+    reference = [(gap, word or digits or string or punct or bad, close)
+                 for gap, word, digits, string, _, close, punct, bad in _REFERENCE_MASTER.findall(src)]
+    assert lexer._MASTER.findall(src) == reference

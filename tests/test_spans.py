@@ -4,24 +4,25 @@ A span is a ``quiet()`` field, so ``==`` on AST nodes ignores it, and a
 shifted span would pass every test that compares trees. These tests walk
 every record field of parsed files and check each ``Span`` they find: the
 whole list for one corpus file, and for the other corpus files and for
-generated ones, that each span starts at the first token of its construct
-and ends at the end of a token.
+generated ones, that each span starts at the first token of its construct,
+at the line and column that token's offset gives, and ends at the end of a
+token. The corpus files are also read with CRLF line ends and tab indents.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from gen import gen_checkable_file, gen_printable_file
-from sessioncheck.lexer import tokenize
 from sessioncheck.model import Span, VariantDecl
 from sessioncheck.parser import parse
 from sessioncheck.printer import format_source
 from sessioncheck.syntax import Call, End, NewDepMsg, NewMsg, ProtocolDecl, ReadCase, Rec, Send
 
-from conftest import CORPUS
+from conftest import CORPUS, lexed
 
 
 def spans(node, path: str = "$") -> list[tuple[str, object, Span]]:
@@ -105,7 +106,11 @@ FIRST_TOKEN = {
 
 def _files():
     for path in sorted(CORPUS.glob("*.ssn")):
-        yield path.name, path.read_text()
+        text = path.read_text()
+        yield path.name, text
+        # Other line endings and indents: '\r' and a tab are one column each.
+        yield f"{path.name}-crlf", text.replace("\n", "\r\n")
+        yield f"{path.name}-tabs", re.sub(r"(?m)^(?:  )+", lambda m: "\t" * (len(m[0]) // 2), text)
     for seed in range(40):
         yield f"printable-{seed}", format_source(gen_printable_file(random.Random(seed)))
         yield f"checkable-{seed}", format_source(gen_checkable_file(random.Random(seed)))
@@ -113,8 +118,10 @@ def _files():
 
 @pytest.mark.parametrize("text", [pytest.param(text, id=name) for name, text in _files()])
 def test_each_span_starts_at_its_first_token_and_ends_at_a_token_end(text):
-    tokens, _ = tokenize(text)
-    starts = {(t.line, t.col): t for t in tokens[:-1]}
+    tokens, _ = lexed(text)
+    # Each token's line and column, counted from its offset: a span found
+    # here has the position its first token's offset gives.
+    starts = {(text.count("\n", 0, t.offset) + 1, t.offset - text.rfind("\n", 0, t.offset)): t for t in tokens[:-1]}
     ends = {t.offset + len(t.text) for t in tokens[:-1]}
     found = spans(parse(text))
     assert found
