@@ -96,7 +96,9 @@ def _warn(text: str) -> None:
 def _read(path: str) -> str | None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            # A leading byte-order mark is no text. ("utf-8-sig" would count a bad
+            # byte's offset from past the mark, and read a cut-off mark as empty.)
+            return fh.read().removeprefix("\ufeff")
     except OSError as err:
         _warn(f"sessioncheck: cannot read {path}: {err.strerror or err}")
     except UnicodeDecodeError as err:

@@ -7,35 +7,35 @@ closing quote. A token's text is a word, an int, a string, punctuation,
 one bad character, or empty at the end of the text. The gap and a string's
 body are written as unrolled loops (see ``_MASTER``).
 
-``tokenize`` turns the scan into parallel lists, one entry per token:
-kinds, texts, values and start offsets, with no object per token. The
-lists are built by C-level passes over the scan: the offsets add up the
-gap and text lengths with ``itertools.accumulate``, and a keyword's or
-punctuation token's kind is its text, looked up in ``_KIND`` through
-``map``. One Python loop then visits only the tokens that lookup missed;
-there, a token's kind follows from its first character (``_FIRST``): a
-letter gives ``ident``, a digit ``int``, ``"`` ``string``, the empty text
-``eof``, and anything else is a bad character. That loop makes the int
-and string values and every lex error. On the ``deep_path`` benchmark's
-protocol, 15,345 tokens of which 5,681 are not keywords or punctuation,
-``tokenize`` takes 0.64-0.68x the time of the loop that built one token
-tuple per match (Python 3.11, in-process, medians of 21-31 paired rounds).
+``tokenize`` turns the scan into parallel lists, one entry per token: a
+token is a kind, a text and a start offset, with no object per token and
+no value. The lists are built by C-level passes over the scan: the offsets
+add up the gap and text lengths with ``itertools.accumulate``, and a
+keyword's or punctuation token's kind is its text, looked up in ``_KIND``
+through ``map``. One Python loop then visits only the tokens that lookup
+missed; there, a token's kind follows from its first character
+(``_FIRST``): a letter gives ``ident``, a digit ``int``, ``"`` ``string``,
+the empty text ``eof``, and anything else is a bad character. That loop
+finds every lex error. The parser makes an int's or a string's value from
+the token's text, as the trace reader does.
 
 No token carries a line or column. ``line_starts`` makes a table of the
 offset each line starts at, and ``position`` finds a line and column in
 it with ``bisect``; that is done only where a source span or an error is
-made (6,382 spans for the 15,345 tokens of that protocol). Only ``\n`` ends a line, so ``\r``
-and a tab each take one column.
+made (6,382 spans for the 15,345 tokens of the ``deep_path`` benchmark's
+protocol). Only ``\n`` ends a line, so ``\r`` and a tab each take one
+column.
 
 Strings are double-quoted with ``\"`` and ``\\`` escapes and end at a
-newline; only a string that holds a backslash is decoded. Errors do not
-stop the scan; a string with a bad escape or no closing quote and a bad
-character yield no token. A lex error is a ``Diagnostic`` with the
-``parse`` code, made by ``parse_error`` as the parser's errors are, so the
-parser adds it to its own list as it stands and the CLI reports it as it
-reports a checker finding. The parser's trace reader walks the same
-scan's tuples (see ``parser``) and decodes strings with ``string_value``,
-so a trace has no token syntax of its own.
+newline; only a string that holds a backslash is searched for bad
+escapes or decoded (``string_value``). Errors do not stop the scan; a
+string with a bad escape or no closing quote and a bad character yield
+no token. A lex error is a ``Diagnostic`` with the ``parse`` code, made
+by ``parse_error`` as the parser's errors are, so the parser adds it to
+its own list as it stands and the CLI reports it as it reports a checker
+finding. The parser's trace reader walks the same scan's tuples (see
+``parser``) and decodes strings with ``string_value``, so a trace has no
+token syntax of its own.
 """
 
 from __future__ import annotations
@@ -150,15 +150,14 @@ def string_value(body: str) -> str | None:
     return _ESCAPE.sub(r"\1", body)
 
 
-def tokenize(text: str) -> tuple[list[str], Sequence[str], list[object], list[int], list[Diagnostic]]:
+def tokenize(text: str) -> tuple[list[str], Sequence[str], list[int], list[Diagnostic]]:
     """The tokens of ``text`` as parallel lists, and its lex errors.
 
-    Token ``i`` has kind ``kinds[i]`` (a keyword's or punctuation token's
-    text, or ``ident``, ``int``, ``string`` or ``eof``), text ``texts[i]``,
-    value ``values[i]`` (the name of an ident, the int of an int, None for
-    an int longer than the interpreter converts, which the parser reports,
-    the decoded string of a string, None otherwise) and start offset
-    ``offsets[i]``. The last token is the one ``eof``.
+    Token ``i`` is a kind ``kinds[i]`` (a keyword's or punctuation token's
+    text, or ``ident``, ``int``, ``string`` or ``eof``), a text
+    ``texts[i]`` and a start offset ``offsets[i]``. The last token is the
+    one ``eof``. A string token is well formed; the parser reads an int's
+    or a string's value from its text.
     """
     scan = _MASTER.findall(text)
     if len(scan) > 1 and not scan[-2][1]:
@@ -169,35 +168,26 @@ def tokenize(text: str) -> tuple[list[str], Sequence[str], list[object], list[in
     lengths = list(map(len, texts))
     offsets = list(map(sub, accumulate(map(add, map(len, gaps), lengths)), lengths))
     kinds: list = list(map(_KIND.get, texts))
-    values: list[object] = [None] * len(kinds)
     faults: list[tuple[int, str]] = []  # (index, message) of each lex error
     for i in compress(count(), map(not_, kinds)):  # the tokens `_KIND` missed
         tok = texts[i]
         kind = kinds[i] = _FIRST.get(tok[:1], "bad")
-        if kind == "ident":
-            values[i] = tok
-        elif kind == "int":
-            try:
-                values[i] = int(tok)
-            except ValueError:  # past sys.get_int_max_str_digits()
-                pass
-        elif kind == "string":
+        if kind == "string":
             close = closes[i]
-            body = tok[1:-1] if close else tok[1:]
-            value = values[i] = string_value(body)
-            if value is None:
+            if "\\" in tok:
+                body = tok[1:-1] if close else tok[1:]
                 faults.extend([(i, "invalid string escape")] * _ESCAPE.findall(body).count(""))
             if not close:
                 faults.append((i, "unterminated string literal"))
         elif kind == "bad":
             faults.append((i, f"unexpected character {tok!r}"))
     if not faults:
-        return kinds, texts, values, offsets, []
+        return kinds, texts, offsets, []
     # A string or character that gave an error yields no token.
     starts = line_starts(text)
     errors = [parse_error(*position(starts, offsets[i]), message) for i, message in faults]
     keep = [True] * len(kinds)
     for i, _ in faults:
         keep[i] = False
-    kinds, texts, values, offsets = (list(compress(tokens, keep)) for tokens in (kinds, texts, values, offsets))
-    return kinds, texts, values, offsets, errors
+    kinds, texts, offsets = (list(compress(tokens, keep)) for tokens in (kinds, texts, offsets))
+    return kinds, texts, offsets, errors

@@ -33,10 +33,10 @@ exception: it unwinds to the enclosing top-level declaration and parsing
 resumes at the next one, so the cap is reported once.
 
 The parser reads the parallel token lists of ``lexer.tokenize`` by
-position: ``kinds[pos]`` decides every rule, ``texts[pos]`` gives a name,
-``values[pos]`` an int or a string, and an error records the position of
-the token it is reported at. Line and column are looked up in the text's
-table of line starts only when a ``Span`` or an error is made.
+position: ``kinds[pos]`` decides every rule, ``texts[pos]`` gives a name
+or the text an int or a string is read from, and an error records the
+position of the token it is reported at. Line and column are looked up
+in the text's table of line starts only when a ``Span`` or an error is made.
 
 A `.trace` file is a sequence of `IDENT '=' value` bindings, where
 
@@ -188,7 +188,7 @@ class _Parser:
     the last token."""
 
     def __init__(self, text: str):
-        self.kinds, self.texts, self.values, self.offsets, self.errors = tokenize(text)
+        self.kinds, self.texts, self.offsets, self.errors = tokenize(text)
         self.line_starts = line_starts(text)
         self.pos = 0
         self.nesting = 0
@@ -249,10 +249,10 @@ class _Parser:
 
     def int_value(self, pos: int) -> int:
         """An int token's value; one past the interpreter's int/str digit limit is an error."""
-        value = self.values[pos]
-        if value is None:
-            raise _SyntaxError(pos, f"integer literal longer than {sys.get_int_max_str_digits()} digits")
-        return value
+        try:
+            return int(self.texts[pos])
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise _SyntaxError(pos, f"integer literal longer than {sys.get_int_max_str_digits()} digits") from None
 
     def span_from(self, start: int) -> Span:
         """From the token at ``start`` to the end of the last token taken,
@@ -549,7 +549,7 @@ class _Parser:
             return IntV(-self.int_value(pos + 1))
         if kind == "string":
             self.pos += 1
-            return StrV(self.values[pos])
+            return StrV(string_value(self.texts[pos][1:-1]))  # a string token is well formed
         if kind in ("true", "false"):
             self.pos += 1
             return BoolV(kind == "true")

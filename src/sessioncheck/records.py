@@ -8,21 +8,20 @@ template compiled by one ``exec`` per shape: the number of fields and, for
 ``__init__``, whether it calls ``__post_init__``. The copy renames the
 template's parameters to the class's fields (``co_varnames``) and its
 attribute reads to the shown fields (``co_names``), so the package's 56
-record classes share 18 templates; an ``exec`` per class took 7-12 ms of
-every start of the command-line tool. The ``__init__`` stores each
-field through its slot's descriptor (``cls.<field>.__set__``). A ``Span``
-then takes ~410 ns to build instead of ~650 ns through
-``object.__setattr__`` into an instance ``__dict__`` (timeit, Python
-3.11), and a field reads as fast as before; one parse of
-the ``deep_path`` benchmark's protocol builds 14,022 records. Writing into
+record classes share 18 templates: an ``exec`` per class costs 7-12 ms of
+every start of the command-line tool. The ``__init__`` stores each field
+through its slot's descriptor (``cls.<field>.__set__``), which builds a
+``Span`` in ~410 ns against ~650 ns through ``object.__setattr__`` into an
+instance ``__dict__`` (timeit, Python 3.11); one parse of the
+``deep_path`` benchmark's protocol builds 14,022 records. Writing into
 ``self.__dict__`` directly builds as fast, but a prototype that did so ran
 the ``long_trace`` benchmark's ``simulate`` 1.12x slower, as attribute
 reads of such instances lose their specialised fast path. A field whose
 default is ``quiet(...)`` takes no part in ``==``, ``hash`` or ``repr``.
 Fields cannot be reassigned or deleted, so ``copy``, ``deepcopy`` and
 ``pickle`` rebuild a record through its constructor, quiet fields
-included. It replaces ``dataclasses``, whose import and code generation
-were the largest part of starting the command-line tool.
+included. ``dataclasses`` is not used: its import and code generation
+are the largest part of starting the command-line tool.
 """
 
 from types import FunctionType

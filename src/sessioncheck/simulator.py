@@ -22,18 +22,19 @@ index; a hand-built AST that shares a node between places just misses.
 A protocol step depends on nothing but its kind and protocol, so a run
 builds each `ProtocolEvent` once and logs it at every such step.
 
-Events that carry trace values follow a second rule, by value identity.
-The trace reader keeps one object per repeated flat value and binding (see
-`parser`), so a loop that binds the same value again hands the run the same
-object. A `msg`/`dep` node keeps the `MsgCreated` it logged for each value
-object it met and logs it again when a binding's value `is` that object;
-the node then skips `value_matches_type`, as it accepted that very object
-before. A `dep` keeps, per value object, the `RefinementChecked` it logged
-last, and reuses it only if, in addition, the current binding of every
-free variable `is` the object its witness records: the predicate reads
+Events that carry trace values follow a second rule, by value identity,
+kept in the same entry. The trace reader keeps one object per repeated
+flat value and binding (see `parser`), so a loop that binds the same
+value again hands the run the same object. A `msg`/`dep` entry maps the
+id of each value object the node met to the `MsgCreated` it logged for
+it, which it logs again when a binding's value `is` that object, skipping
+`value_matches_type`, as it accepted that very object before. A `dep`
+keeps there, too, the `RefinementChecked` it logged last for the object,
+and reuses it only if, in addition, the current binding of every free
+variable `is` the object its witness records: the predicate reads
 nothing else, so its verdict cannot differ. Otherwise the node evaluates
 the predicate again. The test is `is`, not `==`: an equal value that is
-another object is checked again.
+another object is checked again. A rebuilt entry starts with none.
 """
 
 from __future__ import annotations
@@ -383,13 +384,10 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
     loops: list[tuple[ProtocolDecl, dict[str, str]]] = []
     param_binding: dict[str, str] = {}
     # Each node's entry ``(last, what it built)``, keyed by the node's id
-    # (see the module docstring). The file keeps every node alive, so no id
+    # (see the module docstring). The file keeps every node alive, and a
+    # `msg`/`dep` entry's value events keep their values alive, so no id
     # is reused.
     built: dict[int, tuple] = {}
-    # The value events of each `msg`/`dep` node, ``(MsgCreated, last
-    # RefinementChecked or None)``, keyed by the ids of the node and of the
-    # value; the MsgCreated keeps the value alive, so no id is reused.
-    values: dict[tuple[int, int], tuple] = {}
     step = functools.cache(ProtocolEvent)  # the run's one event per kind and protocol
     steps = 0
     while True:  # one pass per protocol entered, each with a fresh store and index
@@ -418,17 +416,10 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                 if binding.var.name != var:
                     note = f"trace binds '{binding.var.name}' where '{var}' was expected"
                     return TraceMismatch(var, format_type(declared), value, note)
-                met = (id(stmt), id(value))
-                logged = values.get(met)
-                if logged is None:
-                    if not value_matches_type(value, declared, file):
-                        return TraceMismatch(var, format_type(declared), value, "value does not fit the declared type")
-                    logged = values[met] = (MsgCreated(var, value, stmt.creator.name), None)
-                bindings[var] = value
-                made = built.get(id(stmt))  # last, the fresh item and, for a dep, its printed facts
+                made = built.get(id(stmt))  # last, the fresh item, its value events and, for a dep, its printed facts
                 if made is None or made[0] is not last:
                     add_item(index, stmt.var, declared, stmt.creator)
-                    made = (last, index[var])
+                    made = (last, index[var], {})  # value id -> [MsgCreated, last RefinementChecked or None]
                     if dep:
                         # the predicate, the binder named as the predicate names it, and its free variables
                         pred, labels = declared.predicate, declared.labels
@@ -437,6 +428,12 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                     built[id(stmt)] = made
                 else:
                     index[var] = made[1]
+                logged = made[2].get(id(value))
+                if logged is None:
+                    if not value_matches_type(value, declared, file):
+                        return TraceMismatch(var, format_type(declared), value, "value does not fit the declared type")
+                    logged = made[2][id(value)] = [MsgCreated(var, value, stmt.creator.name), None]
+                bindings[var] = value
                 events.append(logged[0])
                 if dep:
                     checked = logged[1]
@@ -445,11 +442,10 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                             verdict = eval_ref(declared.predicate, bindings, value)
                         except EvalError as err:
                             return TraceMismatch(var, format_type(declared), value, str(err))
-                        _, _, predicate, binder, names = made
+                        _, _, _, predicate, binder, names = made
                         witness = ((binder, value),) + tuple((name, bindings[name]) for name in names)
                         ok = isinstance(verdict, BoolV) and verdict.value
-                        checked = RefinementChecked(var, predicate, ok, witness)
-                        values[met] = (logged[0], checked)
+                        checked = logged[1] = RefinementChecked(var, predicate, ok, witness)
                     events.append(checked)
                     if not checked.verdict:
                         return RefinementViolated(var, stmt.span)

@@ -36,7 +36,6 @@ class Tok(NamedTuple):
 
     kind: str
     text: str
-    value: object
     line: int
     col: int
     offset: int
@@ -46,9 +45,9 @@ def lexed(text: str) -> tuple[list[Tok], list]:
     """The tokens of ``text``, one ``Tok`` each, and its lex errors."""
     from sessioncheck.lexer import line_starts, position, tokenize
 
-    kinds, texts, values, offsets, errors = tokenize(text)
+    kinds, texts, offsets, errors = tokenize(text)
     starts = line_starts(text)
-    tokens = [Tok(k, t, v, *position(starts, o), o) for k, t, v, o in zip(kinds, texts, values, offsets)]
+    tokens = [Tok(k, t, *position(starts, o), o) for k, t, o in zip(kinds, texts, offsets)]
     return tokens, errors
 
 

@@ -105,14 +105,14 @@ def lex_checked(text: str, first: tuple, last: str) -> list:
     lines = text.splitlines()
     assert tokens[0] == first
     assert (tokens[-2].text, tokens[-2].line, tokens[-2].col) == (last, len(lines), len(lines[-1]) - len(last) + 1)
-    assert tokens[-1] == ("eof", "", None, len(lines) + 1, 1, len(text))
+    assert tokens[-1] == ("eof", "", len(lines) + 1, 1, len(text))
     return tokens
 
 
 def test_front_end_on_a_deep_path_protocol():
     pairs = 60
     text, trace, forks = workloads._deep(random.Random("deep_path:1"), pairs)
-    assert len(lex_checked(text, ("roles", "roles", None, 1, 1, 0), "Deep")) > 20 * pairs
+    assert len(lex_checked(text, ("roles", "roles", 1, 1, 0), "Deep")) > 20 * pairs
     file = parse(text)
     assert format_source(file) == text
     stmts, reads, block = [], 0, file.protocols[0].body
@@ -128,6 +128,6 @@ def test_front_end_on_a_deep_path_protocol():
 def test_front_end_on_a_long_trace():
     lines, _ = workloads._long(random.Random("long_trace:1"), 200)
     text = "\n".join(lines) + "\n"
-    assert len(lex_checked(text, ("ident", "cmd", "cmd", 1, 1, 0), "Quit")) > 3 * len(lines)
+    assert len(lex_checked(text, ("ident", "cmd", 1, 1, 0), "Quit")) > 3 * len(lines)
     trace = parse_trace(text)
     assert [f"{b.var.name} = {format_value(b.value)}" for b in trace.bindings] == lines

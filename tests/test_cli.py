@@ -319,6 +319,47 @@ def test_non_utf8_input_exits_two(corpus, tmp_path):
         assert "Traceback" not in proc.stderr, argv
 
 
+def test_a_byte_order_mark_is_read_as_an_encoding_mark(corpus, tmp_path, capsys):
+    from sessioncheck import cli
+
+    bom = b"\xef\xbb\xbf"
+    ssn, trace = tmp_path / "bom.ssn", tmp_path / "bom.trace"
+    ssn.write_bytes(bom + (corpus / "tcp.ssn").read_bytes())
+    trace.write_bytes(bom + (corpus / "tcp_good.trace").read_bytes())
+    assert cli.main(["check", str(ssn)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert cli.main(["simulate", str(ssn), "--trace", str(trace)]) == 0
+    simulated = capsys.readouterr()
+    assert cli.main(["simulate", str(corpus / "tcp.ssn"), "--trace", str(corpus / "tcp_good.trace")]) == 0
+    assert simulated == capsys.readouterr()
+    # fmt finds the canonical file canonical and leaves its bytes, mark and all
+    assert cli.main(["fmt", "--check", str(ssn)]) == 0
+    assert cli.main(["fmt", str(ssn)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert ssn.read_bytes() == bom + (corpus / "tcp.ssn").read_bytes()
+    # a file fmt rewrites is written without the mark
+    ssn.write_bytes(bom + b"roles  A\nprotocol P [A] {  end  }")
+    assert cli.main(["fmt", str(ssn)]) == 0
+    assert capsys.readouterr().out == f"reformatted {ssn}\n"
+    assert ssn.read_bytes() == b"roles A\n\nprotocol P [A] {\n  end\n}\n"
+    # an error after the mark is at the line and column of the text after it
+    ssn.write_bytes(bom + b"roles A\n@")
+    assert cli.main(["check", "--color", "never", str(ssn)]) == 2
+    assert capsys.readouterr().out == f"{ssn}:2:1: error[parse]: unexpected character '@'\n"
+
+
+@pytest.mark.parametrize("data, where", [(b"\xef\xbb", "unexpected end of data at byte 0"),
+                                         (b"\xef\xbb\xbfroles A\n\xff", "invalid start byte at byte 11")])
+def test_a_byte_order_mark_does_not_hide_bytes_that_are_not_utf8(tmp_path, capsys, data, where):
+    # A cut-off mark is not UTF-8, and a bad byte after a mark is at its offset in the file.
+    from sessioncheck import cli
+
+    bad = tmp_path / "bad.ssn"
+    bad.write_bytes(data)
+    assert cli.main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == f"sessioncheck: cannot read {bad}: not UTF-8 text ({where})\n"
+
+
 def test_simulate_negative_max_steps_is_an_argument_error(corpus):
     sim = ("simulate", str(corpus / "tcp.ssn"), "--trace", str(corpus / "tcp_good.trace"), "--max-steps")
     proc = run_cli(*sim, "-3")

@@ -18,12 +18,13 @@ import pytest
 from sessioncheck import check_file, jsonout, parse, parse_trace, printer, simulator
 from sessioncheck.checker import kind_of_ref
 from sessioncheck.diagnostics import Diagnostic
-from sessioncheck.model import INT, BinderRef, BoolLit, NamedType, Proj, RefinedType, RoleId, Span, TupleType, VariantDecl, VarId
+from sessioncheck.model import INT, BinderRef, BoolLit, Cmp, NamedType, Proj, RefinedType, RoleId, Span, TupleType, VariantDecl, VarId, VarRef
 from sessioncheck.syntax import (
     Arm,
     Call,
     End,
     IntV,
+    NewDepMsg,
     NewMsg,
     ProtocolDecl,
     ReadCase,
@@ -137,27 +138,37 @@ B, C = RoleId("B"), RoleId("C")
 SHARING = {
     # the item before `send x A -> B` differs: in Q a send has taught x to C
     "item_before_differs": (
-        lambda msg_x, msg_y, send_x, arm: ((msg_x(), send_x(), Call("Q")), (msg_x(), Send(X, A, C), send_x(), End())),
+        lambda msg_x, msg_y, send_x, arm, dep_x: ((msg_x(), send_x(), Call("Q")), (msg_x(), Send(X, A, C), send_x(), End())),
         "x = 1\nx = 2\n",
     ),
     # the item before is the same, but Q's index also holds y
     "other_item_differs": (
-        lambda msg_x, msg_y, send_x, arm: ((msg_x(), send_x(), Call("Q")), (NewMsg(Y, INT, A), msg_x(), send_x(), End())),
+        lambda msg_x, msg_y, send_x, arm, dep_x: ((msg_x(), send_x(), Call("Q")), (NewMsg(Y, INT, A), msg_x(), send_x(), End())),
         "x = 1\ny = 2\nx = 3\n",
     ),
     # one arm in reads of two variables
     "arm_of_two_reads": (
-        lambda msg_x, msg_y, send_x, arm: ((msg_x(), ReadCase(X, (arm(),))), (NewMsg(Y, INT, A), ReadCase(Y, (arm(),)))),
+        lambda msg_x, msg_y, send_x, arm, dep_x: ((msg_x(), ReadCase(X, (arm(),))), (NewMsg(Y, INT, A), ReadCase(Y, (arm(),)))),
         "x = 1\ny = 2\n",
     ),
     # P and Q start with the same `msg x; msg y`, so only the protocol the
     # chain starts from tells P's read of x from Q's read of y
     "same_start_in_two_protocols": (
-        lambda msg_x, msg_y, send_x, arm: (
+        lambda msg_x, msg_y, send_x, arm, dep_x: (
             (msg_x(), msg_y(), ReadCase(X, (arm(),))),
             (msg_x(), msg_y(), ReadCase(Y, (arm(),))),
         ),
         "x = 1\ny = 2\nx = 3\ny = 4\n",
+    ),
+    # one `dep x` after P's and after Q's own `msg y`; the reader gives both
+    # bindings of x one value object, but y is another in Q, so Q must
+    # evaluate the predicate again and fail it
+    "dep_after_two_msgs": (
+        lambda msg_x, msg_y, send_x, arm, dep_x: (
+            (NewMsg(Y, INT, A), dep_x(), Call("Q")),
+            (NewMsg(Y, INT, A), dep_x(), End()),
+        ),
+        "y = 1\nx = 1\ny = 2\nx = 1\n",
     ),
 }
 
@@ -175,6 +186,7 @@ def sharing_file(case: str, share: bool) -> SourceFile:
         node(lambda: NewMsg(Y, INT, A)),
         node(lambda: Send(X, A, B)),
         node(lambda: Arm(WildPat(), (Call("Q"),))),
+        node(lambda: NewDepMsg(X, RefinedType(INT, ("v",), Cmp("==", BinderRef(), VarRef(Y))), A)),
     )
     p_body, q_body = SHARING[case][0](*nodes)
     roles = tuple(RoleDecl(r.name) for r in (A, B, C))
@@ -203,3 +215,14 @@ def test_a_node_at_two_places_runs_as_two_copies(case):
     assert ran.events == expected.events
     assert ran.status == expected.status
     assert json_bytes(ran) == json_bytes(expected)
+
+
+def test_a_dep_at_two_places_checks_a_value_object_again():
+    trace = parse_trace(SHARING["dep_after_two_msgs"][1])
+    first, second = (b.value for b in trace.bindings if b.var == X)
+    assert first is second
+    report = simulator.run_trace(sharing_file("dep_after_two_msgs", True), trace)
+    checked = [e for e in report.events if isinstance(e, simulator.RefinementChecked)]
+    assert [(c.verdict, c.witness) for c in checked] == [(True, (("v", IntV(1)), ("y", IntV(1)))),
+                                                         (False, (("v", IntV(1)), ("y", IntV(2))))]
+    assert report.status == simulator.RefinementViolated("x")

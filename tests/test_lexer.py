@@ -9,48 +9,50 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sessioncheck import lexer
+from sessioncheck import lexer, parse, parse_trace
 from sessioncheck.model import IDENT
+from sessioncheck.parser import _parse_trace_tokens
+from sessioncheck.syntax import IntV, StrV
 
 from conftest import lexed
 
-LONG = "9" * (sys.get_int_max_str_digits() + 1)  # too long to convert: the parser reports it
+LONG = "9" * (sys.get_int_max_str_digits() + 1)  # too long to convert, but an int token (see test_parser)
 ESCAPE = (1, 1, "invalid string escape")
 UNTERMINATED = (1, 1, "unterminated string literal")
 
-# input -> (tokens as (kind, text, value, line, col, offset), errors as (line, col, message))
+# input -> (tokens as (kind, text, line, col, offset), errors as (line, col, message))
 CASES = {
-    '"\\a\\b"': ([("eof", "", None, 1, 7, 6)], [ESCAPE, ESCAPE]),
-    '"abc\\': ([("eof", "", None, 1, 6, 5)], [ESCAPE, UNTERMINATED]),
-    '"x\\"\n': ([("eof", "", None, 2, 1, 5)], [UNTERMINATED]),
-    "a -- hi": ([("ident", "a", "a", 1, 1, 0), ("eof", "", None, 1, 8, 7)], []),
-    "a\n-- hi": ([("ident", "a", "a", 1, 1, 0), ("eof", "", None, 2, 6, 7)], []),
-    "--": ([("eof", "", None, 1, 3, 2)], []),
-    "a\rb": ([("ident", "a", "a", 1, 1, 0), ("ident", "b", "b", 1, 3, 2), ("eof", "", None, 1, 4, 3)], []),
-    "\r": ([("eof", "", None, 1, 2, 1)], []),
-    "a \n\t ": ([("ident", "a", "a", 1, 1, 0), ("eof", "", None, 2, 3, 5)], []),
-    "\n\n": ([("eof", "", None, 3, 1, 2)], []),
-    "": ([("eof", "", None, 1, 1, 0)], []),
-    "a\r\nb": ([("ident", "a", "a", 1, 1, 0), ("ident", "b", "b", 2, 1, 3), ("eof", "", None, 2, 2, 4)], []),
-    "\ta\tb": ([("ident", "a", "a", 1, 2, 1), ("ident", "b", "b", 1, 4, 3), ("eof", "", None, 1, 5, 4)], []),
-    "12abc": ([("int", "12", 12, 1, 1, 0), ("ident", "abc", "abc", 1, 3, 2), ("eof", "", None, 1, 6, 5)], []),
-    "_x": ([("_", "_", None, 1, 1, 0), ("ident", "x", "x", 1, 2, 1), ("eof", "", None, 1, 3, 2)], []),
-    "-->": ([("eof", "", None, 1, 4, 3)], []),
-    "é": ([("eof", "", None, 1, 2, 1)], [(1, 1, "unexpected character 'é'")]),
-    "\x00": ([("eof", "", None, 1, 2, 1)], [(1, 1, "unexpected character '\\x00'")]),
-    "ab@": ([("ident", "ab", "ab", 1, 1, 0), ("eof", "", None, 1, 4, 3)], [(1, 3, "unexpected character '@'")]),
-    "a\n\x00": ([("ident", "a", "a", 1, 1, 0), ("eof", "", None, 2, 2, 3)], [(2, 1, "unexpected character '\\x00'")]),
-    LONG + " 1": ([("int", LONG, None, 1, 1, 0), ("int", "1", 1, 1, len(LONG) + 2, len(LONG) + 1),
-                   ("eof", "", None, 1, len(LONG) + 3, len(LONG) + 2)], []),
+    '"\\a\\b"': ([("eof", "", 1, 7, 6)], [ESCAPE, ESCAPE]),
+    '"abc\\': ([("eof", "", 1, 6, 5)], [ESCAPE, UNTERMINATED]),
+    '"x\\"\n': ([("eof", "", 2, 1, 5)], [UNTERMINATED]),
+    "a -- hi": ([("ident", "a", 1, 1, 0), ("eof", "", 1, 8, 7)], []),
+    "a\n-- hi": ([("ident", "a", 1, 1, 0), ("eof", "", 2, 6, 7)], []),
+    "--": ([("eof", "", 1, 3, 2)], []),
+    "a\rb": ([("ident", "a", 1, 1, 0), ("ident", "b", 1, 3, 2), ("eof", "", 1, 4, 3)], []),
+    "\r": ([("eof", "", 1, 2, 1)], []),
+    "a \n\t ": ([("ident", "a", 1, 1, 0), ("eof", "", 2, 3, 5)], []),
+    "\n\n": ([("eof", "", 3, 1, 2)], []),
+    "": ([("eof", "", 1, 1, 0)], []),
+    "a\r\nb": ([("ident", "a", 1, 1, 0), ("ident", "b", 2, 1, 3), ("eof", "", 2, 2, 4)], []),
+    "\ta\tb": ([("ident", "a", 1, 2, 1), ("ident", "b", 1, 4, 3), ("eof", "", 1, 5, 4)], []),
+    "12abc": ([("int", "12", 1, 1, 0), ("ident", "abc", 1, 3, 2), ("eof", "", 1, 6, 5)], []),
+    "_x": ([("_", "_", 1, 1, 0), ("ident", "x", 1, 2, 1), ("eof", "", 1, 3, 2)], []),
+    "-->": ([("eof", "", 1, 4, 3)], []),
+    "é": ([("eof", "", 1, 2, 1)], [(1, 1, "unexpected character 'é'")]),
+    "\x00": ([("eof", "", 1, 2, 1)], [(1, 1, "unexpected character '\\x00'")]),
+    "ab@": ([("ident", "ab", 1, 1, 0), ("eof", "", 1, 4, 3)], [(1, 3, "unexpected character '@'")]),
+    "a\n\x00": ([("ident", "a", 1, 1, 0), ("eof", "", 2, 2, 3)], [(2, 1, "unexpected character '\\x00'")]),
+    LONG + " 1": ([("int", LONG, 1, 1, 0), ("int", "1", 1, len(LONG) + 2, len(LONG) + 1),
+                   ("eof", "", 1, len(LONG) + 3, len(LONG) + 2)], []),
     'm1 <= "a\\"b\\\\"\n  end->!=': (
         [
-            ("ident", "m1", "m1", 1, 1, 0),
-            ("<=", "<=", None, 1, 4, 3),
-            ("string", '"a\\"b\\\\"', 'a"b\\', 1, 7, 6),
-            ("end", "end", None, 2, 3, 17),
-            ("->", "->", None, 2, 6, 20),
-            ("!=", "!=", None, 2, 8, 22),
-            ("eof", "", None, 2, 10, 24),
+            ("ident", "m1", 1, 1, 0),
+            ("<=", "<=", 1, 4, 3),
+            ("string", '"a\\"b\\\\"', 1, 7, 6),
+            ("end", "end", 2, 3, 17),
+            ("->", "->", 2, 6, 20),
+            ("!=", "!=", 2, 8, 22),
+            ("eof", "", 2, 10, 24),
         ],
         [],
     ),
@@ -60,8 +62,28 @@ CASES = {
 @pytest.mark.parametrize("src", list(CASES), ids=[repr(s)[:60] for s in CASES])
 def test_exact_tokens_and_errors(src):
     tokens, errors = lexed(src)
-    assert [(t.kind, t.text, t.value, t.line, t.col, t.offset) for t in tokens] == CASES[src][0]
+    assert [(t.kind, t.text, t.line, t.col, t.offset) for t in tokens] == CASES[src][0]
     assert [(e.span.line, e.span.col, e.message) for e in errors] == CASES[src][1]
+
+
+# A token carries no value: the parser makes an int's or a string's value
+# from its text, in a read pattern as in a trace read from its tokens.
+VALUES = {
+    "12": IntV(12),
+    "-12": IntV(-12),
+    "007": IntV(7),
+    '"a\\"b\\\\"': StrV('a"b\\'),
+    '""': StrV(""),
+    '"-- x"': StrV("-- x"),
+}
+READ = "roles A\nprotocol P [A] {\n  msg m : Int by A;\n  read m { %s => end; _ => end }\n}\n"
+
+
+@pytest.mark.parametrize("text", list(VALUES))
+def test_the_parser_makes_each_value_from_its_token_text(text):
+    assert parse(READ % text).protocols[0].body[-1].arms[0].pattern.value == VALUES[text]
+    assert _parse_trace_tokens(f"x = {text}\n").bindings[0].value == VALUES[text]
+    assert parse_trace(f"x = {text}\n").bindings[0].value == VALUES[text]
 
 
 # Whitespace and comments; a string that gave an error (bad escape or no

@@ -446,6 +446,26 @@ def test_bad_read_arm_pattern_gives_one_error_per_arm(arms, errors):
     assert got == errors + [(7, 22, "expected a message variable, found '}'")]
 
 
+DIGITS = "9" * 5000  # past the interpreter's int/str digit limit of 4300
+
+
+@pytest.mark.parametrize(
+    "parse_fn, text, where",
+    [
+        (parse, BAD_ARM % f"-{DIGITS} => end; _ => end", (5, 13)),
+        (parse, f"roles A\nprotocol P [A] {{\n  dep d : (x : (Int, Int)) where x.{DIGITS} == 1 by A;\n  end\n}}\n", (3, 36)),
+        (parse_trace, f"x = 1\ny = -{DIGITS}\n", (2, 6)),
+    ],
+    ids=["negative_pattern", "projection_position", "negative_trace_int"],
+)
+def test_an_int_past_the_digit_limit_is_an_error_at_its_digits(parse_fn, text, where):
+    with pytest.raises(ParseFailure) as info:
+        parse_fn(text)
+    assert [(e.span.line, e.span.col, e.message) for e in info.value.errors] == [
+        (*where, "integer literal longer than 4300 digits")
+    ]
+
+
 READ_HEAD = "roles A\nprotocol P [A] {\n  msg m : Int by A;\n  read m { "
 
 
