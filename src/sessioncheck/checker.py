@@ -63,7 +63,7 @@ from .syntax import (
 
 __all__ = ["CheckResult", "StepRecord", "KindError", "check_file", "kind_of_ref", "resolve_entry"]
 
-_FALLBACK_SPAN = Span(1, 1, 1)
+_FALLBACK_SPAN = Span(0, 1)
 
 
 class KindError(Exception):
@@ -213,7 +213,7 @@ class _Checker:
         for proto in self.file.protocols:
             if not proto.is_ground and not any(name == proto.name for name, _ in self.instantiated):
                 self.check_protocol(proto)
-        self.diags.sort(key=lambda d: (d.span.line, d.span.col, d.code, d.message))
+        self.diags.sort(key=lambda d: (*d.span.line_col, d.code, d.message))
         deduped: list[Diagnostic] = []
         for d in self.diags:
             if not deduped or deduped[-1] != d:

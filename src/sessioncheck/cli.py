@@ -294,12 +294,13 @@ def _explain_json(result: CheckResult) -> dict:
             {
                 "protocol": rec.protocol,
                 "path": rec.path,
-                "line": rec.span.line,
-                "col": rec.span.col,
+                "line": line,
+                "col": col,
                 "statement": rec.text,
                 "index_after": index_to_json(rec.index_after),
             }
             for rec in result.step_log
+            for line, col in [rec.span.line_col]  # one lookup for both
         ],
         "final_indices": [
             {"path": label, "index": index_to_json(index)} for label, index in result.final_indices

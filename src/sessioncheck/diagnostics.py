@@ -44,15 +44,17 @@ class Diagnostic:
             raise ValueError(f"unknown severity {self.severity}")
 
     def to_json(self, file: str) -> dict:
+        line, col = self.span.line_col
         out = {
             "code": self.code,
             "severity": self.severity,
             "file": file,
-            "line": self.span.line,
-            "col": self.span.col,
+            "line": line,
+            "col": col,
             "len": self.span.length,
             "message": self.message,
         }
         if self.related is not None:
-            out["related"] = {"line": self.related.line, "col": self.related.col, "len": self.related.length}
+            line, col = self.related.line_col
+            out["related"] = {"line": line, "col": col, "len": self.related.length}
         return out

@@ -200,7 +200,7 @@ _FINAL = _ELEM_SEP + _shape(_ELEM, "path", "index")
 
 def _json_step(rec: StepRecord, items: dict[int, str]) -> str:
     """One element of ``cli._explain_json(result)["steps"]``, after its separator."""
-    line, col = int.__repr__(rec.span.line), int.__repr__(rec.span.col)
+    line, col = map(int.__repr__, rec.span.line_col)
     index = _json_index(rec.index_after, items)
     return _STEP % (_json_str(rec.protocol), _json_str(rec.path), line, col, _json_str(rec.text), index)
 

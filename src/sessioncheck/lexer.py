@@ -19,12 +19,13 @@ the empty text ``eof``, and anything else is a bad character. That loop
 finds every lex error. The parser makes an int's or a string's value from
 the token's text, as the trace reader does.
 
-No token carries a line or column. ``line_starts`` makes a table of the
-offset each line starts at, and ``position`` finds a line and column in
-it with ``bisect``; that is done only where a source span or an error is
-made (6,382 spans for the 15,345 tokens of the ``deep_path`` benchmark's
-protocol). Only ``\n`` ends a line, so ``\r`` and a tab each take one
-column.
+No token carries a line or column. ``tokenize`` also returns the text's
+``line_starts`` table, which every span and error of a parse shares: a
+``Span`` is a start offset, a length and that table, and ``position``
+(both beside ``Span`` in ``model``) finds its line and column with
+``bisect`` only where they are read, not for each of the 6,382 spans made
+for the 15,345 tokens of the ``deep_path`` benchmark's protocol. Only
+``\n`` ends a line, so ``\r`` and a tab each take one column.
 
 Strings are double-quoted with ``\"`` and ``\\`` escapes and end at a
 newline; only a string that holds a backslash is searched for bad
@@ -41,13 +42,12 @@ token syntax of its own.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import accumulate, compress, count
 from operator import add, not_, sub
 
 from .diagnostics import ERROR, Diagnostic
-from .model import IDENT, Span
+from .model import IDENT, Span, line_starts, position
 
 __all__ = ["KEYWORDS", "line_starts", "parse_error", "position", "string_value", "tokenize"]
 
@@ -122,22 +122,9 @@ _MASTER = re.compile(
 _ESCAPE = re.compile(r'\\(["\\]?)')
 
 
-def parse_error(line: int, col: int, message: str) -> Diagnostic:
-    """The record of a lex or parse error at ``line``:``col``."""
-    return Diagnostic("parse", ERROR, Span(line, col), message)
-
-
-def line_starts(text: str) -> list[int]:
-    """The offset of each line's first character, for ``position``, and then
-    ``len(text) + 1``, past every offset. Only ``\\n`` ends a line."""
-    # Each line is one character longer than its text, for its newline.
-    return list(accumulate(map((1).__add__, map(len, text.split("\n"))), initial=0))
-
-
-def position(starts: list[int], offset: int) -> tuple[int, int]:
-    """The 1-based line and column of ``offset``, given ``line_starts``."""
-    line = bisect_right(starts, offset)
-    return line, offset - starts[line - 1] + 1
+def parse_error(offset: int, starts: Sequence[int], message: str) -> Diagnostic:
+    """The record of a lex or parse error at ``offset`` of the text with line table ``starts``."""
+    return Diagnostic("parse", ERROR, Span(offset, 1, starts), message)
 
 
 def string_value(body: str) -> str | None:
@@ -150,8 +137,9 @@ def string_value(body: str) -> str | None:
     return _ESCAPE.sub(r"\1", body)
 
 
-def tokenize(text: str) -> tuple[list[str], Sequence[str], list[int], list[Diagnostic]]:
-    """The tokens of ``text`` as parallel lists, and its lex errors.
+def tokenize(text: str) -> tuple[list[str], Sequence[str], list[int], list[Diagnostic], list[int]]:
+    """The tokens of ``text`` as parallel lists, its lex errors and its
+    ``line_starts`` table, which the errors' spans share.
 
     Token ``i`` is a kind ``kinds[i]`` (a keyword's or punctuation token's
     text, or ``ident``, ``int``, ``string`` or ``eof``), a text
@@ -167,6 +155,7 @@ def tokenize(text: str) -> tuple[list[str], Sequence[str], list[int], list[Diagn
     gaps, texts, closes = zip(*scan)
     lengths = list(map(len, texts))
     offsets = list(map(sub, accumulate(map(add, map(len, gaps), lengths)), lengths))
+    starts = line_starts(text)
     kinds: list = list(map(_KIND.get, texts))
     faults: list[tuple[int, str]] = []  # (index, message) of each lex error
     for i in compress(count(), map(not_, kinds)):  # the tokens `_KIND` missed
@@ -182,12 +171,11 @@ def tokenize(text: str) -> tuple[list[str], Sequence[str], list[int], list[Diagn
         elif kind == "bad":
             faults.append((i, f"unexpected character {tok!r}"))
     if not faults:
-        return kinds, texts, offsets, []
+        return kinds, texts, offsets, [], starts
     # A string or character that gave an error yields no token.
-    starts = line_starts(text)
-    errors = [parse_error(*position(starts, offsets[i]), message) for i, message in faults]
+    errors = [parse_error(offsets[i], starts, message) for i, message in faults]
     keep = [True] * len(kinds)
     for i, _ in faults:
         keep[i] = False
     kinds, texts, offsets = (list(compress(tokens, keep)) for tokens in (kinds, texts, offsets))
-    return kinds, texts, offsets, errors
+    return kinds, texts, offsets, errors, starts

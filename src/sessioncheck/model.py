@@ -24,12 +24,16 @@ declared one, so the checker needs no placeholder type for recovery.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Union
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Iterable, Sequence, Union
 
 from .records import quiet, record
 
 __all__ = [
     "IDENT",
+    "line_starts",
+    "position",
     "Span",
     "RoleId",
     "VarId",
@@ -79,13 +83,42 @@ IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(IDENT + r"\Z")
 
 
+def line_starts(text: str) -> list[int]:
+    """The offset of each line's first character, for ``position``, and then
+    ``len(text) + 1``, past every offset. Only ``\\n`` ends a line."""
+    # Each line is one character longer than its text, for its newline.
+    return list(accumulate(map((1).__add__, map(len, text.split("\n"))), initial=0))
+
+
+def position(starts: Sequence[int], offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset``, given ``line_starts``."""
+    line = bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
+
+
 @record
 class Span:
-    """Source location of a construct: 1-based line/column plus length in chars."""
+    """Source location of a construct: start offset and length in characters,
+    and the quiet line-start table (``line_starts``) that every span of a
+    parse shares. ``line`` and ``col`` are found by ``position`` when read;
+    ``line_col`` gives both for one lookup. Without a table, a span is on
+    line 1 at column ``offset + 1``."""
 
-    line: int
-    col: int
-    length: int = 1
+    offset: int
+    length: int
+    line_starts: Sequence[int] = quiet((0,))
+
+    @property
+    def line_col(self) -> tuple[int, int]:
+        return position(self.line_starts, self.offset)
+
+    @property
+    def line(self) -> int:
+        return position(self.line_starts, self.offset)[0]
+
+    @property
+    def col(self) -> int:
+        return position(self.line_starts, self.offset)[1]
 
 
 def _check_name(name: str, what: str) -> None:

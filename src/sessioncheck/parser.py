@@ -35,8 +35,9 @@ resumes at the next one, so the cap is reported once.
 The parser reads the parallel token lists of ``lexer.tokenize`` by
 position: ``kinds[pos]`` decides every rule, ``texts[pos]`` gives a name
 or the text an int or a string is read from, and an error records the
-position of the token it is reported at. Line and column are looked up
-in the text's table of line starts only when a ``Span`` or an error is made.
+position of the token it is reported at. A ``Span`` or an error takes its
+token's offset and the text's one table of line starts; no line or column
+is looked up while parsing.
 
 A `.trace` file is a sequence of `IDENT '=' value` bindings, where
 
@@ -61,10 +62,9 @@ binds a value again hands the simulator the same objects (see
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
 
 from .diagnostics import Diagnostic
-from .lexer import _FIRST, _MASTER, KEYWORDS, line_starts, parse_error, position, string_value, tokenize
+from .lexer import _FIRST, _MASTER, KEYWORDS, parse_error, string_value, tokenize
 from .model import (
     BINARY_OPS,
     Arith,
@@ -188,8 +188,7 @@ class _Parser:
     the last token."""
 
     def __init__(self, text: str):
-        self.kinds, self.texts, self.offsets, self.errors = tokenize(text)
-        self.line_starts = line_starts(text)
+        self.kinds, self.texts, self.offsets, self.errors, self.line_starts = tokenize(text)
         self.pos = 0
         self.nesting = 0
         self.operators = 0  # built so far by the refinement being parsed
@@ -256,16 +255,15 @@ class _Parser:
 
     def span_from(self, start: int) -> Span:
         """From the token at ``start`` to the end of the last token taken,
-        which ``start`` is or precedes."""
+        which ``start`` is or precedes. No rule takes 'eof', so the span is
+        at least one character long."""
         offsets = self.offsets
         offset = offsets[start]
         end = self.pos - 1
-        starts = self.line_starts
-        line = bisect_right(starts, offset)  # `position`, inlined: a parse makes a span per construct
-        return Span(line, offset - starts[line - 1] + 1, max(offsets[end] + len(self.texts[end]) - offset, 1))
+        return Span(offset, offsets[end] + len(self.texts[end]) - offset, self.line_starts)
 
     def error(self, pos: int, message: str) -> None:
-        self.errors.append(parse_error(*position(self.line_starts, self.offsets[pos]), message))
+        self.errors.append(parse_error(self.offsets[pos], self.line_starts, message))
 
     def sync_stmt(self) -> None:
         """Skip to the next statement boundary."""

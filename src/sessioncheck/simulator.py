@@ -335,8 +335,7 @@ def status_to_json(s: Status) -> dict:
     if isinstance(s, RefinementViolated):
         out = {"kind": "refinement_violated", "var": s.var}
         if s.span is not None:
-            out["line"] = s.span.line
-            out["col"] = s.span.col
+            out["line"], out["col"] = s.span.line_col
         return out
     if isinstance(s, TraceExhausted):
         return {"kind": "trace_exhausted", "var": s.var, "note": s.note}

@@ -43,10 +43,9 @@ class Tok(NamedTuple):
 
 def lexed(text: str) -> tuple[list[Tok], list]:
     """The tokens of ``text``, one ``Tok`` each, and its lex errors."""
-    from sessioncheck.lexer import line_starts, position, tokenize
+    from sessioncheck.lexer import position, tokenize
 
-    kinds, texts, offsets, errors = tokenize(text)
-    starts = line_starts(text)
+    kinds, texts, offsets, errors, starts = tokenize(text)
     tokens = [Tok(k, t, *position(starts, o), o) for k, t, o in zip(kinds, texts, offsets)]
     return tokens, errors
 

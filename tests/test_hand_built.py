@@ -89,7 +89,7 @@ CASES = {
     "proj_index_0": (lambda: Proj(BinderRef(), 0), ValueError("projection index is 1-based")),
     "empty_read": (lambda: ReadCase(VarId("m"), ()), ValueError("read needs at least one arm")),
     "diagnostic_severity": (
-        lambda: Diagnostic("E001", "fatal", Span(1, 1), "m"),
+        lambda: Diagnostic("E001", "fatal", Span(0, 1), "m"),
         ValueError("unknown severity fatal"),
     ),
     "kind_of_ref": (lambda: kind_of_ref(NODE, {}, None), TypeError(f"not a refinement expression: {NODE!r}")),

@@ -8,6 +8,7 @@ import io
 import json
 import random
 from contextlib import redirect_stdout
+from itertools import accumulate
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from sessioncheck import check_file, jsonout, parse
 from sessioncheck.cli import _explain_json, main
 from sessioncheck.diagnostics import CODES, ERROR, WARNING, Diagnostic
 from sessioncheck.jsonout import write_diagnostics, write_explain, write_report
-from sessioncheck.model import KnowledgeIndex, KnowledgeItem, RoleId, Span, VarId
+from sessioncheck.model import KnowledgeIndex, KnowledgeItem, RoleId, Span, VarId, line_starts
 from sessioncheck.parser import ParseFailure, parse_trace
 from sessioncheck.simulator import (
     CaseTaken,
@@ -60,7 +61,11 @@ values = st.recursive(
     | st.builds(ConV, strings, st.none() | inner),
     max_leaves=8,
 )
-spans = st.builds(Span, st.integers(1, 10**6), st.integers(1, 10**6))
+# A span anywhere in, or past the end of, a text of up to 20 lines of up to
+# 10**5 characters each, or of up to 10**6 empty lines (as a range equal to
+# ``line_starts("\n" * n)``).
+tables = st.lists(st.integers(1, 10**5), max_size=20).map(lambda lengths: list(accumulate(lengths, initial=0)))
+spans = st.builds(Span, st.integers(0, 10**6), st.integers(1, 99), tables | st.integers(0, 10**6).map(lambda n: range(n + 2)))
 ROLES = [RoleId(n) for n in ("Alice", "Bob", "Charlie", "D_1")]
 # Types of every kind the printer renders: base, tuple, named and refined.
 TYPED = r"""roles A, B
@@ -143,7 +148,7 @@ EVERY_KIND = [
 # Each event object three times: the first, second and third sight of every
 # kind, whose text is kept by id.
 @example(RunReport(EVERY_KIND * 3, Completed()))
-@example(RunReport(EVERY_KIND, RefinementViolated("reply", Span(3, 7))))
+@example(RunReport(EVERY_KIND, RefinementViolated("reply", Span(12, 1, [0, 4, 6, 20]))))  # line 3, col 7
 @example(RunReport(EVERY_KIND, RefinementViolated("reply")))
 @example(RunReport([], TraceMismatch("x", "Int", TupleV((BoolV(True), IntV(1))), "")))  # true, not 1
 def test_report_writer_is_the_stdlib_rendering(report):
@@ -206,7 +211,7 @@ diagnostics = st.builds(
     lambda code, severity, span, message, related, file: Diagnostic(code, severity, span, message, related).to_json(file),
     st.sampled_from(sorted(CODES)),
     st.sampled_from([ERROR, WARNING]),
-    st.builds(Span, st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 99)),
+    spans,
     strings,
     st.none() | spans,
     strings,
@@ -232,7 +237,8 @@ def test_writer_streams_list_elements_at_depth_0_and_1():
 
     index = KnowledgeIndex(tuple(KnowledgeItem(VarId(f"m{i}"), TYPES[0], (A, B)) for i in range(20)))
     report = RunReport([Sent("m0", "Alice", "Bob", index)] * 50, Completed())
-    records = [Diagnostic("E003", ERROR, Span(i + 1, 1), "sender does not know m").to_json("f.ssn") for i in range(50)]
+    lines = line_starts("\n" * 50)  # line i + 1 starts at offset i
+    records = [Diagnostic("E003", ERROR, Span(i, 1, lines), "sender does not know m").to_json("f.ssn") for i in range(50)]
     for write, obj, reference in ((write_report, report, report.to_json()), (write_diagnostics, records, records)):
         out = Recorder()
         with redirect_stdout(out):
@@ -253,7 +259,7 @@ def test_writers_need_only_write_on_the_stream(corpus):
             return len(s)
 
     result = check_file(parse((corpus / "server.ssn").read_text()), record_steps=True)
-    records = [Diagnostic("E003", ERROR, Span(1, 1), "sender does not know m").to_json("f.ssn")] * 3
+    records = [Diagnostic("E003", ERROR, Span(0, 1), "sender does not know m").to_json("f.ssn")] * 3
     report = RunReport(EVERY_KIND * 3, Completed())
     for write, obj, reference in (
         (write_report, report, report.to_json()),

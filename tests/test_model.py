@@ -247,7 +247,7 @@ def test_add_knower_then_freeze_equals_learn(sends):
     every snapshot must still equal ``learn``'s, which checks its items."""
     working: dict = {}
     for i, (var, creator) in enumerate(((M1, ALICE), (M2, BOB), (VarId("m3"), CHARLIE))):
-        add_item(working, var, PACKET_INT, creator, Span(i + 1, 1))
+        add_item(working, var, PACKET_INT, creator, Span(i, 1))
     idx = KnowledgeIndex(tuple(working.values()))
     for var, role in sends:
         idx = learn(idx, var, role)

@@ -14,7 +14,6 @@ from sessioncheck.model import (
     BinderRef,
     BoolOp,
     Cmp,
-    Span,
     IntLit,
     NamedType,
     Proj,
@@ -244,25 +243,25 @@ def test_operator_ladder_node_types_and_spans():
 
     def walk(e):
         kids = [getattr(e, f) for f in ("lhs", "rhs", "base") if hasattr(e, f)]
-        out = [(type(e).__name__, getattr(e, "op", None), e.span)]
+        out = [(type(e).__name__, getattr(e, "op", None), (e.span.line, e.span.col, e.span.length))]
         for k in kids:
             out += walk(k)
         return out
 
     assert walk(pred) == [
-        ("BoolOp", "or", Span(3, a, 28)),
-        ("VarRef", None, Span(3, a, 1)),
-        ("BoolOp", "and", Span(3, a + 5, 23)),
-        ("VarRef", None, Span(3, a + 5, 1)),
-        ("Cmp", "==", Span(3, a + 11, 17)),
-        ("VarRef", None, Span(3, a + 11, 1)),
-        ("Arith", "+", Span(3, a + 16, 12)),
-        ("VarRef", None, Span(3, a + 16, 1)),
-        ("Arith", "*", Span(3, a + 20, 8)),
-        ("VarRef", None, Span(3, a + 20, 1)),
-        ("Proj", None, Span(3, a + 24, 4)),
-        ("UnwrapDep", None, Span(3, a + 24, 2)),
-        ("VarRef", None, Span(3, a + 24, 1)),
+        ("BoolOp", "or", (3, a, 28)),
+        ("VarRef", None, (3, a, 1)),
+        ("BoolOp", "and", (3, a + 5, 23)),
+        ("VarRef", None, (3, a + 5, 1)),
+        ("Cmp", "==", (3, a + 11, 17)),
+        ("VarRef", None, (3, a + 11, 1)),
+        ("Arith", "+", (3, a + 16, 12)),
+        ("VarRef", None, (3, a + 16, 1)),
+        ("Arith", "*", (3, a + 20, 8)),
+        ("VarRef", None, (3, a + 20, 1)),
+        ("Proj", None, (3, a + 24, 4)),
+        ("UnwrapDep", None, (3, a + 24, 2)),
+        ("VarRef", None, (3, a + 24, 1)),
     ]
     assert pred == BoolOp(
         "or",
@@ -473,7 +472,7 @@ def test_semicolon_after_the_last_read_arm():
     file = parse(READ_HEAD + "_ => end; }\n}\n")
     read = file.protocols[0].body[-1]
     assert read == ReadCase(VarId("m"), (Arm(WildPat(), (End(),)),))
-    assert read.span == Span(4, 3, 20)
+    assert (read.span.line, read.span.col, read.span.length) == (4, 3, 20)
 
 
 @pytest.mark.parametrize(

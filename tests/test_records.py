@@ -12,15 +12,20 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+import sys
 
 import pytest
 
 import sessioncheck
-from conftest import fresh_python
+from conftest import CORPUS, fresh_python
 from sessioncheck import check_file, parse, parse_trace, run_trace
 from sessioncheck.diagnostics import Diagnostic
 from sessioncheck.model import INT, BaseType, KnowledgeIndex, KnowledgeItem, RoleId, Span, TupleType, VarId, VarRef, add_item, add_knower
 from sessioncheck.simulator import Completed, ProtocolEvent, RunReport, Sent
+
+sys.path.insert(0, str(CORPUS.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def _records() -> dict[str, type]:
@@ -40,7 +45,7 @@ RECORDS = _records()
 
 def _samples(m: dict[str, type]) -> dict[str, tuple]:
     """Valid positional arguments for each record, every optional field set."""
-    s1, s2 = m["Span"](1, 2, 3), m["Span"](4, 5)
+    s1, s2 = m["Span"](1, 2, [0, 2, 6]), m["Span"](4, 5)
     x, a, b = m["VarId"]("x"), m["RoleId"]("A"), m["RoleId"]("B")
     one, two = m["IntLit"](1), m["IntLit"](2)
     pred = m["Cmp"]("==", m["BinderRef"](), one)
@@ -49,7 +54,7 @@ def _samples(m: dict[str, type]) -> dict[str, tuple]:
     index = m["KnowledgeIndex"]((item,))
     end = m["End"]()
     return {
-        "Span": (1, 2, 3),
+        "Span": (1, 2, [0, 2, 6]),
         "RoleId": ("A",),
         "VarId": ("x",),
         "BaseType": ("Int", s1),
@@ -122,9 +127,10 @@ def _fields(cls: type) -> list[inspect.Parameter]:
 
 
 def _quiet(cls: type) -> set[str]:
-    """Fields left out of ==, hash and repr: every optional span, and Sent's knowers."""
+    """Fields left out of ==, hash and repr: every optional span, Sent's
+    knowers and a span's line table."""
     quiet = {p.name for p in _fields(cls) if p.name in ("span", "origin") and p.default is None}
-    return quiet | {"knowers"} if cls is Sent else quiet
+    return quiet | {Sent: {"knowers"}, Span: {"line_starts"}}.get(cls, set())
 
 
 def _clone(record, into: type | None = None, **changes):
@@ -150,7 +156,7 @@ def test_record_contract(name):
     assert hash(record) == hash(cls(*args))
     for n in names:
         if n in _quiet(cls):
-            changed = _clone(record, **{n: Span(99, 99)})
+            changed = _clone(record, **{n: [0, 99] if n == "line_starts" else Span(99, 99)})
             assert changed == record and repr(changed) == repr(record), n
             assert hash(changed) == hash(record), n
         else:
@@ -210,11 +216,11 @@ def test_records_keep_their_fields_in_slots():
     # `add_knower` builds the grown item without its constructor.
     x, a, b = VarId("x"), RoleId("A"), RoleId("B")
     working: dict = {}
-    add_item(working, x, INT, a, Span(1, 1))
+    add_item(working, x, INT, a, Span(0, 1))
     add_knower(working, x, b)
     built = KnowledgeItem(x, INT, (a, b))
     assert working["x"] == built and hash(working["x"]) == hash(built)
-    assert working["x"].origin == Span(1, 1)
+    assert working["x"].origin == Span(0, 1)
 
 
 @pytest.mark.parametrize(
@@ -224,7 +230,7 @@ def test_records_keep_their_fields_in_slots():
         lambda: BaseType("Float"),
         lambda: TupleType((INT,)),
         lambda: KnowledgeIndex((KnowledgeItem(VarId("x"), INT, (RoleId("A"),)),) * 2),
-        lambda: Diagnostic("E999", "error", Span(1, 1), "no such code"),
+        lambda: Diagnostic("E999", "error", Span(0, 1), "no such code"),
         lambda: ProtocolEvent("entered", "P"),
     ],
 )
@@ -234,9 +240,9 @@ def test_construction_still_checks(build):
 
 
 def test_repr_leaves_out_spans_and_knowers():
-    assert repr(Span(1, 2, 3)) == "Span(line=1, col=2, length=3)"
-    assert repr(VarRef(VarId("x"), Span(1, 1))) == "VarRef(var=VarId(name='x'))"
-    sent = Sent("m", "A", "B", KnowledgeIndex(), Span(1, 1), (RoleId("A"),))
+    assert repr(Span(1, 2, [0, 2, 6])) == "Span(offset=1, length=2)"
+    assert repr(VarRef(VarId("x"), Span(0, 1))) == "VarRef(var=VarId(name='x'))"
+    sent = Sent("m", "A", "B", KnowledgeIndex(), Span(0, 1), (RoleId("A"),))
     assert repr(sent) == "Sent(var='m', sender='A', receiver='B', index_after=KnowledgeIndex(items=()))"
 
 
@@ -264,7 +270,33 @@ def test_records_survive_copy_deepcopy_and_pickle(corpus, copy_):
     trace = parse_trace((corpus / "tcp_good.trace").read_text())
     report = run_trace(file, trace)
     assert report.completed and file.protocols[0].span is not None
-    for record in (Span(1, 2, 3), file, trace, check_file(file, record_steps=True), report):
+    for record in (Span(1, 2, [0, 2, 6]), file, trace, check_file(file, record_steps=True), report):
         copied = copy_(record)
         assert type(copied) is type(record) and copied == record
         assert _every_field(copied) == _every_field(record)
+
+
+def _spans(obj):
+    """Every span under ``obj``, field by field."""
+    if isinstance(obj, Span):
+        yield obj
+    elif type(obj) in RECORDS.values():
+        for n in type(obj).__slots__:
+            yield from _spans(getattr(obj, n))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _spans(item)
+
+
+def test_a_parsed_file_keeps_one_line_table_through_deepcopy_and_pickle():
+    text = workloads.deep_path(1, CORPUS).files["deep.ssn"]
+    file = parse(text)
+    table = file.protocols[0].span.line_starts
+    blob = pickle.dumps(file)
+    for copied in (copy.deepcopy(file), pickle.loads(blob)):
+        found = list(_spans(copied))
+        assert len(found) == len(list(_spans(file))) > 6000
+        assert all(span.line_starts is found[0].line_starts for span in found)
+        assert found[0].line_starts == table and found[0].line_starts is not table
+    # A table per span would take at least one byte per entry per span.
+    assert len(blob) < len(found) * len(table) // 10

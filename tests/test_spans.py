@@ -7,6 +7,10 @@ whole list for one corpus file, and for the other corpus files and for
 generated ones, that each span starts at the first token of its construct,
 at the line and column that token's offset gives, and ends at the end of a
 token. The corpus files are also read with CRLF line ends and tab indents.
+A property test holds every span of corpus and generated files, in each
+layout, to the text: at least one character long, inside the text, at the
+line and column ``position`` gives for its offset, and holding the parse's
+one line table, which its lex and parse errors share too.
 """
 
 from __future__ import annotations
@@ -16,9 +20,13 @@ import re
 
 import pytest
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from gen import gen_checkable_file, gen_printable_file
+from sessioncheck.lexer import line_starts, position
 from sessioncheck.model import Span, VariantDecl
-from sessioncheck.parser import parse
+from sessioncheck.parser import ParseFailure, parse
 from sessioncheck.printer import format_source
 from sessioncheck.syntax import Call, End, NewDepMsg, NewMsg, ProtocolDecl, ReadCase, Rec, Send
 
@@ -104,13 +112,18 @@ FIRST_TOKEN = {
 }
 
 
+# Other line endings and indents: '\r' and a tab are one column each.
+LAYOUTS = {
+    "": lambda text: text,
+    "-crlf": lambda text: text.replace("\n", "\r\n"),
+    "-tabs": lambda text: re.sub(r"(?m)^(?:  )+", lambda m: "\t" * (len(m[0]) // 2), text),
+}
+
+
 def _files():
     for path in sorted(CORPUS.glob("*.ssn")):
-        text = path.read_text()
-        yield path.name, text
-        # Other line endings and indents: '\r' and a tab are one column each.
-        yield f"{path.name}-crlf", text.replace("\n", "\r\n")
-        yield f"{path.name}-tabs", re.sub(r"(?m)^(?:  )+", lambda m: "\t" * (len(m[0]) // 2), text)
+        for suffix, layout in LAYOUTS.items():
+            yield f"{path.name}{suffix}", layout(path.read_text())
     for seed in range(40):
         yield f"printable-{seed}", format_source(gen_printable_file(random.Random(seed)))
         yield f"checkable-{seed}", format_source(gen_checkable_file(random.Random(seed)))
@@ -131,3 +144,41 @@ def test_each_span_starts_at_its_first_token_and_ends_at_a_token_end(text):
         assert tok.offset + span.length in ends, path
         if type(node) in FIRST_TOKEN:
             assert tok.kind == FIRST_TOKEN[type(node)], path
+
+
+GENERATORS = {"printable": gen_printable_file, "checkable": gen_checkable_file}
+TCP = (CORPUS / "tcp.ssn").read_text()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(sorted(CORPUS.glob("*.ssn"))).map(lambda path: path.read_text())
+    | st.builds(lambda gen, seed: format_source(GENERATORS[gen](random.Random(seed))),
+                st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32)),
+    st.sampled_from(sorted(LAYOUTS)),
+)
+@example(TCP, "-crlf")
+@example(TCP, "-tabs")
+def test_every_span_lies_in_its_text_at_the_position_of_its_offset(text, layout):
+    text = LAYOUTS[layout](text)
+    starts = line_starts(text)
+    found = spans(parse(text))
+    assert found
+    table = found[0][2].line_starts
+    assert table == starts
+    for path, _, span in found:
+        assert span.length >= 1, path
+        assert 0 <= span.offset < span.offset + span.length <= len(text), path
+        assert (span.line, span.col) == span.line_col == position(starts, span.offset), path
+        assert span.line_starts is table, path
+
+
+def test_lex_and_parse_errors_share_one_line_table():
+    text = "roles A\nprotocol P [A] {\n  msg m : Int by A @;\n  send m\n}\n"
+    with pytest.raises(ParseFailure) as info:
+        parse(text)
+    lex, syntax = info.value.errors
+    assert (lex.span.line, lex.span.col, lex.span.length, lex.message) == (3, 20, 1, "unexpected character '@'")
+    assert (syntax.span.line, syntax.span.col, syntax.span.length) == (5, 1, 1)
+    assert lex.span.line_starts is syntax.span.line_starts
+    assert lex.span.line_starts == line_starts(text)
