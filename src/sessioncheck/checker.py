@@ -25,12 +25,14 @@ from .model import (
     KnowledgeIndex,
     NamedType,
     Proj,
+    REF_RECORDS,
     RefExpr,
     RefinedType,
     RoleId,
     Span,
     StrLit,
     TupleType,
+    TYPE_RECORDS,
     TypeExpr,
     UnwrapDep,
     VarRef,
@@ -42,7 +44,7 @@ from .model import (
     overlapping,
 )
 from .printer import format_pattern, format_stmt, format_type
-from .records import record
+from .records import record, record_kind
 from .syntax import (
     Block,
     Call,
@@ -56,6 +58,7 @@ from .syntax import (
     Rec,
     Send,
     SourceFile,
+    STMT_RECORDS,
     Stmt,
     WildPat,
     VALUE_KINDS,
@@ -76,7 +79,9 @@ class KindError(Exception):
 
 
 def _base(t: TypeExpr) -> str | None:
-    return t.kind if isinstance(t, BaseType) else None
+    if (kind := type(t)) not in TYPE_RECORDS:
+        kind = record_kind(t, TYPE_RECORDS)
+    return t.kind if kind is BaseType else None
 
 
 def _operand(expr: Arith | Cmp | BoolOp, side: RefExpr, kind: TypeExpr, want: BaseType) -> None:
@@ -92,38 +97,19 @@ def kind_of_ref(expr: RefExpr, env: dict[str, TypeExpr], binder: TypeExpr | None
     the payload type of the refined value, or None outside a refinement.
     Both only ever hold declared types.
     """
-    if isinstance(expr, IntLit):
-        return INT
-    if isinstance(expr, BoolLit):
-        return BOOL
-    if isinstance(expr, StrLit):
-        return STR
-    if isinstance(expr, VarRef):
+    if (kind := type(expr)) not in REF_RECORDS:
+        kind = record_kind(expr, REF_RECORDS)
+    if kind is VarRef:
         if expr.var.name not in env:
             raise KindError(expr.span, f"unbound variable '{expr.var.name}'")
         return env[expr.var.name]
-    if isinstance(expr, BinderRef):
+    if kind is IntLit:
+        return INT
+    if kind is BinderRef:
         if binder is None:
             raise KindError(expr.span, "no refined value in scope here")
         return binder
-    if isinstance(expr, Proj):
-        base = kind_of_ref(expr.base, env, binder)
-        if not isinstance(base, TupleType):
-            raise KindError(expr.span, f"projection needs a tuple, found {format_type(base)}")
-        if expr.index > len(base.elems):
-            raise KindError(expr.span, f"position {expr.index} exceeds tuple arity {len(base.elems)}")
-        return base.elems[expr.index - 1]
-    if isinstance(expr, UnwrapDep):
-        base = kind_of_ref(expr.base, env, binder)
-        if not isinstance(base, RefinedType):
-            raise KindError(expr.span, f"'!' unwraps refined values only, found {format_type(base)}")
-        return base.payload
-    if isinstance(expr, (Arith, BoolOp)):  # each side is checked as soon as it is kinded
-        want = INT if isinstance(expr, Arith) else BOOL
-        for side in (expr.lhs, expr.rhs):
-            _operand(expr, side, kind_of_ref(side, env, binder), want)
-        return want
-    if isinstance(expr, Cmp):
+    if kind is Cmp:
         lk = kind_of_ref(expr.lhs, env, binder)
         rk = kind_of_ref(expr.rhs, env, binder)
         if expr.op in ("<", "<="):
@@ -135,6 +121,27 @@ def kind_of_ref(expr: RefExpr, env: dict[str, TypeExpr], binder: TypeExpr | None
             raise KindError(side.span or expr.span, f"'{expr.op}' compares Int/Bool/Str values, found {format_type(bad)}")
         if _base(lk) != _base(rk):
             raise KindError(expr.span, f"'{expr.op}' needs matching kinds, found {format_type(lk)} vs {format_type(rk)}")
+        return BOOL
+    if kind is Arith or kind is BoolOp:  # each side is checked as soon as it is kinded
+        want = INT if kind is Arith else BOOL
+        for side in (expr.lhs, expr.rhs):
+            _operand(expr, side, kind_of_ref(side, env, binder), want)
+        return want
+    if kind is UnwrapDep:
+        base = kind_of_ref(expr.base, env, binder)
+        if not isinstance(base, RefinedType):
+            raise KindError(expr.span, f"'!' unwraps refined values only, found {format_type(base)}")
+        return base.payload
+    if kind is Proj:
+        base = kind_of_ref(expr.base, env, binder)
+        if not isinstance(base, TupleType):
+            raise KindError(expr.span, f"projection needs a tuple, found {format_type(base)}")
+        if expr.index > len(base.elems):
+            raise KindError(expr.span, f"position {expr.index} exceeds tuple arity {len(base.elems)}")
+        return base.elems[expr.index - 1]
+    if kind is StrLit:
+        return STR
+    if kind is BoolLit:
         return BOOL
     raise TypeError(f"not a refinement expression: {expr!r}")
 
@@ -257,13 +264,15 @@ class _Checker:
             self.emit("E001", span, f"duplicate participant '{r.name}' in {where}")
 
     def check_type(self, t: TypeExpr, span: Span | None) -> None:
-        if isinstance(t, NamedType):
+        if (kind := type(t)) not in TYPE_RECORDS:
+            kind = record_kind(t, TYPE_RECORDS)
+        if kind is NamedType:  # a BaseType takes no branch
             if self.file.variant(t.name) is None:
                 self.emit("E001", t.span or span, f"unknown type '{t.name}'")
-        elif isinstance(t, TupleType):
+        elif kind is TupleType:
             for e in t.elems:
                 self.check_type(e, span)
-        elif isinstance(t, RefinedType):
+        elif kind is RefinedType:
             self.check_type(t.payload, span)
 
     def check_entry(self) -> None:
@@ -320,30 +329,32 @@ class _Checker:
 
     def check_block(self, block: Block, index: WorkingIndex, path: str, guarded: bool) -> None:
         for i, stmt in enumerate(block):
+            if (kind := type(stmt)) not in STMT_RECORDS:
+                kind = record_kind(stmt, STMT_RECORDS)
             last = i == len(block) - 1
-            if isinstance(stmt, ReadCase):
+            if kind is Send:
+                self.check_send(stmt, index)
+            elif kind is NewDepMsg:
+                self.check_new_dep(stmt, index)
+            elif kind is NewMsg:
+                self.check_new_msg(stmt, index)
+            elif kind is ReadCase:
                 if not last:
                     self.flag("E007", stmt.span, "'read' must be the last statement on its path")
                 self.check_read(stmt, index, path, guarded)
                 return  # successors are unreachable behind the arms
-            if isinstance(stmt, (Rec, Call, End)) and not last:
-                self.flag("E007", stmt.span, f"'{format_stmt(stmt).split()[0]}' must be the last statement on its path")
-                continue  # drop the stray terminator, keep checking the successors
-            if isinstance(stmt, Call):
-                self.check_call(stmt, index, path)
-                return
-            if isinstance(stmt, (Rec, End)):
-                if isinstance(stmt, Rec) and not guarded:
+            elif kind is Rec or kind is Call or kind is End:
+                if not last:
+                    self.flag("E007", stmt.span, f"'{format_stmt(stmt).split()[0]}' must be the last statement on its path")
+                    continue  # drop the stray terminator, keep checking the successors
+                if kind is Call:
+                    self.check_call(stmt, index, path)
+                    return
+                if kind is Rec and not guarded:
                     self.flag("E007", stmt.span, "unguarded recursion: the loop exchanges no messages", WARNING)
                 self.record(stmt, path, index)
-                self.finish(f"{path} (rec)" if isinstance(stmt, Rec) else path, index)
+                self.finish(f"{path} (rec)" if kind is Rec else path, index)
                 return
-            if isinstance(stmt, NewMsg):
-                self.check_new_msg(stmt, index)
-            elif isinstance(stmt, NewDepMsg):
-                self.check_new_dep(stmt, index)
-            elif isinstance(stmt, Send):
-                self.check_send(stmt, index)
             guarded = True
             self.record(stmt, path, index)
         # unreachable on parser output (blocks always close), but a hand

@@ -195,7 +195,10 @@ _STEP_WORDS = {"recursed": "rec", "called": "call", "ended": "end"}
 
 
 def _print_report(report: RunReport) -> None:
+    from .records import record_kind
     from .simulator import (
+        EVENT_RECORDS,
+        STATUS_RECORDS,
         CaseTaken,
         Completed,
         MsgCreated,
@@ -209,27 +212,31 @@ def _print_report(report: RunReport) -> None:
 
     write = sys.stdout.write  # one write per line: print makes two
     for e in report.events:
-        if isinstance(e, MsgCreated):
-            write(f"created  {e.var} = {format_value(e.value)} by {e.creator}\n")
-        elif isinstance(e, RefinementChecked):
-            verdict = "holds" if e.verdict else "FAILS"
-            write(f"refined  {e.var}: {e.predicate} {verdict}\n")
-        elif isinstance(e, Sent):
+        if (kind := type(e)) not in EVENT_RECORDS:
+            kind = record_kind(e, EVENT_RECORDS)
+        if kind is Sent:
             knowers = ", ".join(r.name for r in e.knowers)
             write(f"sent     {e.var} {e.sender} -> {e.receiver}; known to {knowers}\n")
-        elif isinstance(e, CaseTaken):
+        elif kind is MsgCreated:
+            write(f"created  {e.var} = {format_value(e.value)} by {e.creator}\n")
+        elif kind is RefinementChecked:
+            verdict = "holds" if e.verdict else "FAILS"
+            write(f"refined  {e.var}: {e.predicate} {verdict}\n")
+        elif kind is CaseTaken:
             write(f"case     {e.var} => {e.arm}\n")
-        elif isinstance(e, ProtocolEvent):
+        elif kind is ProtocolEvent:
             write(f"{_STEP_WORDS[e.kind]:<8} {e.protocol}\n")
     s = report.status
-    if isinstance(s, Completed):
+    if (kind := type(s)) not in STATUS_RECORDS:
+        kind = record_kind(s, STATUS_RECORDS)
+    if kind is Completed:
         write("status: completed\n")
-    elif isinstance(s, RefinementViolated):
+    elif kind is RefinementViolated:
         write(f"status: refinement violated on '{s.var}'\n")
-    elif isinstance(s, TraceExhausted):
+    elif kind is TraceExhausted:
         where = f" at '{s.var}'" if s.var else ""
         write(f"status: trace exhausted{where} ({s.note})\n")
-    elif isinstance(s, TraceMismatch):
+    elif kind is TraceMismatch:
         got = format_value(s.got) if s.got is not None else "nothing"
         write(f"status: trace mismatch on '{s.var}': expected {s.expected}, got {got} ({s.note})\n")
 

@@ -41,8 +41,9 @@ import sys
 from .checker import CheckResult, StepRecord
 from .model import KnowledgeIndex
 from .printer import format_type
-from .simulator import CaseTaken, MsgCreated, ProtocolEvent, RefinementChecked, RunReport, Sent, status_to_json
-from .syntax import BoolV, ConV, IntV, StrV, TupleV, Value
+from .records import record_kind
+from .simulator import EVENT_RECORDS, CaseTaken, MsgCreated, ProtocolEvent, RefinementChecked, RunReport, Sent, status_to_json
+from .syntax import VALUE_RECORDS, BoolV, ConV, IntV, StrV, TupleV, Value
 
 __all__ = ["write_report", "write_explain", "write_diagnostics"]
 
@@ -82,15 +83,17 @@ def _shape(indent: str, *keys: str, kind: str | None = None) -> str:
 def _json_value(v: Value, indent: str) -> str:
     """``value_to_json(v)``."""
     inner = indent + "  "
-    if isinstance(v, IntV):
+    if (kind := type(v)) not in VALUE_RECORDS:
+        kind = record_kind(v, VALUE_RECORDS)
+    if kind is IntV:
         body = '"int": ' + int.__repr__(v.value)
-    elif isinstance(v, StrV):
+    elif kind is StrV:
         body = '"str": ' + _json_str(v.value)
-    elif isinstance(v, BoolV):
+    elif kind is BoolV:
         body = '"bool": ' + ("true" if v.value else "false")
-    elif isinstance(v, TupleV):
+    elif kind is TupleV:
         body = '"tuple": ' + _json_list([_json_value(x, inner + "  ") for x in v.items], inner)
-    elif isinstance(v, ConV):
+    elif kind is ConV:
         arg = "null" if v.arg is None else _json_value(v.arg, inner)
         body = '"con": ' + _json_str(v.tag) + "," + inner + '"arg": ' + arg
     else:
@@ -130,18 +133,20 @@ def _json_event(e, texts: dict[int, str | None]) -> str:
     """``simulator._event_json(e)`` after its separator, for an event whose
     text ``texts`` does not hold; ``texts`` maps the id of an index item or
     of an event seen before to its text, ``None`` after a first sight."""
-    if isinstance(e, MsgCreated):
+    if (kind := type(e)) not in EVENT_RECORDS:
+        kind = record_kind(e, EVENT_RECORDS)
+    if kind is MsgCreated:
         text = _MSG_CREATED % (_json_str(e.var), _json_value(e.value, _FIELD), _json_str(e.creator))
-    elif isinstance(e, RefinementChecked):
+    elif kind is RefinementChecked:
         # As in a dict, a repeated name keeps its first place and its last value.
         witness = _json_obj(_FIELD, [(k, _json_value(v, _FIELD + "  ")) for k, v in dict(e.witness).items()])
         verdict = "true" if e.verdict else "false"
         text = _REFINEMENT_CHECKED % (_json_str(e.var), _json_str(e.predicate), verdict, witness)
-    elif isinstance(e, Sent):
+    elif kind is Sent:
         text = _SENT % (_json_str(e.var), _json_str(e.sender), _json_str(e.receiver), _json_index(e.index_after, texts))
-    elif isinstance(e, CaseTaken):
+    elif kind is CaseTaken:
         text = _CASE_TAKEN % (_json_str(e.var), _json_str(e.arm))
-    elif isinstance(e, ProtocolEvent):
+    elif kind is ProtocolEvent:
         text = _PROTOCOL_EVENT % (_json_str(e.kind), _json_str(e.protocol))
     else:
         raise TypeError(f"not an event: {e!r}")

@@ -28,7 +28,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
-from .records import quiet, record
+from .records import family, quiet, record, record_kind
 
 __all__ = [
     "IDENT",
@@ -207,6 +207,7 @@ class RefinedType:
 
 
 TypeExpr = Union[BaseType, TupleType, NamedType, RefinedType]
+TYPE_RECORDS = family(TypeExpr)
 
 INT = BaseType("Int")
 BOOL = BaseType("Bool")
@@ -322,6 +323,7 @@ class BoolOp:
 
 
 RefExpr = Union[IntLit, BoolLit, StrLit, VarRef, BinderRef, Proj, UnwrapDep, Arith, Cmp, BoolOp]
+REF_RECORDS = family(RefExpr)
 
 # Binary refinement operators by precedence level, loosest first; every
 # level is left-associative, and postfix `.N` / `!` bind tighter than all.
@@ -340,13 +342,15 @@ def free_vars_ordered(expr: RefExpr) -> tuple[VarId, ...]:
     stack = [expr]
     while stack:
         e = stack.pop()
-        if isinstance(e, VarRef):
+        if (kind := type(e)) not in REF_RECORDS:
+            kind = record_kind(e, REF_RECORDS)
+        if kind is VarRef:
             if e.var not in out:
                 out.append(e.var)
-        elif isinstance(e, (Proj, UnwrapDep)):
-            stack.append(e.base)
-        elif isinstance(e, (Arith, Cmp, BoolOp)):
+        elif kind is Cmp or kind is Arith or kind is BoolOp:
             stack += (e.rhs, e.lhs)  # the left side pops first
+        elif kind is UnwrapDep or kind is Proj:
+            stack.append(e.base)
     return tuple(out)
 
 
@@ -417,6 +421,11 @@ class KnowledgeIndex:
 
 EMPTY_INDEX = KnowledgeIndex()
 
+# The slot setters of the index records, which build an item or a snapshot
+# without its checks, as the records' own ``__init__`` stores each field.
+_set_var, _set_type, _set_knowers, _set_origin = (getattr(KnowledgeItem, n).__set__ for n in KnowledgeItem.__slots__)
+_set_items = KnowledgeIndex.items.__set__
+
 # The index of one control path while it is checked or run, updated in
 # place: each item under its variable's name.
 WorkingIndex = dict[str, KnowledgeItem]
@@ -455,10 +464,11 @@ def add_item(
     working: WorkingIndex, var: VarId, type: TypeExpr, creator: RoleId, origin: Span | None = None
 ) -> None:
     """In-place ``introduce``: add a fresh item, under ``var.name``, whose
-    only knower is the creator."""
+    only knower is the creator. One knower is duplicate-free, so the item is
+    built, like ``add_knower``'s, without ``KnowledgeItem.__post_init__``."""
     if var.name in working:
         raise DuplicateVar(var.name)
-    working[var.name] = KnowledgeItem(var, type, (creator,), origin)
+    working[var.name] = _item(var, type, (creator,), origin)
 
 
 def add_knower(working: WorkingIndex, var: VarId, role: RoleId) -> None:
@@ -475,12 +485,18 @@ def add_knower(working: WorkingIndex, var: VarId, role: RoleId) -> None:
     if item is None:
         raise UnknownVar(var.name)
     if role not in item.knowers:
-        grown = object.__new__(KnowledgeItem)
-        object.__setattr__(grown, "var", var)
-        object.__setattr__(grown, "type", item.type)
-        object.__setattr__(grown, "knowers", item.knowers + (role,))
-        object.__setattr__(grown, "origin", item.origin)
-        working[var.name] = grown
+        working[var.name] = _item(var, item.type, item.knowers + (role,), item.origin)
+
+
+def _item(var: VarId, type: TypeExpr, knowers: tuple[RoleId, ...], origin: Span | None) -> KnowledgeItem:
+    """A ``KnowledgeItem`` built without its checks, for knowers known to be
+    duplicate-free."""
+    item = object.__new__(KnowledgeItem)
+    _set_var(item, var)
+    _set_type(item, type)
+    _set_knowers(item, knowers)
+    _set_origin(item, origin)
+    return item
 
 
 def freeze(working: WorkingIndex) -> KnowledgeIndex:
@@ -490,7 +506,7 @@ def freeze(working: WorkingIndex) -> KnowledgeIndex:
     unique, so the check in ``KnowledgeIndex.__post_init__`` is skipped.
     """
     index = object.__new__(KnowledgeIndex)
-    object.__setattr__(index, "items", tuple(working.values()))
+    _set_items(index, tuple(working.values()))
     return index
 
 

@@ -13,15 +13,18 @@ from .model import (
     IntLit,
     NamedType,
     Proj,
+    REF_RECORDS,
     RefExpr,
     RefinedType,
     StrLit,
     TupleType,
+    TYPE_RECORDS,
     TypeExpr,
     UnwrapDep,
     VariantDecl,
     VarRef,
 )
+from .records import record_kind
 from .syntax import (
     Arm,
     Block,
@@ -35,19 +38,22 @@ from .syntax import (
     NewDepMsg,
     NewMsg,
     Pattern,
+    PATTERN_RECORDS,
     ProtocolDecl,
     ReadCase,
     Rec,
     Send,
     SourceFile,
+    STMT_RECORDS,
     StrV,
     Stmt,
     TupleV,
     Value,
+    VALUE_RECORDS,
     WildPat,
 )
 
-__all__ = ["format_source", "format_type", "format_ref", "format_value", "format_pattern", "format_stmt"]
+__all__ = ["format_source", "format_type", "format_ref", "binder_name", "format_value", "format_pattern", "format_stmt"]
 
 # Binding strength of each binary operator (higher binds tighter), from the
 # one precedence table; postfix `.N` and `!` bind tighter than all of them.
@@ -60,32 +66,36 @@ def _escape(s: str) -> str:
 
 
 def format_value(v: Value) -> str:
-    if isinstance(v, IntV):
+    if (kind := type(v)) not in VALUE_RECORDS:
+        kind = record_kind(v, VALUE_RECORDS)
+    if kind is IntV:
         return str(v.value)
-    if isinstance(v, BoolV):
-        return "true" if v.value else "false"
-    if isinstance(v, StrV):
+    if kind is StrV:
         return f'"{_escape(v.value)}"'
-    if isinstance(v, TupleV):
+    if kind is TupleV:
         return "(" + ", ".join(format_value(x) for x in v.items) + ")"
-    if isinstance(v, ConV):
+    if kind is ConV:
         if v.arg is None:
             return v.tag
         if isinstance(v.arg, TupleV):
             return v.tag + "(" + ", ".join(format_value(x) for x in v.arg.items) + ")"
         return f"{v.tag}({format_value(v.arg)})"
+    if kind is BoolV:
+        return "true" if v.value else "false"
     raise TypeError(f"not a value: {v!r}")
 
 
 def format_type(t: TypeExpr) -> str:
-    if isinstance(t, BaseType):
+    if (kind := type(t)) not in TYPE_RECORDS:
+        kind = record_kind(t, TYPE_RECORDS)
+    if kind is BaseType:
         return t.kind
-    if isinstance(t, NamedType):
-        return t.name
-    if isinstance(t, TupleType):
-        return "(" + ", ".join(format_type(e) for e in t.elems) + ")"
-    if isinstance(t, RefinedType):
+    if kind is RefinedType:
         return _format_refined(t)
+    if kind is NamedType:
+        return t.name
+    if kind is TupleType:
+        return "(" + ", ".join(format_type(e) for e in t.elems) + ")"
     raise TypeError(f"unprintable type: {t!r}")
 
 
@@ -105,66 +115,77 @@ def format_ref(e: RefExpr, labels: tuple[str, ...] = ()) -> str:
     return _ref(e, labels, 0)
 
 
+def binder_name(labels: tuple[str, ...]) -> str:
+    """How a refinement with ``labels`` names its binder: its one label, else ``_``."""
+    return labels[0] if len(labels) == 1 else "_"
+
+
 def _ref(e: RefExpr, labels: tuple[str, ...], parent: int) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, StrLit):
-        return f'"{_escape(e.value)}"'
-    if isinstance(e, VarRef):
+    if (kind := type(e)) not in REF_RECORDS:
+        kind = record_kind(e, REF_RECORDS)
+    if kind is VarRef:
         return e.var.name
-    if isinstance(e, BinderRef):
-        return labels[0] if len(labels) == 1 else "_"
-    if isinstance(e, Proj):
-        if isinstance(e.base, BinderRef) and len(labels) >= 2 and e.index <= len(labels):
-            return labels[e.index - 1]
-        return f"{_ref(e.base, labels, _PREC_POSTFIX)}.{e.index}"
-    if isinstance(e, UnwrapDep):
-        return f"{_ref(e.base, labels, _PREC_POSTFIX)}!"
-    if isinstance(e, Cmp) and e.sugar == "literal":
+    if kind is IntLit:
+        return str(e.value)
+    if kind is BinderRef:
+        return binder_name(labels)
+    if kind is Cmp and e.sugar == "literal":
         return f"literal({_ref(e.rhs, labels, 0)})"
-    if isinstance(e, Cmp) and e.sugar == "next":
+    if kind is Cmp and e.sugar == "next":
         inner = e.rhs
         if isinstance(inner, Arith) and inner.op == "+" and isinstance(inner.rhs, IntLit) and inner.rhs.value == 1:
             return f"next({_ref(inner.lhs, labels, 0)})"
         # malformed sugar tag; fall through to the plain rendering
-    if isinstance(e, (Arith, Cmp, BoolOp)):
+    if kind is Cmp or kind is Arith or kind is BoolOp:
         # left-associative: only a right operand at the same level needs parentheses
         prec = _PREC[e.op]
         out = f"{_ref(e.lhs, labels, prec)} {e.op} {_ref(e.rhs, labels, prec + 1)}"
         return f"({out})" if prec < parent else out
+    if kind is UnwrapDep:
+        return f"{_ref(e.base, labels, _PREC_POSTFIX)}!"
+    if kind is Proj:
+        if isinstance(e.base, BinderRef) and len(labels) >= 2 and e.index <= len(labels):
+            return labels[e.index - 1]
+        return f"{_ref(e.base, labels, _PREC_POSTFIX)}.{e.index}"
+    if kind is StrLit:
+        return f'"{_escape(e.value)}"'
+    if kind is BoolLit:
+        return "true" if e.value else "false"
     raise TypeError(f"unprintable refinement: {e!r}")
 
 
 def format_pattern(p: Pattern) -> str:
     """A read-arm pattern as written: constructor tag, literal or `_`."""
-    if isinstance(p, CtorPat):
+    if (kind := type(p)) not in PATTERN_RECORDS:
+        kind = record_kind(p, PATTERN_RECORDS)
+    if kind is CtorPat:
         return p.tag
-    if isinstance(p, LitPat):
-        return format_value(p.value)
-    if isinstance(p, WildPat):
+    if kind is WildPat:
         return "_"
+    if kind is LitPat:
+        return format_value(p.value)
     raise TypeError(f"not a pattern: {p!r}")
 
 
 def format_stmt(s: Stmt) -> str:
     """One-line rendering of a statement (reads show only their scrutinee)."""
-    if isinstance(s, NewMsg):
-        return f"msg {s.var} : {format_type(s.type)} by {s.creator}"
-    if isinstance(s, NewDepMsg):
-        return f"dep {s.var} : {_format_refined(s.rtype)} by {s.creator}"
-    if isinstance(s, Send):
+    if (kind := type(s)) not in STMT_RECORDS:
+        kind = record_kind(s, STMT_RECORDS)
+    if kind is Send:
         return f"send {s.var} {s.sender} -> {s.receiver}"
-    if isinstance(s, ReadCase):
-        return f"read {s.var} {{ ... }}"
-    if isinstance(s, Rec):
+    if kind is NewDepMsg:
+        return f"dep {s.var} : {_format_refined(s.rtype)} by {s.creator}"
+    if kind is NewMsg:
+        return f"msg {s.var} : {format_type(s.type)} by {s.creator}"
+    if kind is End:
+        return "end"
+    if kind is Rec:
         return "rec"
-    if isinstance(s, Call):
+    if kind is Call:
         args = "(" + ", ".join(s.args) + ")" if s.args else ""
         return f"call {s.target}{args}" + (" then rec" if s.then_rec else "")
-    if isinstance(s, End):
-        return "end"
+    if kind is ReadCase:
+        return f"read {s.var} {{ ... }}"
     raise TypeError(f"not a statement: {s!r}")
 
 
@@ -172,7 +193,9 @@ def _emit_block(block: Block, indent: int, out: list[str], last_sep: str = "") -
     pad = "  " * indent
     for i, stmt in enumerate(block):
         sep = ";" if i < len(block) - 1 else last_sep
-        if isinstance(stmt, ReadCase):
+        if (kind := type(stmt)) not in STMT_RECORDS:
+            kind = record_kind(stmt, STMT_RECORDS)
+        if kind is ReadCase:
             out.append(f"{pad}read {stmt.var} {{")
             _emit_arms(stmt.arms, indent + 1, out)
             out.append(f"{pad}}}{sep}")

@@ -21,10 +21,12 @@ default is ``quiet(...)`` takes no part in ``==``, ``hash`` or ``repr``.
 Fields cannot be reassigned or deleted, so ``copy``, ``deepcopy`` and
 ``pickle`` rebuild a record through its constructor, quiet fields
 included. ``dataclasses`` is not used: its import and code generation
-are the largest part of starting the command-line tool.
+are the largest part of starting the command-line tool. Every walker over
+records picks a node's branch by the rule stated at ``record_kind``.
 """
 
 from types import FunctionType
+from typing import get_args
 
 
 class quiet:
@@ -97,3 +99,26 @@ def record(cls):
     cls = type(cls)(cls.__name__, cls.__bases__, own)
     setters.update((f"_s{i}", getattr(cls, n).__set__) for i, n in enumerate(names))
     return cls
+
+
+def family(union) -> dict[type, None]:
+    """The records of the ``Union`` ``union``, in order: a dict, for its
+    one-step membership test."""
+    return dict.fromkeys(get_args(union))
+
+
+def record_kind(node, records: dict[type, None]) -> type:
+    """The record of the family ``records`` that ``node``'s class extends,
+    else ``type(node)``.
+
+    Every walker over a family of records (refinement nodes, payload types,
+    values, patterns, statements, and a run's events and statuses) picks a
+    node's branch by one rule. It reads ``kind = type(node)`` once, calls
+    this only if ``kind`` is none of the family's records, and then tests
+    ``kind is X``, the most frequent kind first. ``type(x)``, a membership
+    test in a dict and an ``is`` test are a few specialised instructions in
+    CPython 3.11, where each ``isinstance`` is a call of a builtin. So a
+    subclass of a record runs as the record it extends, and any other
+    object takes no branch and reaches the walker's ``TypeError``.
+    """
+    return next((kind for kind in records if isinstance(node, kind)), type(node))

@@ -5,10 +5,9 @@ One trace drives all roles. Each protocol entered (the entry, a `rec`, a
 index. Bindings are consumed in order, refinements evaluated on the real
 values and case arms selected by first match; the index is logged after every
 send so runs can be compared step for step against the checker. The run
-picks each statement's branch once, from its exact type, and a `msg` and a
-`dep` share one branch that tells them apart once; only a statement whose
-type is none of the statement records pays for more: a subclass runs as
-the record it extends, and anything else is a `TypeError`.
+picks each statement's branch once, by its exact type, as every walker
+over a tree or a value does (the rule is stated at ``records.record_kind``),
+and a `msg` and a `dep` share one branch that tells them apart once.
 
 Because every entry starts a fresh index, a statement in a loop meets the
 same index each round. A run therefore keeps what each `msg`/`dep`, `send`
@@ -54,11 +53,13 @@ from .model import (
     IntLit,
     KnowledgeIndex,
     Proj,
+    REF_RECORDS,
     RefExpr,
     RefinedType,
     RoleId,
     StrLit,
     TupleType,
+    TYPE_RECORDS,
     TypeExpr,
     UnwrapDep,
     VarRef,
@@ -69,8 +70,8 @@ from .model import (
     freeze,
     Span,
 )
-from .printer import format_pattern, format_ref, format_type, format_value
-from .records import quiet, record
+from .printer import binder_name, format_pattern, format_ref, format_type, format_value
+from .records import family, quiet, record, record_kind
 from .syntax import (
     BoolV,
     Call,
@@ -80,11 +81,13 @@ from .syntax import (
     IntV,
     NewDepMsg,
     NewMsg,
+    PATTERN_RECORDS,
     ProtocolDecl,
     ReadCase,
     Rec,
     Send,
     SourceFile,
+    STMT_RECORDS,
     StrV,
     Trace,
     TraceBinding,
@@ -127,30 +130,20 @@ _OPERATORS = {
 
 def eval_ref(expr: RefExpr, bindings: dict[str, Value], binder_value: Value | None) -> Value:
     """Strictly evaluate a refinement against concrete message values."""
-    if isinstance(expr, IntLit):
-        return IntV(expr.value)
-    if isinstance(expr, BoolLit):
-        return BoolV(expr.value)
-    if isinstance(expr, StrLit):
-        return StrV(expr.value)
-    if isinstance(expr, VarRef):
+    if (kind := type(expr)) not in REF_RECORDS:
+        kind = record_kind(expr, REF_RECORDS)
+    if kind is VarRef:
         try:
             return bindings[expr.var.name]
         except KeyError:
             raise EvalError(f"variable '{expr.var.name}' has no value") from None
-    if isinstance(expr, BinderRef):
+    if kind is IntLit:
+        return IntV(expr.value)
+    if kind is BinderRef:
         if binder_value is None:
             raise EvalError("no refined value in scope")
         return binder_value
-    if isinstance(expr, Proj):
-        base = eval_ref(expr.base, bindings, binder_value)
-        if not isinstance(base, TupleV) or expr.index > len(base.items):
-            raise EvalError(f"cannot take position {expr.index} of {format_value(base)}")
-        return base.items[expr.index - 1]
-    if isinstance(expr, UnwrapDep):
-        # Refined values are represented by their payload, so unwrap is identity.
-        return eval_ref(expr.base, bindings, binder_value)
-    if isinstance(expr, (Arith, Cmp, BoolOp)):
+    if kind is Cmp or kind is Arith or kind is BoolOp:
         lhs = eval_ref(expr.lhs, bindings, binder_value)
         rhs = eval_ref(expr.rhs, bindings, binder_value)
         if expr.op == "==":
@@ -161,16 +154,30 @@ def eval_ref(expr: RefExpr, bindings: dict[str, Value], binder_value: Value | No
         if not isinstance(lhs, operand) or not isinstance(rhs, operand):
             raise EvalError(f"'{expr.op}' needs {'integers' if operand is IntV else 'booleans'}")
         return result(apply(lhs.value, rhs.value))
+    if kind is UnwrapDep:
+        # Refined values are represented by their payload, so unwrap is identity.
+        return eval_ref(expr.base, bindings, binder_value)
+    if kind is Proj:
+        base = eval_ref(expr.base, bindings, binder_value)
+        if not isinstance(base, TupleV) or expr.index > len(base.items):
+            raise EvalError(f"cannot take position {expr.index} of {format_value(base)}")
+        return base.items[expr.index - 1]
+    if kind is StrLit:
+        return StrV(expr.value)
+    if kind is BoolLit:
+        return BoolV(expr.value)
     raise TypeError(f"not a refinement expression: {expr!r}")
 
 
 def value_matches_type(value: Value, type_: TypeExpr, file: SourceFile) -> bool:
     """Structural typing of a trace value against a payload type."""
-    if isinstance(type_, RefinedType):
-        return value_matches_type(value, type_.payload, file)
-    if isinstance(type_, BaseType):
+    if (kind := type(type_)) not in TYPE_RECORDS:
+        kind = record_kind(type_, TYPE_RECORDS)
+    if kind is BaseType:
         return VALUE_KINDS.get(type(value)) == type_.kind
-    if isinstance(type_, TupleType):
+    if kind is RefinedType:
+        return value_matches_type(value, type_.payload, file)
+    if kind is TupleType:
         return (
             isinstance(value, TupleV)
             and len(value.items) == len(type_.elems)
@@ -236,6 +243,7 @@ class ProtocolEvent:
 
 
 Event = MsgCreated | RefinementChecked | Sent | CaseTaken | ProtocolEvent
+EVENT_RECORDS = family(Event)
 
 
 @record
@@ -264,6 +272,7 @@ class TraceMismatch:
 
 
 Status = Completed | RefinementViolated | TraceExhausted | TraceMismatch
+STATUS_RECORDS = family(Status)
 
 
 @record
@@ -355,9 +364,11 @@ def status_to_json(s: Status) -> dict:
 
 
 def _pattern_matches(pattern, value: Value) -> bool:
-    if isinstance(pattern, WildPat):
+    if (kind := type(pattern)) not in PATTERN_RECORDS:
+        kind = record_kind(pattern, PATTERN_RECORDS)
+    if kind is WildPat:
         return True
-    if isinstance(pattern, CtorPat):
+    if kind is CtorPat:
         return isinstance(value, ConV) and value.tag == pattern.tag
     return pattern.value == value  # a LitPat
 
@@ -369,11 +380,6 @@ def run_trace(file: SourceFile, trace: Trace, *, max_steps: int = 10_000) -> Run
         raise ValueError("file has no entry protocol; run the checker first")
     events: list[Event] = []
     return RunReport(events, _run(file, entry, iter(trace.bindings), max_steps, events))
-
-
-# The statement records, in the order the run tests them: a dict, for its
-# order and its one-step membership test.
-_STATEMENTS = dict.fromkeys((NewMsg, NewDepMsg, Send, ReadCase, Rec, Call, End))
 
 
 def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], max_steps: int, events: list[Event]) -> Status:
@@ -401,9 +407,8 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
             if steps > max_steps:
                 return TraceExhausted(None, f"step limit of {max_steps} exceeded")
 
-            kind = type(stmt)  # the one dispatch per statement
-            if kind not in _STATEMENTS:  # a subclass runs as the record it extends
-                kind = next((k for k in _STATEMENTS if isinstance(stmt, k)), kind)
+            if (kind := type(stmt)) not in STMT_RECORDS:  # the one dispatch per statement
+                kind = record_kind(stmt, STMT_RECORDS)
             if kind is NewMsg or kind is NewDepMsg:
                 dep = kind is NewDepMsg
                 var = stmt.var.name
@@ -423,7 +428,7 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                         # the predicate, the binder named as the predicate names it, and its free variables
                         pred, labels = declared.predicate, declared.labels
                         names = tuple(v.name for v in free_vars_ordered(pred))
-                        made += (format_ref(pred, labels), format_ref(BinderRef(), labels), names)
+                        made += (format_ref(pred, labels), binder_name(labels), names)
                     built[id(stmt)] = made
                 else:
                     index[var] = made[1]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Union
 
 from .model import RefinedType, RoleId, Span, TypeExpr, VarId, VariantDecl
-from .records import quiet, record
+from .records import family, quiet, record
 
 __all__ = [
     "IntV",
@@ -75,6 +75,7 @@ class ConV:
 
 
 Value = Union[IntV, BoolV, StrV, TupleV, ConV]
+VALUE_RECORDS = family(Value)
 
 # The base type of each literal value: what a literal pattern can match,
 # and what a trace value of a base type must be.
@@ -103,6 +104,7 @@ class WildPat:
 
 
 Pattern = Union[CtorPat, LitPat, WildPat]
+PATTERN_RECORDS = family(Pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +172,7 @@ class End:
 
 
 Stmt = Union[NewMsg, NewDepMsg, Send, ReadCase, Rec, Call, End]
+STMT_RECORDS = family(Stmt)
 Block = tuple[Stmt, ...]
 
 TERMINATORS = (ReadCase, Rec, Call, End)

@@ -234,6 +234,9 @@ def test_in_place_helpers_match_pure_api(script):
             in_place(working, *args)
         assert tuple(working.values()) == idx.items
         assert freeze(working) == idx
+        for it in working.values():  # built without their checks, which they pass
+            checked = KnowledgeItem(it.var, it.type, it.knowers, it.origin)
+            assert type(it) is KnowledgeItem and it == checked and hash(it) == hash(checked)
 
 
 

@@ -270,7 +270,9 @@ def test_records_survive_copy_deepcopy_and_pickle(corpus, copy_):
     trace = parse_trace((corpus / "tcp_good.trace").read_text())
     report = run_trace(file, trace)
     assert report.completed and file.protocols[0].span is not None
-    for record in (Span(1, 2, [0, 2, 6]), file, trace, check_file(file, record_steps=True), report):
+    working: dict = {}
+    add_item(working, VarId("x"), INT, RoleId("A"), Span(0, 1))  # an item built without its constructor
+    for record in (Span(1, 2, [0, 2, 6]), file, trace, check_file(file, record_steps=True), report, working["x"]):
         copied = copy_(record)
         assert type(copied) is type(record) and copied == record
         assert _every_field(copied) == _every_field(record)
