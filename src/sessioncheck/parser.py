@@ -39,6 +39,16 @@ position of the token it is reported at. A ``Span`` or an error takes its
 token's offset and the text's one table of line starts; no line or column
 is looked up while parsing.
 
+A rule takes its well-formed shape by reading ``kinds`` in place: a
+statement head such as ``send IDENT IDENT '->' IDENT``, a ``by IDENT``
+tail, a label and its ':', a base type, an operand. Once every kind fits,
+it moves ``pos`` past the shape and builds the node and its span in one
+step. Where a kind misses, the rule goes through the per-token helpers
+(``expect``, ``ident``, ``peek``, ``at``, ``starts_arm``, ``ends_arm``)
+from the same position, and the first of them that meets a wrong token
+raises. Those helpers are the one place that words a parse error, so an
+error's message, position and recovery are the same whichever path met it.
+
 A `.trace` file is a sequence of `IDENT '=' value` bindings, where
 
     value := ['-'] INT | STRING | 'true' | 'false'
@@ -123,6 +133,7 @@ __all__ = ["ParseFailure", "parse", "parse_trace"]
 
 _TOP_KEYWORDS = ("roles", "type", "protocol", "entry")
 _PATTERN_STARTS = ("int", "string", "true", "false", "_", "-")
+_SEND_SHAPE = ["ident", "ident", "->", "ident"]  # the kinds of the tokens after `send`
 
 
 class ParseFailure(Exception):
@@ -163,22 +174,7 @@ _TOO_DEEP = f"nesting deeper than {_MAX_NESTING} levels"
 # tree stays a few hundred levels deep and every later AST walk that
 # recurses per level (checker, printer, simulator) stays shallow.
 _MAX_OPERATORS = 500
-
-
-def _nested(parse):
-    """Make ``parse(p, ...)`` run one nesting level deeper, raising
-    _NestingError at the current token past the depth cap."""
-
-    def nested(p: _Parser, *args):
-        p.nesting += 1
-        try:
-            if p.nesting > _MAX_NESTING:
-                raise _NestingError(p.pos, _TOO_DEEP)
-            return parse(p, *args)
-        finally:
-            p.nesting -= 1
-
-    return nested
+_TOO_MANY_OPERATORS = f"refinement with more than {_MAX_OPERATORS} operators"
 
 
 class _Parser:
@@ -195,12 +191,6 @@ class _Parser:
         # One VarId and one RoleId per distinct name: each checks its name once.
         self.vars: dict[str, VarId] = {}
         self.roles: dict[str, RoleId] = {}
-
-    def _operator(self) -> None:
-        """Count an operator against the refinement's budget."""
-        self.operators += 1
-        if self.operators > _MAX_OPERATORS:
-            raise _NestingError(self.pos, f"refinement with more than {_MAX_OPERATORS} operators")
 
     # -- token plumbing ----------------------------------------------------
 
@@ -245,6 +235,15 @@ class _Parser:
             self.pos += 1
             out.append(parse_one())
         return out
+
+    def nested_list(self, parse_one) -> list:
+        """``comma_list(parse_one)`` one nesting level deeper. A rule that
+        nests checks the depth cap as it starts, at its first token."""
+        self.nesting += 1
+        try:
+            return self.comma_list(parse_one)
+        finally:
+            self.nesting -= 1
 
     def int_value(self, pos: int) -> int:
         """An int token's value; one past the interpreter's int/str digit limit is an error."""
@@ -405,14 +404,17 @@ class _Parser:
         cap for all of them: past the cap, its first statement raises
         _NestingError at its first token, and an empty block is reported
         as at any depth."""
+        kinds = self.kinds
         stmts: list[Stmt] = []
         errors_before = len(self.errors)
         self.nesting += 1
         try:
             while True:
-                if self.at("}") or self.at("eof"):
+                kind = kinds[self.pos]
+                if kind == "}" or kind == "eof":
                     break
-                if in_arm and self.starts_arm():
+                # An arm starts here (`starts_arm`).
+                if in_arm and (kind in _PATTERN_STARTS or kind == "ident" and kinds[self.pos + 1] == "=>"):
                     break
                 if self.nesting > _MAX_NESTING:
                     raise _NestingError(self.pos, _TOO_DEEP)
@@ -428,12 +430,14 @@ class _Parser:
                     self.sync_stmt()
                     if self.pos == before and not self.at(";"):
                         break  # stuck on a top-level keyword; let the caller resync
-                if self.at(";"):
-                    if in_arm and self.ends_arm():
-                        break  # the ';' separates arms; leave it for the read loop
-                    self.pos += 1
-                    continue
-                break
+                pos = self.pos
+                if kinds[pos] != ";":
+                    break
+                # A ';' that separates arms (`ends_arm`) is left for the read loop.
+                kind = kinds[pos + 1]
+                if in_arm and (kind in _PATTERN_STARTS or kind == "}" or kind == "ident" and kinds[pos + 2] == "=>"):
+                    break
+                self.pos = pos + 1
         finally:
             self.nesting -= 1
         clean = len(self.errors) == errors_before
@@ -448,22 +452,37 @@ class _Parser:
         """One statement, or None for a read whose every arm was skipped
         (its errors are already recorded)."""
         start = self.pos
-        kind = self.kinds[start]
-        if kind in ("msg", "dep"):
-            self.pos += 1
-            var = self.var(self.ident("a message variable"))
-            self.expect(":")
+        kinds, texts, offsets = self.kinds, self.texts, self.offsets
+        kind = kinds[start]
+        # Where a shape misses, the per-token helpers raise its error.
+        if kind == "dep" or kind == "msg":
+            if kinds[start + 1] != "ident" or kinds[start + 2] != ":":
+                self.pos = start + 1
+                self.ident("a message variable")
+                self.expect(":")
+            var = self.var(texts[start + 1])
+            self.pos = start + 3
             type_ = self.parse_type() if kind == "msg" else self.parse_refined_type()
-            self.expect("by")
-            creator = self.role(self.ident("a role name"))
-            return (NewMsg if kind == "msg" else NewDepMsg)(var, type_, creator, self.span_from(start))
+            pos = self.pos
+            if kinds[pos] != "by" or kinds[pos + 1] != "ident":
+                self.expect("by")
+                self.ident("a role name")
+            self.pos = pos + 2
+            creator, offset = texts[pos + 1], offsets[start]
+            span = Span(offset, offsets[pos + 1] + len(creator) - offset, self.line_starts)
+            return (NewMsg if kind == "msg" else NewDepMsg)(var, type_, self.role(creator), span)
         if kind == "send":
-            self.pos += 1
-            var = self.var(self.ident("a message variable"))
-            sender = self.role(self.ident("the sending role"))
-            self.expect("->")
-            receiver = self.role(self.ident("the receiving role"))
-            return Send(var, sender, receiver, self.span_from(start))
+            if kinds[start + 1 : start + 5] != _SEND_SHAPE:
+                self.pos = start + 1
+                self.ident("a message variable")
+                self.ident("the sending role")
+                self.expect("->")
+                self.ident("the receiving role")
+            var, sender, _, receiver = texts[start + 1 : start + 5]
+            self.pos = start + 5
+            offset = offsets[start]
+            span = Span(offset, offsets[start + 4] + len(receiver) - offset, self.line_starts)
+            return Send(self.var(var), self.role(sender), self.role(receiver), span)
         if kind == "read":
             self.pos += 1
             var = self.var(self.ident("a message variable"))
@@ -555,19 +574,21 @@ class _Parser:
 
     # -- types ---------------------------------------------------------------
 
-    @_nested
     def parse_type(self) -> TypeExpr:
+        """A type, one nesting level deeper than its context."""
         start = self.pos
+        if self.nesting >= _MAX_NESTING:
+            raise _NestingError(start, _TOO_DEEP)
         kind = self.kinds[start]
-        if kind in ("Int", "Bool", "Str"):
-            self.pos += 1
-            return BaseType(kind, self.span_from(start))
+        if kind == "Int" or kind == "Str" or kind == "Bool":
+            self.pos = start + 1
+            return BaseType(kind, Span(self.offsets[start], len(kind), self.line_starts))
         if kind == "ident":
-            self.pos += 1
+            self.pos = start + 1
             return NamedType(self.texts[start], self.span_from(start))
         if kind == "(":
             self.pos += 1
-            elems = self.comma_list(self.parse_type)
+            elems = self.nested_list(self.parse_type)
             self.expect(")", "',' or ')' in tuple type")
             if len(elems) < 2:
                 raise _SyntaxError(start, "tuple type needs at least two components")
@@ -576,22 +597,27 @@ class _Parser:
 
     def parse_refined_type(self) -> RefinedType:
         start = self.pos
+        kinds = self.kinds
         labels: tuple[str, ...]
         payload: TypeExpr
-        if self.kinds[start] == "(" and self.peek(1) == "ident" and self.peek(2) == ":":
-            self.pos += 1
+        if kinds[start] == "(" and kinds[start + 1] == "ident" and kinds[start + 2] == ":":
+            pos = start + 1
             names: list[str] = []
             types: list[TypeExpr] = []
             distinct = True
             while True:  # label ':' type (',' label ':' type)*
-                label = self.ident("a component label")
+                if kinds[pos] != "ident" or kinds[pos + 1] != ":":
+                    self.ident("a component label")
+                    self.expect(":")
+                label = self.texts[pos]
+                self.pos = pos + 2
                 distinct = distinct and label not in names
                 names.append(label)
-                self.expect(":")
                 types.append(self.parse_type())
-                if not self.at(","):
+                pos = self.pos
+                if kinds[pos] != ",":
                     break
-                self.pos += 1
+                self.pos = pos = pos + 1
             self.expect(")")
             if not distinct:
                 raise _SyntaxError(start, "component labels must be distinct")
@@ -600,16 +626,24 @@ class _Parser:
         else:
             labels = ()
             payload = self.parse_type()
-        self.expect("where", "'where' introducing the refinement")
+        if kinds[self.pos] != "where":
+            self.expect("where", "'where' introducing the refinement")
+        self.pos += 1
         self.operators = 0
         predicate = self.parse_ref(labels)
         return RefinedType(payload, labels, predicate, self.span_from(start))
 
     # -- refinement expressions -----------------------------------------------
 
-    @_nested
     def parse_ref(self, labels: tuple[str, ...]) -> RefExpr:
-        return self.parse_binary(labels, 0)
+        """A refinement expression, one nesting level deeper than its context."""
+        if self.nesting >= _MAX_NESTING:
+            raise _NestingError(self.pos, _TOO_DEEP)
+        self.nesting += 1
+        try:
+            return self.parse_binary(labels, 0)
+        finally:
+            self.nesting -= 1
 
     def parse_binary(self, labels: tuple[str, ...], floor: int) -> RefExpr:
         """Operators of level ``floor`` or tighter over postfix operands
@@ -619,15 +653,19 @@ class _Parser:
         the levels met in one call never rise: each level's operators form
         one chain, and every node's span starts at its chain's first token.
         """
-        kinds = self.kinds
+        kinds, texts, offsets = self.kinds, self.texts, self.offsets
         start = self.pos
         lhs = self.parse_postfix(labels)
-        while (level := _BINARY_LEVEL.get(kinds[self.pos], -1)) >= floor:
-            self._operator()
-            op = kinds[self.pos]
+        while (level := _BINARY_LEVEL.get(op := kinds[self.pos], -1)) >= floor:
+            self.operators += 1
+            if self.operators > _MAX_OPERATORS:
+                raise _NestingError(self.pos, _TOO_MANY_OPERATORS)
             self.pos += 1  # an operator, not 'eof'
             rhs = self.parse_binary(labels, level + 1)
-            lhs = _BINARY_NODES[op](op, lhs, rhs, span=self.span_from(start))
+            end = self.pos - 1
+            offset = offsets[start]
+            span = Span(offset, offsets[end] + len(texts[end]) - offset, self.line_starts)
+            lhs = _BINARY_NODES[op](op, lhs, rhs, span=span)
         return lhs
 
     def parse_postfix(self, labels) -> RefExpr:
@@ -635,41 +673,55 @@ class _Parser:
         start = self.pos
         expr = self.parse_atom(labels)
         while True:
-            kind = kinds[self.pos]
-            if kind == ".":
-                self._operator()
-                self.pos += 1
-                idx = self.expect("int", "a 1-based tuple position")
-                position = self.int_value(idx)
-                if position < 1:
-                    raise _SyntaxError(idx, "projection positions are 1-based")
-                expr = Proj(expr, position, self.span_from(start))
-            elif kind == "!":
-                self._operator()
-                self.pos += 1
-                expr = UnwrapDep(expr, self.span_from(start))
-            else:
+            pos = self.pos
+            kind = kinds[pos]
+            if kind != "!" and kind != ".":
                 return expr
+            self.operators += 1
+            if self.operators > _MAX_OPERATORS:
+                raise _NestingError(pos, _TOO_MANY_OPERATORS)
+            self.pos = pos + 1
+            if kind == "!":
+                offset = self.offsets[start]
+                expr = UnwrapDep(expr, Span(offset, self.offsets[pos] + 1 - offset, self.line_starts))
+                continue
+            idx = self.expect("int", "a 1-based tuple position")
+            position = self.int_value(idx)
+            if position < 1:
+                raise _SyntaxError(idx, "projection positions are 1-based")
+            expr = Proj(expr, position, self.span_from(start))
 
     def parse_atom(self, labels: tuple[str, ...]) -> RefExpr:
         start = self.pos
-        kind = self.kinds[start]
+        kinds = self.kinds
+        kind = kinds[start]
         if kind == "ident":
-            self.pos += 1
+            self.pos = start + 1
             name = self.texts[start]
-            span = self.span_from(start)
+            span = Span(self.offsets[start], len(name), self.line_starts)
             if name in labels:
                 ref: RefExpr = BinderRef(span)
                 if len(labels) >= 2:
                     ref = Proj(ref, labels.index(name) + 1, span)
                 return ref
             return VarRef(self.var(name), span)
-        value = self.parse_literal_value()
-        if value is not None:
-            node = IntLit if isinstance(value, IntV) else StrLit if isinstance(value, StrV) else BoolLit
-            return node(value.value, self.span_from(start))
+        # A literal, as `parse_literal_value` reads one.
+        if kind == "int":
+            self.pos = start + 1
+            return IntLit(self.int_value(start), Span(self.offsets[start], len(self.texts[start]), self.line_starts))
+        if kind == "-" and kinds[start + 1] == "int":
+            self.pos = start + 2
+            return IntLit(-self.int_value(start + 1), self.span_from(start))
+        if kind == "string":
+            self.pos = start + 1
+            return StrLit(string_value(self.texts[start][1:-1]), self.span_from(start))
+        if kind == "true" or kind == "false":
+            self.pos = start + 1
+            return BoolLit(kind == "true", self.span_from(start))
         if kind == "literal" or kind == "next":
-            self._operator()
+            self.operators += 1
+            if self.operators > _MAX_OPERATORS:
+                raise _NestingError(start, _TOO_MANY_OPERATORS)
             self.pos += 1
             self.expect("(")
             inner = self.parse_ref(labels)
@@ -818,9 +870,11 @@ def _parse_trace_tokens(text: str) -> Trace:
     return Trace(tuple(bindings))
 
 
-@_nested
 def _parse_value(p: _Parser) -> Value:
+    """A value, one nesting level deeper than its context."""
     start = p.pos
+    if p.nesting >= _MAX_NESTING:
+        raise _NestingError(start, _TOO_DEEP)
     lit = p.parse_literal_value()
     if lit is not None:
         return lit
@@ -830,14 +884,14 @@ def _parse_value(p: _Parser) -> Value:
         p.pos += 1
         if p.at("("):
             p.pos += 1
-            args = p.comma_list(lambda: _parse_value(p))
+            args = p.nested_list(lambda: _parse_value(p))
             p.expect(")")
             arg = args[0] if len(args) == 1 else TupleV(tuple(args))
             return ConV(tag, arg)
         return ConV(tag)
     if kind == "(":
         p.pos += 1
-        items = p.comma_list(lambda: _parse_value(p))
+        items = p.nested_list(lambda: _parse_value(p))
         p.expect(")", "',' or ')' in tuple value")
         if len(items) < 2:
             raise _SyntaxError(start, "tuple value needs at least two components")
