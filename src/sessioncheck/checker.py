@@ -25,14 +25,12 @@ from .model import (
     KnowledgeIndex,
     NamedType,
     Proj,
-    REF_RECORDS,
     RefExpr,
     RefinedType,
     RoleId,
     Span,
     StrLit,
     TupleType,
-    TYPE_RECORDS,
     TypeExpr,
     UnwrapDep,
     VarRef,
@@ -44,7 +42,7 @@ from .model import (
     overlapping,
 )
 from .printer import format_pattern, format_stmt, format_type
-from .records import record, record_kind
+from .records import record
 from .syntax import (
     Block,
     Call,
@@ -58,7 +56,6 @@ from .syntax import (
     Rec,
     Send,
     SourceFile,
-    STMT_RECORDS,
     Stmt,
     WildPat,
     VALUE_KINDS,
@@ -79,9 +76,7 @@ class KindError(Exception):
 
 
 def _base(t: TypeExpr) -> str | None:
-    if (kind := type(t)) not in TYPE_RECORDS:
-        kind = record_kind(t, TYPE_RECORDS)
-    return t.kind if kind is BaseType else None
+    return t.kind if type(t) is BaseType else None
 
 
 def _operand(expr: Arith | Cmp | BoolOp, side: RefExpr, kind: TypeExpr, want: BaseType) -> None:
@@ -97,8 +92,7 @@ def kind_of_ref(expr: RefExpr, env: dict[str, TypeExpr], binder: TypeExpr | None
     the payload type of the refined value, or None outside a refinement.
     Both only ever hold declared types.
     """
-    if (kind := type(expr)) not in REF_RECORDS:
-        kind = record_kind(expr, REF_RECORDS)
+    kind = type(expr)
     if kind is VarRef:
         if expr.var.name not in env:
             raise KindError(expr.span, f"unbound variable '{expr.var.name}'")
@@ -264,8 +258,7 @@ class _Checker:
             self.emit("E001", span, f"duplicate participant '{r.name}' in {where}")
 
     def check_type(self, t: TypeExpr, span: Span | None) -> None:
-        if (kind := type(t)) not in TYPE_RECORDS:
-            kind = record_kind(t, TYPE_RECORDS)
+        kind = type(t)
         if kind is NamedType:  # a BaseType takes no branch
             if self.file.variant(t.name) is None:
                 self.emit("E001", t.span or span, f"unknown type '{t.name}'")
@@ -329,8 +322,7 @@ class _Checker:
 
     def check_block(self, block: Block, index: WorkingIndex, path: str, guarded: bool) -> None:
         for i, stmt in enumerate(block):
-            if (kind := type(stmt)) not in STMT_RECORDS:
-                kind = record_kind(stmt, STMT_RECORDS)
+            kind = type(stmt)
             last = i == len(block) - 1
             if kind is Send:
                 self.check_send(stmt, index)
@@ -355,6 +347,8 @@ class _Checker:
                 self.record(stmt, path, index)
                 self.finish(f"{path} (rec)" if kind is Rec else path, index)
                 return
+            else:
+                raise TypeError(f"not a statement: {stmt!r}")
             guarded = True
             self.record(stmt, path, index)
         # unreachable on parser output (blocks always close), but a hand

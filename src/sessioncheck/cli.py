@@ -195,10 +195,7 @@ _STEP_WORDS = {"recursed": "rec", "called": "call", "ended": "end"}
 
 
 def _print_report(report: RunReport) -> None:
-    from .records import record_kind
     from .simulator import (
-        EVENT_RECORDS,
-        STATUS_RECORDS,
         CaseTaken,
         Completed,
         MsgCreated,
@@ -212,8 +209,7 @@ def _print_report(report: RunReport) -> None:
 
     write = sys.stdout.write  # one write per line: print makes two
     for e in report.events:
-        if (kind := type(e)) not in EVENT_RECORDS:
-            kind = record_kind(e, EVENT_RECORDS)
+        kind = type(e)
         if kind is Sent:
             knowers = ", ".join(r.name for r in e.knowers)
             write(f"sent     {e.var} {e.sender} -> {e.receiver}; known to {knowers}\n")
@@ -226,9 +222,10 @@ def _print_report(report: RunReport) -> None:
             write(f"case     {e.var} => {e.arm}\n")
         elif kind is ProtocolEvent:
             write(f"{_STEP_WORDS[e.kind]:<8} {e.protocol}\n")
+        else:
+            raise TypeError(f"not an event: {e!r}")
     s = report.status
-    if (kind := type(s)) not in STATUS_RECORDS:
-        kind = record_kind(s, STATUS_RECORDS)
+    kind = type(s)
     if kind is Completed:
         write("status: completed\n")
     elif kind is RefinementViolated:
@@ -239,6 +236,8 @@ def _print_report(report: RunReport) -> None:
     elif kind is TraceMismatch:
         got = format_value(s.got) if s.got is not None else "nothing"
         write(f"status: trace mismatch on '{s.var}': expected {s.expected}, got {got} ({s.note})\n")
+    else:
+        raise TypeError(f"not a status: {s!r}")
 
 
 def _cmd_explain(args, color: bool) -> int:

@@ -41,9 +41,8 @@ import sys
 from .checker import CheckResult, StepRecord
 from .model import KnowledgeIndex
 from .printer import format_type
-from .records import record_kind
-from .simulator import EVENT_RECORDS, CaseTaken, MsgCreated, ProtocolEvent, RefinementChecked, RunReport, Sent, status_to_json
-from .syntax import VALUE_RECORDS, BoolV, ConV, IntV, StrV, TupleV, Value
+from .simulator import CaseTaken, MsgCreated, ProtocolEvent, RefinementChecked, RunReport, Sent, status_to_json
+from .syntax import BoolV, ConV, IntV, StrV, TupleV, Value
 
 __all__ = ["write_report", "write_explain", "write_diagnostics"]
 
@@ -83,8 +82,7 @@ def _shape(indent: str, *keys: str, kind: str | None = None) -> str:
 def _json_value(v: Value, indent: str) -> str:
     """``value_to_json(v)``."""
     inner = indent + "  "
-    if (kind := type(v)) not in VALUE_RECORDS:
-        kind = record_kind(v, VALUE_RECORDS)
+    kind = type(v)
     if kind is IntV:
         body = '"int": ' + int.__repr__(v.value)
     elif kind is StrV:
@@ -133,8 +131,7 @@ def _json_event(e, texts: dict[int, str | None]) -> str:
     """``simulator._event_json(e)`` after its separator, for an event whose
     text ``texts`` does not hold; ``texts`` maps the id of an index item or
     of an event seen before to its text, ``None`` after a first sight."""
-    if (kind := type(e)) not in EVENT_RECORDS:
-        kind = record_kind(e, EVENT_RECORDS)
+    kind = type(e)
     if kind is MsgCreated:
         text = _MSG_CREATED % (_json_str(e.var), _json_value(e.value, _FIELD), _json_str(e.creator))
     elif kind is RefinementChecked:

@@ -28,7 +28,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
-from .records import family, quiet, record, record_kind
+from .records import quiet, record
 
 __all__ = [
     "IDENT",
@@ -207,7 +207,6 @@ class RefinedType:
 
 
 TypeExpr = Union[BaseType, TupleType, NamedType, RefinedType]
-TYPE_RECORDS = family(TypeExpr)
 
 INT = BaseType("Int")
 BOOL = BaseType("Bool")
@@ -323,7 +322,6 @@ class BoolOp:
 
 
 RefExpr = Union[IntLit, BoolLit, StrLit, VarRef, BinderRef, Proj, UnwrapDep, Arith, Cmp, BoolOp]
-REF_RECORDS = family(RefExpr)
 
 # Binary refinement operators by precedence level, loosest first; every
 # level is left-associative, and postfix `.N` / `!` bind tighter than all.
@@ -342,8 +340,7 @@ def free_vars_ordered(expr: RefExpr) -> tuple[VarId, ...]:
     stack = [expr]
     while stack:
         e = stack.pop()
-        if (kind := type(e)) not in REF_RECORDS:
-            kind = record_kind(e, REF_RECORDS)
+        kind = type(e)
         if kind is VarRef:
             if e.var not in out:
                 out.append(e.var)

@@ -140,7 +140,7 @@ class ParseFailure(Exception):
     """Carries every error found in one run, each a ``parse`` Diagnostic."""
 
     def __init__(self, errors: list[Diagnostic]):
-        super().__init__("; ".join(f"{e.span.line}:{e.span.col}: {e.message}" for e in errors))
+        super().__init__("; ".join("{}:{}: {}".format(*e.span.line_col, e.message) for e in errors))
         self.errors = errors
 
 

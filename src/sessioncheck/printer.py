@@ -13,18 +13,15 @@ from .model import (
     IntLit,
     NamedType,
     Proj,
-    REF_RECORDS,
     RefExpr,
     RefinedType,
     StrLit,
     TupleType,
-    TYPE_RECORDS,
     TypeExpr,
     UnwrapDep,
     VariantDecl,
     VarRef,
 )
-from .records import record_kind
 from .syntax import (
     Arm,
     Block,
@@ -38,18 +35,15 @@ from .syntax import (
     NewDepMsg,
     NewMsg,
     Pattern,
-    PATTERN_RECORDS,
     ProtocolDecl,
     ReadCase,
     Rec,
     Send,
     SourceFile,
-    STMT_RECORDS,
     StrV,
     Stmt,
     TupleV,
     Value,
-    VALUE_RECORDS,
     WildPat,
 )
 
@@ -66,8 +60,7 @@ def _escape(s: str) -> str:
 
 
 def format_value(v: Value) -> str:
-    if (kind := type(v)) not in VALUE_RECORDS:
-        kind = record_kind(v, VALUE_RECORDS)
+    kind = type(v)
     if kind is IntV:
         return str(v.value)
     if kind is StrV:
@@ -86,8 +79,7 @@ def format_value(v: Value) -> str:
 
 
 def format_type(t: TypeExpr) -> str:
-    if (kind := type(t)) not in TYPE_RECORDS:
-        kind = record_kind(t, TYPE_RECORDS)
+    kind = type(t)
     if kind is BaseType:
         return t.kind
     if kind is RefinedType:
@@ -121,8 +113,7 @@ def binder_name(labels: tuple[str, ...]) -> str:
 
 
 def _ref(e: RefExpr, labels: tuple[str, ...], parent: int) -> str:
-    if (kind := type(e)) not in REF_RECORDS:
-        kind = record_kind(e, REF_RECORDS)
+    kind = type(e)
     if kind is VarRef:
         return e.var.name
     if kind is IntLit:
@@ -156,8 +147,7 @@ def _ref(e: RefExpr, labels: tuple[str, ...], parent: int) -> str:
 
 def format_pattern(p: Pattern) -> str:
     """A read-arm pattern as written: constructor tag, literal or `_`."""
-    if (kind := type(p)) not in PATTERN_RECORDS:
-        kind = record_kind(p, PATTERN_RECORDS)
+    kind = type(p)
     if kind is CtorPat:
         return p.tag
     if kind is WildPat:
@@ -169,8 +159,7 @@ def format_pattern(p: Pattern) -> str:
 
 def format_stmt(s: Stmt) -> str:
     """One-line rendering of a statement (reads show only their scrutinee)."""
-    if (kind := type(s)) not in STMT_RECORDS:
-        kind = record_kind(s, STMT_RECORDS)
+    kind = type(s)
     if kind is Send:
         return f"send {s.var} {s.sender} -> {s.receiver}"
     if kind is NewDepMsg:
@@ -193,9 +182,7 @@ def _emit_block(block: Block, indent: int, out: list[str], last_sep: str = "") -
     pad = "  " * indent
     for i, stmt in enumerate(block):
         sep = ";" if i < len(block) - 1 else last_sep
-        if (kind := type(stmt)) not in STMT_RECORDS:
-            kind = record_kind(stmt, STMT_RECORDS)
-        if kind is ReadCase:
+        if type(stmt) is ReadCase:
             out.append(f"{pad}read {stmt.var} {{")
             _emit_arms(stmt.arms, indent + 1, out)
             out.append(f"{pad}}}{sep}")

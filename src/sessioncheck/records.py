@@ -21,12 +21,19 @@ default is ``quiet(...)`` takes no part in ``==``, ``hash`` or ``repr``.
 Fields cannot be reassigned or deleted, so ``copy``, ``deepcopy`` and
 ``pickle`` rebuild a record through its constructor, quiet fields
 included. ``dataclasses`` is not used: its import and code generation
-are the largest part of starting the command-line tool. Every walker over
-records picks a node's branch by the rule stated at ``record_kind``.
+are the largest part of starting the command-line tool.
+
+A record class is final: extending one raises ``TypeError``. So each
+family of records (refinement nodes, payload types, values, patterns,
+statements, and a run's events and statuses) is a closed set, and every
+walker over one picks a node's branch by one rule: it reads ``kind =
+type(node)`` once and tests ``kind is X``, the most frequent kind first.
+In CPython 3.11 those are a few specialised instructions, where each
+``isinstance`` is a call of a builtin. Any other object takes no branch
+and reaches the walker's ``TypeError``.
 """
 
 from types import FunctionType
-from typing import get_args
 
 
 class quiet:
@@ -94,31 +101,12 @@ def record(cls):
     for method in ("__eq__", "__hash__"):
         code = compare[method].__code__
         own[method] = FunctionType(code.replace(co_names=tuple(rename.get(n, n) for n in code.co_names)), compare, method)
+
+    def __init_subclass__(sub, **kwargs):
+        raise TypeError(f"a record class is final: {sub.__name__} cannot extend {cls.__name__}")
     own.update(__slots__=tuple(names), _shown=shown, __repr__=_repr, __reduce__=_reduce,
-               __setattr__=_no_assign, __delattr__=_no_delete)
+               __setattr__=_no_assign, __delattr__=_no_delete, __init_subclass__=__init_subclass__)
     cls = type(cls)(cls.__name__, cls.__bases__, own)
     setters.update((f"_s{i}", getattr(cls, n).__set__) for i, n in enumerate(names))
     return cls
 
-
-def family(union) -> dict[type, None]:
-    """The records of the ``Union`` ``union``, in order: a dict, for its
-    one-step membership test."""
-    return dict.fromkeys(get_args(union))
-
-
-def record_kind(node, records: dict[type, None]) -> type:
-    """The record of the family ``records`` that ``node``'s class extends,
-    else ``type(node)``.
-
-    Every walker over a family of records (refinement nodes, payload types,
-    values, patterns, statements, and a run's events and statuses) picks a
-    node's branch by one rule. It reads ``kind = type(node)`` once, calls
-    this only if ``kind`` is none of the family's records, and then tests
-    ``kind is X``, the most frequent kind first. ``type(x)``, a membership
-    test in a dict and an ``is`` test are a few specialised instructions in
-    CPython 3.11, where each ``isinstance`` is a call of a builtin. So a
-    subclass of a record runs as the record it extends, and any other
-    object takes no branch and reaches the walker's ``TypeError``.
-    """
-    return next((kind for kind in records if isinstance(node, kind)), type(node))

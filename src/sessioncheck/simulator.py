@@ -6,8 +6,8 @@ index. Bindings are consumed in order, refinements evaluated on the real
 values and case arms selected by first match; the index is logged after every
 send so runs can be compared step for step against the checker. The run
 picks each statement's branch once, by its exact type, as every walker
-over a tree or a value does (the rule is stated at ``records.record_kind``),
-and a `msg` and a `dep` share one branch that tells them apart once.
+over a tree or a value does (records are final: see ``records``), and
+a `msg` and a `dep` share one branch that tells them apart once.
 
 Because every entry starts a fresh index, a statement in a loop meets the
 same index each round. A run therefore keeps what each `msg`/`dep`, `send`
@@ -53,13 +53,11 @@ from .model import (
     IntLit,
     KnowledgeIndex,
     Proj,
-    REF_RECORDS,
     RefExpr,
     RefinedType,
     RoleId,
     StrLit,
     TupleType,
-    TYPE_RECORDS,
     TypeExpr,
     UnwrapDep,
     VarRef,
@@ -71,7 +69,7 @@ from .model import (
     Span,
 )
 from .printer import binder_name, format_pattern, format_ref, format_type, format_value
-from .records import family, quiet, record, record_kind
+from .records import quiet, record
 from .syntax import (
     BoolV,
     Call,
@@ -81,13 +79,11 @@ from .syntax import (
     IntV,
     NewDepMsg,
     NewMsg,
-    PATTERN_RECORDS,
     ProtocolDecl,
     ReadCase,
     Rec,
     Send,
     SourceFile,
-    STMT_RECORDS,
     StrV,
     Trace,
     TraceBinding,
@@ -130,8 +126,7 @@ _OPERATORS = {
 
 def eval_ref(expr: RefExpr, bindings: dict[str, Value], binder_value: Value | None) -> Value:
     """Strictly evaluate a refinement against concrete message values."""
-    if (kind := type(expr)) not in REF_RECORDS:
-        kind = record_kind(expr, REF_RECORDS)
+    kind = type(expr)
     if kind is VarRef:
         try:
             return bindings[expr.var.name]
@@ -171,8 +166,7 @@ def eval_ref(expr: RefExpr, bindings: dict[str, Value], binder_value: Value | No
 
 def value_matches_type(value: Value, type_: TypeExpr, file: SourceFile) -> bool:
     """Structural typing of a trace value against a payload type."""
-    if (kind := type(type_)) not in TYPE_RECORDS:
-        kind = record_kind(type_, TYPE_RECORDS)
+    kind = type(type_)
     if kind is BaseType:
         return VALUE_KINDS.get(type(value)) == type_.kind
     if kind is RefinedType:
@@ -243,7 +237,6 @@ class ProtocolEvent:
 
 
 Event = MsgCreated | RefinementChecked | Sent | CaseTaken | ProtocolEvent
-EVENT_RECORDS = family(Event)
 
 
 @record
@@ -272,7 +265,6 @@ class TraceMismatch:
 
 
 Status = Completed | RefinementViolated | TraceExhausted | TraceMismatch
-STATUS_RECORDS = family(Status)
 
 
 @record
@@ -364,8 +356,7 @@ def status_to_json(s: Status) -> dict:
 
 
 def _pattern_matches(pattern, value: Value) -> bool:
-    if (kind := type(pattern)) not in PATTERN_RECORDS:
-        kind = record_kind(pattern, PATTERN_RECORDS)
+    kind = type(pattern)
     if kind is WildPat:
         return True
     if kind is CtorPat:
@@ -407,8 +398,7 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
             if steps > max_steps:
                 return TraceExhausted(None, f"step limit of {max_steps} exceeded")
 
-            if (kind := type(stmt)) not in STMT_RECORDS:  # the one dispatch per statement
-                kind = record_kind(stmt, STMT_RECORDS)
+            kind = type(stmt)  # the one dispatch per statement
             if kind is NewMsg or kind is NewDepMsg:
                 dep = kind is NewDepMsg
                 var = stmt.var.name

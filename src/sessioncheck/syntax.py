@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Union
 
 from .model import RefinedType, RoleId, Span, TypeExpr, VarId, VariantDecl
-from .records import family, quiet, record
+from .records import quiet, record
 
 __all__ = [
     "IntV",
@@ -75,7 +75,6 @@ class ConV:
 
 
 Value = Union[IntV, BoolV, StrV, TupleV, ConV]
-VALUE_RECORDS = family(Value)
 
 # The base type of each literal value: what a literal pattern can match,
 # and what a trace value of a base type must be.
@@ -104,7 +103,6 @@ class WildPat:
 
 
 Pattern = Union[CtorPat, LitPat, WildPat]
-PATTERN_RECORDS = family(Pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +170,6 @@ class End:
 
 
 Stmt = Union[NewMsg, NewDepMsg, Send, ReadCase, Rec, Call, End]
-STMT_RECORDS = family(Stmt)
 Block = tuple[Stmt, ...]
 
 TERMINATORS = (ReadCase, Rec, Call, End)

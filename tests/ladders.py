@@ -3,7 +3,8 @@ ladder of ``isinstance`` tests.
 
 These are the package's ``eval_ref``, ``kind_of_ref``, ``format_ref`` and
 ``free_vars_ordered`` as they were written before every walker picked its
-branch once by exact type (``sessioncheck.records.record_kind``). They
+branch once by exact type. Records are final (``sessioncheck.records``),
+so for a record ``isinstance(node, X)`` and ``type(node) is X`` agree. They
 share the package's exceptions, operator table and printer helpers, so a
 test can require each dispatched walker to return what its ladder returns,
 or to raise the same exception with the same message.

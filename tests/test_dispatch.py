@@ -1,10 +1,11 @@
 """The refinement walkers against their ``isinstance`` ladders (``ladders``).
 
-Each walker picks a node's branch once by its exact type
-(``sessioncheck.records.record_kind``). On seeded refinements from
-``gen``, each must return what its ladder returns, or raise the same
-exception with the same message: an ``EvalError`` when a value does not
-fit, a ``KindError`` when a type does not.
+Each walker picks a node's branch once by its exact type, which names
+the branch because records are final (``sessioncheck.records``). On
+seeded refinements from ``gen``, each must return what its ladder
+returns, or raise the same exception with the same message: an
+``EvalError`` when a value does not fit, a ``KindError`` when a type
+does not.
 """
 
 from __future__ import annotations

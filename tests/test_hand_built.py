@@ -5,10 +5,10 @@ simulator from running what it rejects. So the record constructors'
 rejections, each dispatcher's ``TypeError`` on a node it does not know, the
 checker's refined ``msg`` type, a block that falls off its end, and an
 evaluation error during a run are reached only by building the tree, or
-running a file, by hand. So is a subclass of a record, which every walker
-runs as the record it extends (the rule stated at
-``sessioncheck.records.record_kind``): each family of records has a case
-that rebuilds a tree with subclasses and expects what the tree gives.
+running a file, by hand. Records are final (see ``sessioncheck.records``),
+so an object of no record's class is the one unknown node: every walker of
+a family must end in the same ``TypeError`` on it, and extending a record
+raises one.
 """
 
 from __future__ import annotations
@@ -18,57 +18,36 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import CORPUS
 from sessioncheck import check_file, cli, jsonout, parse, parse_trace, printer, simulator
 from sessioncheck.checker import kind_of_ref
 from sessioncheck.diagnostics import Diagnostic
 from sessioncheck.model import (
-    BOOL,
     INT,
-    REF_RECORDS,
-    STR,
-    TYPE_RECORDS,
-    Arith,
     BinderRef,
     BoolLit,
-    BoolOp,
     Cmp,
-    Ctor,
-    IntLit,
     NamedType,
     Proj,
     RefinedType,
     RoleId,
     Span,
-    StrLit,
     TupleType,
-    UnwrapDep,
     VariantDecl,
     VarId,
     VarRef,
-    free_vars_ordered,
 )
 from sessioncheck.syntax import (
-    PATTERN_RECORDS,
-    STMT_RECORDS,
-    VALUE_RECORDS,
     Arm,
-    BoolV,
     Call,
-    ConV,
-    CtorPat,
     End,
     IntV,
-    LitPat,
     NewDepMsg,
     NewMsg,
     ProtocolDecl,
     ReadCase,
-    Rec,
     RoleDecl,
     Send,
     SourceFile,
-    StrV,
     TupleV,
     WildPat,
 )
@@ -97,113 +76,6 @@ protocol P [A] {
 """
 
 NODE = object()  # no node of any kind
-
-
-class MsgLike(NewMsg):
-    pass
-
-
-class EndLike(End):
-    pass
-
-
-# A subclass of every record of the families the walkers dispatch over.
-FAMILIES = (REF_RECORDS, TYPE_RECORDS, VALUE_RECORDS, PATTERN_RECORDS, STMT_RECORDS,
-            simulator.EVENT_RECORDS, simulator.STATUS_RECORDS)
-LIKE = {cls: type(f"{cls.__name__}Like", (cls,), {}) for records in FAMILIES for cls in records}
-
-
-def like(node, records):
-    """``node`` rebuilt with every record of the family ``records`` in it an
-    instance of that record's subclass in ``LIKE``."""
-    if isinstance(node, (tuple, list)):
-        return type(node)(like(item, records) for item in node)
-    cls = type(node)
-    if not cls.__module__.startswith("sessioncheck."):
-        return node
-    fields = [like(getattr(node, name), records) for name in cls.__slots__]
-    return (LIKE[cls] if cls in records else cls)(*fields)
-
-
-M, T, S = VarId("m"), VarId("t"), VarId("s")
-# Every refinement node kind, the `literal` and `next` sugar included.
-EVERY_REF = BoolOp("and", BoolOp("or", Cmp("==", BinderRef(), Arith("+", UnwrapDep(VarRef(M)), IntLit(1)), "next"),
-                                 Cmp("==", BinderRef(), UnwrapDep(VarRef(M)), "literal")),
-                   BoolOp("and", Cmp("<=", Arith("*", Proj(VarRef(T), 2), IntLit(3)), Arith("-", IntLit(9), BinderRef())),
-                          Cmp("!=", StrLit("a"), VarRef(S))))
-REF_ENV = {"m": RefinedType(INT, ("v",), BoolLit(True)), "t": TupleType((BOOL, INT)), "s": STR}
-REF_VALUES = {"m": IntV(1), "t": TupleV((BoolV(False), IntV(2))), "s": StrV("b")}
-
-
-def ref_walks(pred):
-    """What each refinement walker makes of ``pred``, bound to ``REF_*``."""
-    return (kind_of_ref(pred, REF_ENV, INT), simulator.eval_ref(pred, REF_VALUES, IntV(2)),
-            printer.format_ref(pred, ("x",)), printer.format_ref(pred), free_vars_ordered(pred))
-
-
-VARIANT = VariantDecl("V", (Ctor("C", INT), Ctor("D")))
-# A `msg` of every type kind, an unknown name among them, and a `dep` that
-# compares with a base type as `checker._base` finds it.
-TYPED = SourceFile((RoleDecl("A"),), (VARIANT,), (ProtocolDecl("P", (), (A,), (
-    NewMsg(M, TupleType((INT, NamedType("V"), RefinedType(STR, (), BoolLit(True)))), A),
-    NewMsg(S, INT, A),
-    NewDepMsg(VarId("d"), RefinedType(INT, ("x",), Cmp("==", BinderRef(), VarRef(S))), A),
-    NewMsg(T, TupleType((BOOL, NamedType("Nope"))), A),
-    End(),
-)),))
-
-
-def type_walks(file):
-    """The checker's verdict on ``file``, its run and every type printed."""
-    run = simulator.run_trace(file, parse_trace('m = (1, C(2), "s")\ns = 1\nd = 1\nt = (true, 1)\n'))
-    body = file.protocols[0].body
-    return checked(file), run.events, run.status, [printer.format_type(getattr(s, "type", None) or s.rtype) for s in body[:4]]
-
-
-EVERY_VALUE = TupleV((IntV(1), BoolV(True), StrV('q"'), ConV("C", TupleV((IntV(2), StrV("")))), ConV("D", IntV(3)), ConV("E")))
-EVERY_PATTERN = (CtorPat("C"), LitPat(IntV(1)), WildPat())
-
-
-def pattern_walks(patterns):
-    return [(printer.format_pattern(p), [simulator._pattern_matches(p, v) for v in (ConV("C"), IntV(1))]) for p in patterns]
-
-
-# Every statement kind, with a stray terminator that must be last.
-STATEMENTS = SourceFile((RoleDecl("A"), RoleDecl("B")), (), (ProtocolDecl("P", (), (A, RoleId("B")), (
-    NewMsg(M, INT, A),
-    Rec(),
-    NewDepMsg(T, RefinedType(INT, ("x",), Cmp("==", BinderRef(), VarRef(M))), A),
-    Send(M, A, RoleId("B")),
-    Send(T, A, RoleId("B")),
-    ReadCase(M, (Arm(LitPat(IntV(1)), (Call("P", (), True),)), Arm(WildPat(), (Send(S, A, A), Rec())))),
-)),))
-
-
-# Runs that log every event kind and end in every status.
-RUNS = [simulator.run_trace(parse((CORPUS / ssn).read_text()), parse_trace(trace)) for ssn, trace in (
-    ("server.ssn", (CORPUS / "server_echo.trace").read_text()),
-    ("tcp.ssn", (CORPUS / "tcp_bad_m2.trace").read_text()),
-    ("server.ssn", "cmd = Echo\n"),
-    ("server.ssn", "cmd = 1\n"),
-)]
-
-
-def report_walks(reports):
-    """Each report as `simulate` prints it, in text and in JSON."""
-    out = []
-    for report in reports:
-        for write in (cli._print_report, jsonout.write_report):
-            buf = io.StringIO()
-            with redirect_stdout(buf):
-                write(report)
-            out.append(buf.getvalue())
-    return out
-
-
-def statement_walks(file):
-    result = check_file(file, record_steps=True)
-    return ([d.message for d in result.diagnostics], result.final_indices, [(r.path, r.text) for r in result.step_log],
-            printer.format_source(file))
 
 
 CASES = {
@@ -235,23 +107,15 @@ CASES = {
         lambda: simulator.run_trace(protocol_file(NODE), parse_trace("")),
         TypeError(f"not a statement: {NODE!r}"),
     ),
-    # a subclass of a statement record runs as the record it extends
-    "run_trace_statement_subclass": (
-        lambda: simulator.run_trace(protocol_file(MsgLike(VarId("x"), INT, A), EndLike()), parse_trace("x = 1\n")),
-        simulator.run_trace(protocol_file(NewMsg(VarId("x"), INT, A), End()), parse_trace("x = 1\n")),
+    "check_block_statement": (lambda: checked(protocol_file(NODE, End())), TypeError(f"not a statement: {NODE!r}")),
+    "print_report_event": (
+        lambda: cli._print_report(simulator.RunReport([NODE], simulator.Completed())),
+        TypeError(f"not an event: {NODE!r}"),
     ),
-    # a subclass of a record of each family walks as the record it extends
-    "ref_subclass": (lambda: ref_walks(like(EVERY_REF, REF_RECORDS)), ref_walks(EVERY_REF)),
-    "type_subclass": (lambda: type_walks(like(TYPED, TYPE_RECORDS)), type_walks(TYPED)),
-    "value_subclass": (
-        lambda: (printer.format_value(like(EVERY_VALUE, VALUE_RECORDS)), jsonout._json_value(like(EVERY_VALUE, VALUE_RECORDS), "")),
-        (printer.format_value(EVERY_VALUE), jsonout._json_value(EVERY_VALUE, "")),
-    ),
-    "pattern_subclass": (lambda: pattern_walks(like(EVERY_PATTERN, PATTERN_RECORDS)), pattern_walks(EVERY_PATTERN)),
-    "statement_subclass": (lambda: statement_walks(like(STATEMENTS, STMT_RECORDS)), statement_walks(STATEMENTS)),
-    "event_and_status_subclass": (
-        lambda: report_walks(like(RUNS, simulator.EVENT_RECORDS | simulator.STATUS_RECORDS)),
-        report_walks(RUNS),
+    "print_report_status": (lambda: cli._print_report(simulator.RunReport([], NODE)), TypeError(f"not a status: {NODE!r}")),
+    "record_is_final": (
+        lambda: type("MsgLike", (NewMsg,), {}),
+        TypeError("a record class is final: MsgLike cannot extend NewMsg"),
     ),
     "value_to_json": (lambda: simulator.value_to_json(NODE), TypeError(f"not a value: {NODE!r}")),
     "event_json": (lambda: simulator.RunReport([NODE], simulator.Completed()).to_json(), TypeError(f"not an event: {NODE!r}")),

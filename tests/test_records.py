@@ -162,8 +162,8 @@ def test_record_contract(name):
         else:
             assert _clone(record, **{n: object()}) != record, n
     assert record != tuple(args) and tuple(args) != record
-    twin = _clone(record, type("Twin", (cls,), {}))
-    assert record != twin and twin != record
+    with pytest.raises(TypeError):
+        type("Twin", (cls,), {})
     for other in RECORDS.values():
         if other is not cls and [p.name for p in _fields(other)] == names:
             assert record != _clone(record, other), other.__name__
