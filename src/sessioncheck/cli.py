@@ -9,9 +9,12 @@ fails the checker or has no protocol to run).
 Each command loads only the modules it runs: ``check`` and ``explain``
 never load the simulator, ``fmt`` loads neither the checker nor the
 simulator, and only ``--format json`` loads the JSON writers (and with
-them both). ``check_file`` and ``run_trace`` are thin functions here that
-import the real one when called, so the commands call them, and tests and
-the benchmark's tracer replace them, by their names in this module.
+them both). None loads argparse for an argument list that ``_plain_args``
+reads: options written out in full, each value in the next word, and one
+run of files. ``check_file`` and ``run_trace`` are thin functions here
+that import the real one when called, so the commands call them, and
+tests and the benchmark's tracer replace them, by their names in this
+module.
 
 ``main`` runs with the cyclic garbage collector off, because a run's data
 is acyclic (tests/test_cycles.py), and restores the caller's setting.
@@ -19,13 +22,13 @@ is acyclic (tests/test_cycles.py), and restores the caller's setting.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import functools
 import gc
 import os
 import stat
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .diagnostics import ERROR
@@ -33,6 +36,8 @@ from .parser import ParseFailure, parse, parse_trace
 from .printer import format_source, format_type, format_value
 
 if TYPE_CHECKING:  # each command loads the checker and simulator only if it runs them
+    import argparse
+
     from .checker import CheckResult
     from .model import KnowledgeIndex
     from .simulator import RunReport
@@ -359,9 +364,12 @@ def _cmd_fmt(args, color: bool) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: building it costs more
-    than an in-process ``check`` of a small file, and parsing leaves it
-    unchanged."""
+    """The argument parser, built only for an argument list that
+    ``_plain_args`` does not read, and then once per process: building it
+    costs more than an in-process ``check`` of a small file, and parsing
+    leaves it unchanged. It alone words help and usage errors."""
+    import argparse
+
     ap = argparse.ArgumentParser(prog="sessioncheck", description="Check and simulate value-dependent global session descriptions.")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -390,14 +398,76 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _choice(*words: str):
+    return lambda word: word if word in words else None
+
+
+def _steps(word: str) -> int | None:
+    # int() takes any run of up to 640 ASCII digits, whatever its digit limit
+    # is set to (sys.int_info.str_digits_check_threshold). isdigit alone
+    # would pass "²", which int() refuses.
+    return int(word) if word.isascii() and word.isdigit() and len(word) <= 640 else None
+
+
+_FORMAT = ("format", _choice("text", "json"))
+_COLOR = ("color", _choice("auto", "always", "never"))
+# Per command: whether it takes more than one file, the values argparse
+# gives when no option is written, and each option's dest and value reader
+# (None for a flag). A reader returns None for a value it leaves to argparse.
+_PLAIN = {
+    "check": (True, {"format": "text", "color": "auto"}, {"--format": _FORMAT, "--color": _COLOR}),
+    "explain": (False, {"format": "text", "color": "auto"}, {"--format": _FORMAT, "--color": _COLOR}),
+    "simulate": (
+        False,
+        {"format": "text", "color": "auto", "max_steps": 10_000},
+        {"--format": _FORMAT, "--report": _FORMAT, "--color": _COLOR, "--max-steps": ("max_steps", _steps),
+         "--trace": ("trace", lambda word: None if word.startswith("-") else word)},
+    ),
+    "fmt": (True, {"color": "auto", "check": False}, {"--color": _COLOR, "--check": ("check", None)}),
+}
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """What ``_build_parser().parse_args(argv)`` gives for a plain ``argv``,
+    without loading argparse; None for any other, which argparse reads. A
+    plain ``argv`` is a command, then options spelled out in full, each value
+    in the next word, and one unbroken run of files around them."""
+    if not argv or argv[0] not in _PLAIN:
+        return None
+    multi, defaults, options = _PLAIN[argv[0]]
+    args = {"command": argv[0], **defaults}
+    files: list[str] = []
+    ended = False  # an option after a file ends the run of files
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if ended:  # argparse takes the first run of files only
+                return None
+            files.append(word)
+            continue
+        if word not in options:
+            return None
+        dest, read = options[word]
+        value = True if read is None else read(next(words, "-"))  # a missing value reads as a bad one
+        if value is None:
+            return None
+        args[dest] = value  # a repeated option: the last wins
+        ended = bool(files)
+    if not files or (len(files) > 1 and not multi) or (argv[0] == "simulate" and "trace" not in args):
+        return None
+    return SimpleNamespace(**args, files=files)
+
+
 def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()  # a run makes no reference cycles for it to free
     try:
-        ap = _build_parser()
-        args = ap.parse_args(argv)
-        if args.command == "simulate" and args.max_steps < 0:
-            ap.error(f"argument --max-steps: must be 0 or more, got {args.max_steps}")
+        args = _plain_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            ap = _build_parser()
+            args = ap.parse_args(argv)
+            if args.command == "simulate" and args.max_steps < 0:
+                ap.error(f"argument --max-steps: must be 0 or more, got {args.max_steps}")
         color = _want_color(args.color, sys.stdout if args.command == "check" else sys.stderr)  # where diagnostics go
         command = {"check": _cmd_check, "simulate": _cmd_simulate, "explain": _cmd_explain, "fmt": _cmd_fmt}
         try:

@@ -8,7 +8,9 @@ long-literal, non-UTF-8 and operator-budget errors, traces at each point
 where the direct trace reader gives up and a CRLF trace, CRLF and
 tab-indented copies of ``corpus/server.ssn`` (run against the corpus's
 server traces too), and long operator chains, flat and in parentheses,
-near the budget. It then runs every
+near the budget. Besides the argument lists that ``cli._plain_args``
+reads, it runs those of ``ARGUMENTS``: help, abbreviations, ``--opt=value``
+forms and usage errors, which argparse reads. It then runs every
 command in every format on them in-process through ``cli.main``, with
 ``fmt`` on copies, each followed by ``fmt --check`` of the rewritten copy
 (exit 2 if it no longer parses), and prints one line per run: the argv,
@@ -101,6 +103,26 @@ ERRORS = {
     "eq_minus.trace": "x =- 1\n",
 }
 
+TRACE = ["--trace", "tcp_good.trace"]
+ARGUMENTS = [
+    ["-h"], ["check", "-h"], ["simulate", "-h"], ["explain", "-h"], ["fmt", "-h"],
+    ["check", "--form", "json", "tcp.ssn"], ["check", "--format=json", "tcp.ssn"],
+    ["check", "--col", "always", "charlie.ssn"], ["check", "--color=always", "charlie.ssn"],
+    ["explain", "--form=json", "tcp.ssn"], ["simulate", "tcp.ssn", "--tr", "tcp_good.trace"],
+    ["simulate", "tcp.ssn", "--trace=tcp_good.trace", "--max", "3"], ["simulate", "tcp.ssn", *TRACE, "--rep", "json"],
+    ["fmt", "--che", "tcp.ssn"], ["fmt", "--c", "tcp.ssn"],
+    ["check", "tcp.ssn", "--format", "json", "charlie.ssn"], ["explain", "tcp.ssn", "charlie.ssn"],
+    ["check", "--format", "xml", "tcp.ssn"], ["frobnicate", "tcp.ssn"], ["check", "--nope", "tcp.ssn"],
+    ["check"], ["simulate", "tcp.ssn"],
+    ["simulate", "tcp.ssn", *TRACE, "--max-steps", "-1"], ["simulate", "tcp.ssn", *TRACE, "--max-steps", "\u0663"],
+    ["simulate", "tcp.ssn", *TRACE, "--max-steps", "5_000"], ["simulate", "tcp.ssn", *TRACE, "--max-steps", "\u00b2"],
+    ["simulate", "tcp.ssn", *TRACE, "--report", "json"],
+    ["check", "--format", "json", "--format", "text", "charlie.ssn"],
+    ["simulate", "tcp.ssn", "--trace", "missing.trace", *TRACE, "--format", "json", "--report", "text"],
+    ["fmt", "--check", "--check", "tcp.ssn"],
+    ["check", "--", "tcp.ssn"], ["simulate", *TRACE, "--", "tcp.ssn"], ["check", "-"],
+]
+
 
 def write_inputs(root: Path, full: bool = True) -> list[list[str]]:
     """Write the inputs under ``root`` and return the argv of every run, in order."""
@@ -164,6 +186,8 @@ def write_inputs(root: Path, full: bool = True) -> list[list[str]]:
         for name, terms, grouped in (("c102", 102, 0), ("c120", 120, 60), ("c200", 200, 200), ("c500", 500, 0), ("c501", 501, 0)):
             text, trace = chain(terms, grouped)
             simulate(put(f"chains/{name}.ssn", text), put(f"chains/{name}.trace", trace))
+        put("-", (CORPUS / "tcp.ssn").read_bytes())  # a file named like standard input
+        runs += ARGUMENTS
 
     for name in protocols:
         copy = f"fmt/{name}"
@@ -190,7 +214,7 @@ def fingerprint(argv: list[str]) -> str:
         except Exception as exc:  # a crash is a result to compare, not a reason to stop
             code = f"raised {type(exc).__name__}"
     hashes = [_sha(out.getvalue()), _sha(err.getvalue())]
-    if argv[0] == "fmt" and "--check" not in argv:
+    if argv[0] == "fmt" and "--check" not in argv and Path(argv[-1]).is_file():  # not for `fmt -h`
         hashes.append(_sha(Path(argv[-1]).read_bytes()))
     return "\t".join([" ".join(argv), code, *hashes])
 

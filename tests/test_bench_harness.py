@@ -55,6 +55,29 @@ def test_every_workload_op_gives_its_expected_answer(name, tmp_path, monkeypatch
         assert op.expect(code, out) is None, op.argv
 
 
+def test_every_workload_argument_list_is_read_without_argparse(monkeypatch):
+    # Each op's namespace must be argparse's, and the parser must never be built.
+    parser = cli._build_parser()
+    given = []
+    monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("built the argument parser"))
+    for command in ("check", "simulate", "explain", "fmt"):
+        monkeypatch.setattr(cli, f"_cmd_{command}", lambda args, color: given.append(vars(args)) or 0)
+    shapes = set()
+    for name, make_plan in sorted(workloads.WORKLOADS.items()):
+        for op in make_plan(1, CORPUS).ops:
+            assert cli.main(op.argv) == 0
+            assert given.pop() == vars(parser.parse_args(op.argv)), op.argv
+            shapes.add(" ".join("F" if word.endswith((".ssn", ".trace")) else word for word in op.argv))
+    assert shapes == {
+        "check F",
+        "check --format json F",
+        "explain --format json F",
+        "fmt --check F",
+        "simulate F --trace F",
+        f"simulate F --format json --max-steps {workloads.LONG_MAX_STEPS} --trace F",
+    }
+
+
 def test_no_hook_goes_stale_beyond_the_known_ones():
     # In a fresh interpreter that has imported only the tracer, so that no
     # earlier test's command can have bound a name the tracer looks up.

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import io
 import json
 import os
+import random
 import shutil
 import stat
 import subprocess
@@ -477,6 +479,8 @@ def test_one_parser_per_process_gives_what_a_fresh_parser_gives(corpus, capsys, 
         [*sim],
         ["frobnicate"],
         ["check", "--format", "json", c("hoppy.ssn")],
+        ["check", "--form", "json", c("charlie.ssn")],  # argparse takes these two, the reader does not
+        [*sim[:2], "--trace=" + sim[3], "--rep", "json"],
     ]
 
     def outcome(argv):
@@ -493,7 +497,7 @@ def test_one_parser_per_process_gives_what_a_fresh_parser_gives(corpus, capsys, 
     fresh = [outcome(argv) for argv in runs + runs]
     assert shared == fresh
     codes = [code for code, _, _ in shared[: len(runs)]]
-    assert codes == [0, 0, 0, 0, 1, 0, 2, 0, 1, 1, 2, 0, 2, 0]
+    assert codes == [0, 0, 0, 0, 1, 0, 2, 0, 1, 1, 2, 0, 2, 0, 1, 0]
     assert "--max-steps: must be 0 or more, got -1" in shared[6][2]
 
 
@@ -643,10 +647,10 @@ TCP = str(CORPUS / "tcp.ssn")
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
-        (["check", TCP], {"sessioncheck.simulator", "sessioncheck.jsonout", "json"}),
-        (["explain", TCP], {"sessioncheck.simulator"}),
-        (["fmt", "--check", TCP], {"sessioncheck.checker", "sessioncheck.simulator"}),
-        (["simulate", TCP, "--trace", str(CORPUS / "tcp_good.trace")], {"sessioncheck.jsonout"}),
+        (["check", TCP], {"sessioncheck.simulator", "sessioncheck.jsonout", "json", "argparse"}),
+        (["explain", TCP], {"sessioncheck.simulator", "argparse"}),
+        (["fmt", "--check", TCP], {"sessioncheck.checker", "sessioncheck.simulator", "argparse"}),
+        (["simulate", TCP, "--trace", str(CORPUS / "tcp_good.trace")], {"sessioncheck.jsonout", "argparse"}),
     ],
     ids=["check", "explain", "fmt", "simulate"],
 )
@@ -664,6 +668,97 @@ def test_each_command_loads_only_the_modules_it_runs(argv, unloaded):
     assert code == "0"
     assert {"sessioncheck.cli", "sessioncheck.parser"} <= set(modules)
     assert set(modules) & unloaded == set()
+
+
+def test_an_option_the_plain_reader_does_not_take_goes_to_argparse(capsys):
+    from sessioncheck import cli
+
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["check", "--nope", TCP])
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.endswith("sessioncheck: error: unrecognized arguments: --nope\n")
+
+
+# The words of the argument lists below, by kind: each kind must occur.
+ARG_WORDS = {
+    "command": ["check", "simulate", "explain", "fmt", "frobnicate"],
+    "option": ["--format", "--report", "--color", "--trace", "--max-steps", "--check"],
+    "abbreviated": ["--form", "--rep", "--col", "--tr", "--max", "--che", "--c"],
+    "value": ["text", "json", "xml", "auto", "always", "never"],
+    "steps": ["-1", "0", "5", "\u0663", "\u00b2", "+5", "5_000", " 5", "9" * 4301],
+    "file": ["a.ssn", "b.ssn", "-", "--", "-x", "", "json", "check"],
+    "help": ["-h"],
+}
+# Each command's options (--trace twice, so that it repeats) and each option's
+# values, the most common one first.
+OWN_OPTIONS = {
+    "check": ["--format", "--color"],
+    "explain": ["--format", "--color"],
+    "simulate": ["--trace", "--trace", "--format", "--report", "--color", "--max-steps"],
+    "fmt": ["--check", "--color"],
+    "frobnicate": ["--format"],
+}
+OPTION_VALUES = {
+    "--format": ["json", "text", "xml"],
+    "--report": ["json", "text", "xml"],
+    "--color": ["never", "always", "auto", "json"],
+    "--trace": ["t.trace", *ARG_WORDS["file"]],
+    "--max-steps": ["5", *ARG_WORDS["steps"]],
+}
+
+
+def _random_argv(rng: random.Random) -> list[str]:
+    """A command and some of its own options and files, mostly as the reader
+    takes them, then up to two edits: a word of ``ARG_WORDS`` put in, an
+    option abbreviated or joined to its value by '=', or a word dropped."""
+    command = rng.choice(ARG_WORDS["command"])
+    groups = []
+    for option in rng.sample(OWN_OPTIONS[command], rng.randint(0, len(OWN_OPTIONS[command]))):
+        values = OPTION_VALUES.get(option)  # none for a flag
+        groups.append([option, values[0] if rng.random() < 0.6 else rng.choice(values)] if values else [option])
+    files = ["a.ssn", "b.ssn"][: rng.choice([1, 1, 1, 2, 0])]
+    if len(files) == 2 and rng.random() < 0.2:  # two runs of files
+        groups.insert(rng.randint(0, len(groups)), files[1:])
+        files = files[:1]
+    groups.insert(rng.randint(0, len(groups)), files)
+    argv = [command, *(word for group in groups for word in group)]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        at, edit = rng.randint(1, len(argv)), rng.random()
+        word = argv[at] if at < len(argv) else None
+        if edit < 0.4 or word is None:
+            argv.insert(at, rng.choice(ARG_WORDS[rng.choice(list(ARG_WORDS))]))
+        elif word in ARG_WORDS["option"] and edit < 0.7:
+            argv[at] = ARG_WORDS["abbreviated"][ARG_WORDS["option"].index(word)]
+        elif word in ARG_WORDS["option"] and at + 1 < len(argv):
+            argv[at : at + 2] = [f"{word}={argv[at + 1]}"]
+        else:
+            del argv[at]
+    return argv
+
+
+def test_the_plain_reader_gives_what_argparse_gives():
+    # The reader may leave any argument list to argparse, but one it reads
+    # must give argparse's namespace, for an argument list argparse takes.
+    from sessioncheck import cli
+
+    rng = random.Random("plain_args:1")
+    argvs = [_random_argv(rng) for _ in range(2500)]
+    used = {word for argv in argvs for word in argv}
+    assert all(set(words) <= used for words in ARG_WORDS.values())
+    assert any(word.startswith("--") and "=" in word for word in used)
+    parser, read = cli._build_parser(), 0
+    for argv in argvs:
+        plain = cli._plain_args(argv)
+        if plain is None:
+            continue
+        read += 1
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                expected = vars(parser.parse_args(argv))
+            except SystemExit:
+                expected = None
+        assert vars(plain) == expected, argv
+    assert read >= len(argvs) // 5
 
 
 @contextlib.contextmanager

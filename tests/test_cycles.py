@@ -4,9 +4,10 @@ The data of a run is acyclic by construction: immutable ASTs, frozen
 index snapshots and event lists. ``cli.main`` therefore runs each command
 with the cyclic collector off. This test is what keeps that from growing
 memory: each CLI run, error exits included, must leave nothing for
-``gc.collect()`` to find. An argument error is the one exception, because
-argparse leaves a few cyclic objects behind; there the collector must be
-back on once ``main`` returns.
+``gc.collect()`` to find. The runs below are read by ``cli._plain_args``,
+except those of ``ARGPARSE``, which only argparse reads. An argument error
+is the one exception, because argparse leaves a few cyclic objects behind;
+there the collector must be back on once ``main`` returns.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ LOOPING = {
     "simulate_loop": ["simulate", "server.ssn", "--trace", "long.trace", "--format", "text"],
     "simulate_loop_json": ["simulate", "server.ssn", "--trace", "long.trace", "--format", "json"],
 }
+# argument lists that argparse reads and takes
+ARGPARSE = {"argparse": [["check", "--form", "json", "tcp.ssn"], ["check", "--format=json", "tcp.ssn"]]}
 # error exits: the exit code each run must give, and its argument lists
 ERRORS = {
     "missing_file": (2, [["check", "missing.ssn"], ["explain", "missing.ssn"], ["fmt", "missing.ssn"],
@@ -88,6 +91,8 @@ def _argvs(name: str, protocols, pairs) -> list[list[str]]:
         return ERRORS[name][1]
     if name in LOOPING:
         return [LOOPING[name]]
+    if name in ARGPARSE:
+        return ARGPARSE[name]
     return [["simulate", p, "--trace", t, *SIMULATE[name]] for p, t in pairs]
 
 
@@ -96,14 +101,14 @@ def _run(argv: list[str]) -> int:
         return cli.main(argv)
 
 
-@pytest.mark.parametrize("name", [*COMMANDS, *SIMULATE, *LOOPING, *ERRORS])
+@pytest.mark.parametrize("name", [*COMMANDS, *SIMULATE, *LOOPING, *ARGPARSE, *ERRORS])
 def test_command_leaves_no_cyclic_garbage(name, inputs, monkeypatch):
     directory, protocols, pairs = inputs
     monkeypatch.chdir(directory)
     if name == "fmt_read_only":
         monkeypatch.setattr(cli.os, "access", lambda path, mode: False)  # as for a non-root user on this 0444 file
     argvs = _argvs(name, protocols, pairs)
-    _run(argvs[0])  # warm up: lazy imports and the argument parser
+    _run(argvs[0])  # warm up: lazy imports, and the argument parser if argparse reads the argv
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
