@@ -10,6 +10,8 @@ is never instantiated is checked once against its declared signatures.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .diagnostics import Diagnostic, ERROR, WARNING
 from .model import (
     BaseType,
@@ -189,9 +191,11 @@ class _Checker:
         self.final: list[tuple[str, KnowledgeIndex]] = []
         self.step_log: list[StepRecord] = []
         self.role_names = {r.name for r in file.roles}
-        self.instantiated: set[tuple[str, tuple[str, ...]]] = set()
-        self.queue: list[tuple[str, tuple[str, ...]]] = []
-        self.proto, self.label, self.instance = None, "", False  # the body being checked, set by check_protocol
+        # The argument lists each protocol has been instantiated with, by name.
+        self.instantiated: dict[str, set[tuple[str, ...]]] = {}
+        self.queue: deque[tuple[str, tuple[str, ...]]] = deque()
+        # The body being checked and its parameters by name, set by check_protocol.
+        self.proto, self.params, self.label, self.instance = None, {}, "", False
 
     # -- helpers -----------------------------------------------------------
 
@@ -209,10 +213,10 @@ class _Checker:
             if proto.is_ground:
                 self.check_protocol(proto)
         while self.queue:
-            name, args = self.queue.pop(0)
+            name, args = self.queue.popleft()
             self.check_protocol(self.file.protocol(name), args)
         for proto in self.file.protocols:
-            if not proto.is_ground and not any(name == proto.name for name, _ in self.instantiated):
+            if not proto.is_ground and proto.name not in self.instantiated:
                 self.check_protocol(proto)
         self.diags.sort(key=lambda d: (*d.span.line_col, d.code, d.message))
         deduped: list[Diagnostic] = []
@@ -288,14 +292,16 @@ class _Checker:
         """Check one body: an instantiation's when ``args`` name the protocol
         arguments, else the declared one."""
         self.proto, self.instance = proto, bool(args)
+        # Built last to first, so a parameter declared twice (an E001) means its first declaration.
+        self.params = {q.name: q for q in reversed(proto.params)}
         self.label = f"{proto.name}<{', '.join(args)}>" if args else proto.name
         self.check_block(proto.body, {}, self.label, guarded=False)
 
     def enqueue_instantiation(self, name: str, args: tuple[str, ...]) -> None:
-        key = (name, args)
-        if key not in self.instantiated:
-            self.instantiated.add(key)
-            self.queue.append(key)
+        seen = self.instantiated.setdefault(name, set())
+        if args not in seen:
+            seen.add(args)
+            self.queue.append((name, args))
 
     def flag(
         self, code: str, span: Span | None, message: str, severity: str = ERROR, related: Span | None = None
@@ -472,7 +478,7 @@ class _Checker:
 
     def check_call(self, stmt: Call, index: WorkingIndex, path: str) -> None:
         callee_participants: tuple[RoleId, ...] | None = None
-        param = next((q for q in self.proto.params if q.name == stmt.target), None)
+        param = self.params.get(stmt.target)
         if param is not None:
             if stmt.args:
                 self.flag("E001", stmt.span, f"protocol parameter '{stmt.target}' takes no arguments")

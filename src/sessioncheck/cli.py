@@ -186,7 +186,8 @@ def _cmd_simulate(args, color: bool) -> int:
     loaded = _load(args.trace, parse_trace, _warner(color))
     if loaded is None:
         return 2
-    report = run_trace(file, loaded[1], max_steps=args.max_steps)
+    # Only the JSON report prints each send's index; the text one prints its knowers.
+    report = run_trace(file, loaded[1], max_steps=args.max_steps, snapshots=args.format == "json")
     if args.format == "json":
         from .jsonout import write_report  # only JSON runs load the writers
 

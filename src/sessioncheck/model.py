@@ -225,19 +225,19 @@ class VariantDecl:
     name: str
     ctors: tuple[Ctor, ...]
     span: Span | None = quiet()
+    _ctor_table: dict[str, Ctor] | None = quiet()  # filled by __post_init__
 
     def __post_init__(self) -> None:
         if not self.ctors:
             raise ValueError("variant type needs at least one constructor")
+        # Built last to first, so a tag declared twice (an E001) keeps its first constructor.
+        object.__setattr__(self, "_ctor_table", {c.tag: c for c in reversed(self.ctors)})
 
     def tags(self) -> tuple[str, ...]:
         return tuple(c.tag for c in self.ctors)
 
     def ctor(self, tag: str) -> Ctor | None:
-        for c in self.ctors:
-            if c.tag == tag:
-                return c
-        return None
+        return self._ctor_table.get(tag)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,11 @@ reads of such instances lose their specialised fast path. A field whose
 default is ``quiet(...)`` takes no part in ``==``, ``hash`` or ``repr``.
 Fields cannot be reassigned or deleted, so ``copy``, ``deepcopy`` and
 ``pickle`` rebuild a record through its constructor, quiet fields
-included. ``dataclasses`` is not used: its import and code generation
-are the largest part of starting the command-line tool.
+included. A quiet field that ``__post_init__`` fills from the others,
+such as ``SourceFile``'s name tables, is thereby built afresh for each
+copy, never shared with the original. ``dataclasses`` is not used: its
+import and code generation are the largest part of starting the
+command-line tool.
 
 A record class is final: extending one raises ``TypeError``. So each
 family of records (refinement nodes, payload types, values, patterns,

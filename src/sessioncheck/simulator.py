@@ -3,8 +3,11 @@
 One trace drives all roles. Each protocol entered (the entry, a `rec`, a
 `call`, or the loop back after `call ... then rec`) starts a fresh store and
 index. Bindings are consumed in order, refinements evaluated on the real
-values and case arms selected by first match; the index is logged after every
-send so runs can be compared step for step against the checker. The run
+values and case arms selected by first match. Each send logs who knows its
+message; with ``snapshots`` (the default, and what the JSON report prints)
+it also logs a snapshot of the index, so runs can be compared step for step
+against the checker. The text report prints only the knowers, so a text
+run takes no snapshot: one per send would copy the index each time. The run
 picks each statement's branch once, by its exact type, as every walker
 over a tree or a value does (records are final: see ``records``), and
 a `msg` and a `dep` share one branch that tells them apart once.
@@ -212,9 +215,10 @@ class Sent:
     var: str
     sender: str
     receiver: str
-    index_after: KnowledgeIndex
+    index_after: KnowledgeIndex | None  # None in a run without snapshots
     span: Span | None = quiet()
-    # Knowers of ``var`` in ``index_after``, so text reports need no lookup.
+    # Knowers of ``var`` after the send, all that a text report reads; set
+    # with or without snapshots.
     knowers: tuple[RoleId, ...] = quiet(())
 
 
@@ -364,16 +368,21 @@ def _pattern_matches(pattern, value: Value) -> bool:
     return pattern.value == value  # a LitPat
 
 
-def run_trace(file: SourceFile, trace: Trace, *, max_steps: int = 10_000) -> RunReport:
-    """Execute the entry protocol of a checked file against a trace."""
+def run_trace(file: SourceFile, trace: Trace, *, max_steps: int = 10_000, snapshots: bool = True) -> RunReport:
+    """Execute the entry protocol of a checked file against a trace.
+
+    ``snapshots`` fills each ``Sent.index_after`` with the index after the
+    send (what the JSON report prints); without it each is None, and a run
+    stays linear in the length of its trace."""
     entry = resolve_entry(file)
     if entry is None:
         raise ValueError("file has no entry protocol; run the checker first")
     events: list[Event] = []
-    return RunReport(events, _run(file, entry, iter(trace.bindings), max_steps, events))
+    return RunReport(events, _run(file, entry, iter(trace.bindings), max_steps, snapshots, events))
 
 
-def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], max_steps: int, events: list[Event]) -> Status:
+def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], max_steps: int, snapshots: bool,
+         events: list[Event]) -> Status:
     """Run from ``proto``, appending to ``events``; return how the run ended."""
     # The callers to loop back into when a callee ends, one per `call ...
     # then rec` in progress; a plain `call` is a tail call and leaves none.
@@ -448,7 +457,8 @@ def _run(file: SourceFile, proto: ProtocolDecl, trace: Iterator[TraceBinding], m
                 if made is None or made[0] is not last:
                     add_knower(index, stmt.var, stmt.receiver)
                     grown = index[stmt.var.name]
-                    sent = Sent(stmt.var.name, stmt.sender.name, stmt.receiver.name, freeze(index), stmt.span, grown.knowers)
+                    sent = Sent(stmt.var.name, stmt.sender.name, stmt.receiver.name,
+                                freeze(index) if snapshots else None, stmt.span, grown.knowers)
                     made = built[id(stmt)] = (last, grown, sent)
                 else:
                     index[stmt.var.name] = made[1]

@@ -211,20 +211,22 @@ class SourceFile:
     variants: tuple[VariantDecl, ...] = ()
     protocols: tuple[ProtocolDecl, ...] = ()
     entry: str | None = None  # None when the file relies on the default rule
+    _variant_table: dict[str, VariantDecl] | None = quiet()  # both filled by __post_init__
+    _protocol_table: dict[str, ProtocolDecl] | None = quiet()
+
+    def __post_init__(self) -> None:
+        # Each table is built last to first, so a name declared twice (an
+        # E001) keeps its first declaration.
+        object.__setattr__(self, "_variant_table", {v.name: v for v in reversed(self.variants)})
+        object.__setattr__(self, "_protocol_table", {p.name: p for p in reversed(self.protocols)})
 
     # The only name lookups: every module resolves a type or protocol name
-    # here, so a name declared twice (an E001) means its first declaration.
+    # here, in O(1), so a name declared twice means its first declaration.
     def variant(self, name: str) -> VariantDecl | None:
-        for v in self.variants:
-            if v.name == name:
-                return v
-        return None
+        return self._variant_table.get(name)
 
     def protocol(self, name: str) -> ProtocolDecl | None:
-        for p in self.protocols:
-            if p.name == name:
-                return p
-        return None
+        return self._protocol_table.get(name)
 
 
 # ---------------------------------------------------------------------------

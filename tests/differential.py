@@ -3,7 +3,8 @@
 It writes the inputs to a temporary directory: the corpus, 100
 ``tests/gen.py`` files at a fixed seed, each corpus file cut after every
 line, the seed-1 inputs of the three benchmark workloads (from
-``perfbench/workloads.py``), files with lex, parse, nesting,
+``perfbench/workloads.py``), each shape of ``tests/shapes.py`` at
+``SHAPE_SIZE`` with its trace, files with lex, parse, nesting,
 long-literal, non-UTF-8 and operator-budget errors, traces at each point
 where the direct trace reader gives up and a CRLF trace, CRLF and
 tab-indented copies of ``corpus/server.ssn`` (run against the corpus's
@@ -45,6 +46,7 @@ HERE = Path(__file__).resolve().parent
 CORPUS = HERE.parent / "corpus"
 sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench")]
 
+import shapes  # noqa: E402
 import workloads  # noqa: E402
 from gen import gen_checkable_file, gen_printable_file  # noqa: E402
 
@@ -52,6 +54,7 @@ from sessioncheck import cli  # noqa: E402
 from sessioncheck.printer import format_source  # noqa: E402
 
 GENERATED = 100
+SHAPE_SIZE = 300
 SKIPPED = {("explain", "--format", "json", "deep_path/deep.ssn")}
 
 
@@ -165,6 +168,9 @@ def write_inputs(root: Path, full: bool = True) -> list[list[str]]:
                     argv = [f"{workload}/{a}" if a.endswith((".ssn", ".trace")) else a for a in op.argv]
                     runs.append(argv)
                     simulate(*(a for a in argv if a.endswith((".ssn", ".trace"))))
+        for name, make in shapes.SHAPES.items():
+            text, trace = make(SHAPE_SIZE)
+            simulate(put(f"shapes/{name}.ssn", text), put(f"shapes/{name}.trace", trace))
         for name, text in ERRORS.items():
             put(f"errors/{name}", text)
         put("errors/utf8.ssn", b"roles A\n\xff\xfe\n")

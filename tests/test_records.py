@@ -20,8 +20,11 @@ import sessioncheck
 from conftest import CORPUS, fresh_python
 from sessioncheck import check_file, parse, parse_trace, run_trace
 from sessioncheck.diagnostics import Diagnostic
-from sessioncheck.model import INT, BaseType, KnowledgeIndex, KnowledgeItem, RoleId, Span, TupleType, VarId, VarRef, add_item, add_knower
+from sessioncheck.model import (
+    INT, BaseType, KnowledgeIndex, KnowledgeItem, RoleId, Span, TupleType, VarId, VariantDecl, VarRef, add_item, add_knower,
+)
 from sessioncheck.simulator import Completed, ProtocolEvent, RunReport, Sent
+from sessioncheck.syntax import SourceFile
 
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
 
@@ -126,11 +129,28 @@ def _fields(cls: type) -> list[inspect.Parameter]:
     return list(inspect.signature(cls).parameters.values())
 
 
+# The name tables a record builds in ``__post_init__``: each table field,
+# the field it indexes and the attribute it is keyed by.
+TABLES = {
+    SourceFile: {"_variant_table": ("variants", "name"), "_protocol_table": ("protocols", "name")},
+    VariantDecl: {"_ctor_table": ("ctors", "tag")},
+}
+
+
 def _quiet(cls: type) -> set[str]:
     """Fields left out of ==, hash and repr: every optional span, Sent's
-    knowers and a span's line table."""
+    knowers, a span's line table and the name tables."""
     quiet = {p.name for p in _fields(cls) if p.name in ("span", "origin") and p.default is None}
-    return quiet | {Sent: {"knowers"}, Span: {"line_starts"}}.get(cls, set())
+    return quiet | {Sent: {"knowers"}, Span: {"line_starts"}}.get(cls, set()) | set(TABLES.get(cls, ()))
+
+
+def _first_match(record, table: str) -> dict:
+    """What a scan over the indexed tuple finds first for each of its keys."""
+    field, key = TABLES[type(record)][table]
+    found: dict = {}
+    for item in getattr(record, field):
+        found.setdefault(getattr(item, key), item)
+    return found
 
 
 def _clone(record, into: type | None = None, **changes):
@@ -186,7 +206,10 @@ def test_record_methods_keep_their_contract(name, monkeypatch):
     required = {p.name: a for p, a in zip(fields, args) if p.default is p.empty}
     bare = cls(**required)
     assert bare == cls(*(required.get(p.name, p.default) for p in fields))
-    assert all(getattr(bare, p.name) is p.default for p in fields if p.name not in required)
+    assert all(getattr(bare, p.name) is p.default for p in fields if p.name not in required and p.name not in TABLES.get(cls, ()))
+    for table in TABLES.get(cls, ()):  # filled from the other fields, whatever it was given
+        assert getattr(bare, table) == _first_match(bare, table)
+        assert getattr(cls(*args, **{table: {"stale": None}}), table) == _first_match(record, table), table
     if "__post_init__" in vars(cls):
         seen = []
         monkeypatch.setattr(cls, "__post_init__", lambda self: seen.append(self))
@@ -276,6 +299,50 @@ def test_records_survive_copy_deepcopy_and_pickle(corpus, copy_):
         copied = copy_(record)
         assert type(copied) is type(record) and copied == record
         assert _every_field(copied) == _every_field(record)
+
+
+DUPLICATES = """roles A, B
+
+type T = X | Y | X(Int)
+type U = W
+type T = Z
+
+protocol P [A, B] { end }
+protocol Q [A, B] { end }
+protocol P [A, B] {
+  msg m : Int by A;
+  send m A -> B;
+  end
+}
+
+entry P
+"""
+
+
+@pytest.mark.parametrize(
+    "copy_",
+    [lambda r: r, copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+    ids=["parsed", "copy", "deepcopy", "pickle"],
+)
+def test_name_lookups_find_the_first_declaration_through_copies(copy_):
+    """Each lookup answers as a first-match scan over the record's own tuple,
+    for every declared name and a missing one, also after a copy, which
+    builds its tables afresh."""
+    file = parse(DUPLICATES)
+    assert [d.code for d in check_file(file).diagnostics] == ["E001"] * 3
+    copied = copy_(file)
+    for name in ("T", "U", "P", "Q", "missing"):
+        assert copied.variant(name) is next((v for v in copied.variants if v.name == name), None), name
+        assert copied.protocol(name) is next((p for p in copied.protocols if p.name == name), None), name
+    for variant in copied.variants:
+        for tag in ("X", "Y", "Z", "W", "missing"):
+            assert variant.ctor(tag) is next((c for c in variant.ctors if c.tag == tag), None), tag
+    assert copied.variant("T").ctor("X").payload is None and len(copied.protocol("P").body) == 1
+    for record, original in zip((copied, *copied.variants), (file, *file.variants)):
+        for table in TABLES[type(record)]:
+            assert getattr(record, table) == _first_match(record, table)
+            if record is not original:  # a shallow copy shares the variants themselves
+                assert getattr(record, table) is not getattr(original, table), table
 
 
 def _spans(obj):

@@ -298,6 +298,34 @@ def test_simulator_matches_checker_indices(corpus):
             assert e.index_after in at_send, (ssn, tr)
 
 
+def _without_snapshots(events) -> list:
+    return [(e.var, e.sender, e.receiver, e.span, e.knowers) if isinstance(e, Sent) else e for e in events]
+
+
+def _text_report(report) -> str:
+    from sessioncheck.cli import _print_report
+
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _print_report(report)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("trace_name", sorted(p.name for p in CORPUS.glob("*.trace")))
+def test_a_run_without_snapshots_differs_only_in_them(trace_name):
+    """What a text ``simulate`` runs: the same events and status, each
+    send's knowers and the same text report, and no snapshot."""
+    file = parse((CORPUS / f"{trace_name.split('_')[0]}.ssn").read_text())
+    trace = trace_of(CORPUS, trace_name)
+    full, bare = run_trace(file, trace), run_trace(file, trace, snapshots=False)
+    assert bare.status == full.status
+    assert _without_snapshots(bare.events) == _without_snapshots(full.events)
+    sent = [e for e in full.events if isinstance(e, Sent)]
+    assert sent and all(e.knowers == e.index_after.lookup(VarId(e.var)).knowers for e in sent)
+    assert all(e.index_after is None for e in bare.events if isinstance(e, Sent))
+    assert _text_report(bare) == _text_report(full)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation, arm selection and trace typing, exactly
 
