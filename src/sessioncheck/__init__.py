@@ -22,9 +22,11 @@ _HOMES = {
          "all_know", "free_vars", "introduce", "knows", "learn", "overlapping"],
         "model",
     ),
-    **dict.fromkeys(["ParseFailure", "parse", "parse_trace"], "parser"),
-    **dict.fromkeys(["format_ref", "format_source", "format_type", "format_value"], "printer"),
+    **dict.fromkeys(["ParseFailure", "parse"], "parser"),
+    **dict.fromkeys(["format_source"], "printer"),
     **dict.fromkeys(["EvalError", "RunReport", "eval_ref", "run_trace"], "simulator"),
+    **dict.fromkeys(["format_ref", "format_type", "format_value"], "terms"),
+    **dict.fromkeys(["parse_trace"], "traces"),
 }
 
 __all__ = [*_HOMES, "__version__"]

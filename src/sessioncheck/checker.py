@@ -5,7 +5,8 @@ through each construct. Every obligation failure becomes a diagnostic and
 checking continues with the construct's effect applied as if it had been
 valid, so one root cause does not cascade. Parametric protocols are
 checked per instantiation (monomorphization); a parametric protocol that
-is never instantiated is checked once against its declared signatures.
+no ground protocol instantiates is checked once against its declared
+signatures, and so is every instantiation that such a body makes.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .model import (
     freeze,
     overlapping,
 )
-from .printer import format_pattern, format_stmt, format_type
 from .records import record
 from .syntax import (
     Block,
@@ -60,8 +60,10 @@ from .syntax import (
     SourceFile,
     Stmt,
     WildPat,
+    TERMINATOR_WORDS,
     VALUE_KINDS,
 )
+from .terms import format_pattern, format_type
 
 __all__ = ["CheckResult", "StepRecord", "KindError", "check_file", "kind_of_ref", "resolve_entry"]
 
@@ -194,8 +196,12 @@ class _Checker:
         # The argument lists each protocol has been instantiated with, by name.
         self.instantiated: dict[str, set[tuple[str, ...]]] = {}
         self.queue: deque[tuple[str, tuple[str, ...]]] = deque()
-        # The body being checked and its parameters by name, set by check_protocol.
-        self.proto, self.params, self.label, self.instance = None, {}, "", False
+        # What the declared bodies flagged: a parametric protocol that no ground
+        # one instantiates is checked as declared before any instantiation of it.
+        self.declared_findings: set[tuple[str, Span | None, str]] = set()
+        # The body being checked, its parameters by name and its participants'
+        # names, set by check_protocol.
+        self.proto, self.params, self.participants, self.label, self.instance = None, {}, set(), "", False
 
     # -- helpers -----------------------------------------------------------
 
@@ -212,12 +218,13 @@ class _Checker:
         for proto in self.file.protocols:
             if proto.is_ground:
                 self.check_protocol(proto)
-        while self.queue:
-            name, args = self.queue.popleft()
-            self.check_protocol(self.file.protocol(name), args)
-        for proto in self.file.protocols:
-            if not proto.is_ground and proto.name not in self.instantiated:
-                self.check_protocol(proto)
+        self.drain()
+        # Which protocols no ground one instantiates is settled before any is
+        # checked, so what one of them instantiates, checked by the second
+        # drain, cannot depend on the order of the declarations.
+        for proto in [p for p in self.file.protocols if not p.is_ground and p.name not in self.instantiated]:
+            self.check_protocol(proto)
+        self.drain()
         self.diags.sort(key=lambda d: (*d.span.line_col, d.code, d.message))
         deduped: list[Diagnostic] = []
         for d in self.diags:
@@ -294,8 +301,15 @@ class _Checker:
         self.proto, self.instance = proto, bool(args)
         # Built last to first, so a parameter declared twice (an E001) means its first declaration.
         self.params = {q.name: q for q in reversed(proto.params)}
+        self.participants = {r.name for r in proto.participants}
         self.label = f"{proto.name}<{', '.join(args)}>" if args else proto.name
         self.check_block(proto.body, {}, self.label, guarded=False)
+
+    def drain(self) -> None:
+        """Check every instantiation enqueued and not yet checked, and those they enqueue."""
+        while self.queue:
+            name, args = self.queue.popleft()
+            self.check_protocol(self.file.protocol(name), args)
 
     def enqueue_instantiation(self, name: str, args: tuple[str, ...]) -> None:
         seen = self.instantiated.setdefault(name, set())
@@ -306,9 +320,14 @@ class _Checker:
     def flag(
         self, code: str, span: Span | None, message: str, severity: str = ERROR, related: Span | None = None
     ) -> None:
-        """``emit`` for a finding in a body; an instantiation's names it."""
+        """``emit`` for a finding in a body; an instantiation's names it,
+        unless the declared body, checked first, has the same finding."""
         if self.instance:
+            if (code, span, message) in self.declared_findings:
+                return
             message = f"{message} [in {self.label}]"
+        else:
+            self.declared_findings.add((code, span, message))
         self.emit(code, span, message, severity, related)
 
     # Every role reference resolves against the declaration block (E001)
@@ -316,11 +335,13 @@ class _Checker:
     def check_role(self, role: RoleId, span: Span | None, what: str) -> None:
         if role.name not in self.role_names:
             self.flag("E001", span, f"unknown role '{role.name}'")
-        elif role not in self.proto.participants:
+        elif role.name not in self.participants:
             self.flag("E002", span, f"{what} '{role.name}' is not a participant of protocol '{self.proto.name}'")
 
     def record(self, stmt: Stmt, path: str, index: WorkingIndex) -> None:
         if self.record_steps:
+            from .printer import format_stmt  # only `explain` records steps, so only it loads the layout
+
             self.step_log.append(StepRecord(self.label, path, stmt.span or _FALLBACK_SPAN, format_stmt(stmt), freeze(index)))
 
     def finish(self, path: str, index: WorkingIndex) -> None:
@@ -338,12 +359,12 @@ class _Checker:
                 self.check_new_msg(stmt, index)
             elif kind is ReadCase:
                 if not last:
-                    self.flag("E007", stmt.span, "'read' must be the last statement on its path")
+                    self.flag("E007", stmt.span, f"'{TERMINATOR_WORDS[kind]}' must be the last statement on its path")
                 self.check_read(stmt, index, path, guarded)
                 return  # successors are unreachable behind the arms
             elif kind is Rec or kind is Call or kind is End:
                 if not last:
-                    self.flag("E007", stmt.span, f"'{format_stmt(stmt).split()[0]}' must be the last statement on its path")
+                    self.flag("E007", stmt.span, f"'{TERMINATOR_WORDS[kind]}' must be the last statement on its path")
                     continue  # drop the stray terminator, keep checking the successors
                 if kind is Call:
                     self.check_call(stmt, index, path)
@@ -429,7 +450,8 @@ class _Checker:
         if item is None:  # nothing to check the arms against
             self.flag("E009", stmt.span, f"message variable '{stmt.var.name}' is not bound on this path")
         else:
-            missing = [r.name for r in self.proto.participants if r not in item.knowers]
+            knowers = {r.name for r in item.knowers}
+            missing = [r.name for r in self.proto.participants if r.name not in knowers]
             if missing:
                 self.flag(
                     "E005",

@@ -9,15 +9,19 @@ fails the checker or has no protocol to run).
 Each command loads only the modules it runs: ``check`` and ``explain``
 never load the simulator, ``fmt`` loads neither the checker nor the
 simulator, and only ``--format json`` loads the JSON writers (and with
-them both). None loads argparse for an argument list that ``_plain_args``
-reads: options written out in full, each value in the next word, and one
-run of files. ``check_file`` and ``run_trace`` are thin functions here
-that import the real one when called, so the commands call them, and
-tests and the benchmark's tracer replace them, by their names in this
-module.
+them both). Only ``simulate`` loads the trace reader, only ``fmt`` and
+``explain`` the source layout, and only text ``simulate`` and ``explain``
+the text reports. None loads argparse for an argument list that
+``_plain_args`` reads: options written out in full, each value in the
+next word, and one run of files. ``check_file``, ``run_trace``,
+``parse_trace``, ``format_source``, ``_print_report`` and
+``_print_explain`` are thin functions here that import the real one when
+called, so the commands call them, and tests and the benchmark's tracer
+replace them, by their names in this module.
 
 ``main`` runs with the cyclic garbage collector off, because a run's data
-is acyclic (tests/test_cycles.py), and restores the caller's setting.
+is acyclic (tests/test_cycles.py), and restores the caller's setting;
+``python -m sessioncheck`` has it off from before its first import.
 """
 
 from __future__ import annotations
@@ -32,14 +36,12 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .diagnostics import ERROR
-from .parser import ParseFailure, parse, parse_trace
-from .printer import format_source, format_type, format_value
+from .parser import ParseFailure, parse
 
 if TYPE_CHECKING:  # each command loads the checker and simulator only if it runs them
     import argparse
 
     from .checker import CheckResult
-    from .model import KnowledgeIndex
     from .simulator import RunReport
 
 __all__ = ["main"]
@@ -68,6 +70,22 @@ def run_trace(file, trace, **options):
     from .simulator import run_trace as run
 
     return run(file, trace, **options)
+
+
+def parse_trace(text):
+    """``traces.parse_trace``, which ``simulate`` calls by this name: only
+    ``simulate`` loads the trace reader."""
+    from .traces import parse_trace as read
+
+    return read(text)
+
+
+def format_source(file):
+    """``printer.format_source``, which ``fmt`` calls by this name: only
+    ``fmt`` loads the layout printer."""
+    from .printer import format_source as layout
+
+    return layout(file)
 
 
 def _want_color(choice: str, stream) -> bool:
@@ -197,53 +215,11 @@ def _cmd_simulate(args, color: bool) -> int:
     return 0 if report.completed else 1
 
 
-_STEP_WORDS = {"recursed": "rec", "called": "call", "ended": "end"}
-
-
 def _print_report(report: RunReport) -> None:
-    from .simulator import (
-        CaseTaken,
-        Completed,
-        MsgCreated,
-        ProtocolEvent,
-        RefinementChecked,
-        RefinementViolated,
-        Sent,
-        TraceExhausted,
-        TraceMismatch,
-    )
+    """``reports.print_report``, which text ``simulate`` calls by this name."""
+    from .reports import print_report
 
-    write = sys.stdout.write  # one write per line: print makes two
-    for e in report.events:
-        kind = type(e)
-        if kind is Sent:
-            knowers = ", ".join(r.name for r in e.knowers)
-            write(f"sent     {e.var} {e.sender} -> {e.receiver}; known to {knowers}\n")
-        elif kind is MsgCreated:
-            write(f"created  {e.var} = {format_value(e.value)} by {e.creator}\n")
-        elif kind is RefinementChecked:
-            verdict = "holds" if e.verdict else "FAILS"
-            write(f"refined  {e.var}: {e.predicate} {verdict}\n")
-        elif kind is CaseTaken:
-            write(f"case     {e.var} => {e.arm}\n")
-        elif kind is ProtocolEvent:
-            write(f"{_STEP_WORDS[e.kind]:<8} {e.protocol}\n")
-        else:
-            raise TypeError(f"not an event: {e!r}")
-    s = report.status
-    kind = type(s)
-    if kind is Completed:
-        write("status: completed\n")
-    elif kind is RefinementViolated:
-        write(f"status: refinement violated on '{s.var}'\n")
-    elif kind is TraceExhausted:
-        where = f" at '{s.var}'" if s.var else ""
-        write(f"status: trace exhausted{where} ({s.note})\n")
-    elif kind is TraceMismatch:
-        got = format_value(s.got) if s.got is not None else "nothing"
-        write(f"status: trace mismatch on '{s.var}': expected {s.expected}, got {got} ({s.note})\n")
-    else:
-        raise TypeError(f"not a status: {s!r}")
+    print_report(report)
 
 
 def _cmd_explain(args, color: bool) -> int:
@@ -262,40 +238,11 @@ def _cmd_explain(args, color: bool) -> int:
     return 0
 
 
-def _index_table(index: KnowledgeIndex, indent: str, cells: dict[int, tuple[str, str, str]]) -> str:
-    """The text table of ``index``. ``cells`` maps an item's id to its row:
-    ``freeze`` shares unchanged items between snapshots, so each is rendered
-    once per report, and the report keeps them alive, so no id is reused."""
-    if not len(index):
-        return f"{indent}(no messages)"
-    rows = []
-    for item in index:
-        row = cells.get(id(item))
-        if row is None:
-            row = cells[id(item)] = (item.var.name, format_type(item.type), ", ".join(r.name for r in item.knowers))
-        rows.append(row)
-    widths = [max(len(r[i]) for r in rows + [("var", "type", "knowers")]) for i in range(3)]
-    lines = [f"{indent}{'var'.ljust(widths[0])} | {'type'.ljust(widths[1])} | knowers"]
-    lines += [f"{indent}{r[0].ljust(widths[0])} | {r[1].ljust(widths[1])} | {r[2]}" for r in rows]
-    return "\n".join(lines)
-
-
 def _print_explain(result: CheckResult) -> None:
-    cells: dict[int, tuple[str, str, str]] = {}
-    label = None
-    for rec in result.step_log:  # an error-free log holds each protocol's steps together
-        if rec.protocol != label:
-            if label is not None:
-                print()
-            label, step = rec.protocol, 0
-            print(f"protocol {label}")
-        step += 1
-        print(f"  step {step} [{rec.path}]: {rec.text}\n{_index_table(rec.index_after, '    ', cells)}")
-    if label is not None:
-        print()
-    print("final indices:")
-    for path, index in result.final_indices:
-        print(f"  {path}:\n{_index_table(index, '    ', cells)}")
+    """``reports.print_explain``, which text ``explain`` calls by this name."""
+    from .reports import print_explain
+
+    print_explain(result)
 
 
 def _explain_json(result: CheckResult) -> dict:

@@ -40,9 +40,9 @@ import sys
 
 from .checker import CheckResult, StepRecord
 from .model import KnowledgeIndex
-from .printer import format_type
 from .simulator import CaseTaken, MsgCreated, ProtocolEvent, RefinementChecked, RunReport, Sent, status_to_json
 from .syntax import BoolV, ConV, IntV, StrV, TupleV, Value
+from .terms import format_type
 
 __all__ = ["write_report", "write_explain", "write_diagnostics"]
 

@@ -327,7 +327,7 @@ RefExpr = Union[IntLit, BoolLit, StrLit, VarRef, BinderRef, Proj, UnwrapDep, Ari
 # level is left-associative, and postfix `.N` / `!` bind tighter than all.
 # This is the only encoding of precedence: the parser builds its operator
 # loop from it (`_Parser.parse_binary`) and the printer derives where it
-# needs parentheses from it (`printer._PREC`).
+# needs parentheses from it (`terms._PREC`).
 BINARY_OPS = (("or",), ("and",), ("==", "!=", "<", "<="), ("+", "-"), ("*",))
 
 

@@ -71,7 +71,6 @@ from .model import (
     freeze,
     Span,
 )
-from .printer import binder_name, format_pattern, format_ref, format_type, format_value
 from .records import quiet, record
 from .syntax import (
     BoolV,
@@ -95,6 +94,7 @@ from .syntax import (
     WildPat,
     VALUE_KINDS,
 )
+from .terms import binder_name, format_pattern, format_ref, format_type, format_value
 
 __all__ = [
     "EvalError",

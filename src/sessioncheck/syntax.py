@@ -35,6 +35,7 @@ __all__ = [
     "Stmt",
     "Block",
     "TERMINATORS",
+    "TERMINATOR_WORDS",
     "RoleDecl",
     "ProtoParam",
     "ProtocolDecl",
@@ -172,7 +173,9 @@ class End:
 Stmt = Union[NewMsg, NewDepMsg, Send, ReadCase, Rec, Call, End]
 Block = tuple[Stmt, ...]
 
-TERMINATORS = (ReadCase, Rec, Call, End)
+# The keyword of each statement that closes its path, as the source spells it.
+TERMINATOR_WORDS = {ReadCase: "read", Rec: "rec", Call: "call", End: "end"}
+TERMINATORS = tuple(TERMINATOR_WORDS)
 
 
 # ---------------------------------------------------------------------------

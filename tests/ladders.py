@@ -31,9 +31,9 @@ from sessioncheck.model import (
     UnwrapDep,
     VarRef,
 )
-from sessioncheck.printer import _PREC, _PREC_POSTFIX, _escape, format_type, format_value
 from sessioncheck.simulator import _OPERATORS, EvalError
 from sessioncheck.syntax import BoolV, IntV, StrV, TupleV
+from sessioncheck.terms import _PREC, _PREC_POSTFIX, _escape, format_type, format_value
 
 
 def eval_ref(expr, bindings, binder_value):

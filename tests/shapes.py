@@ -8,7 +8,8 @@ copy that scans what came before would make a command quadratic:
 - ``parametric_chain``: ``n`` parametric protocols, each instantiating the next;
 - ``wide_variant``: a ``read`` over a type of ``n`` constructors;
 - ``many_params``: a protocol of ``n`` parameters, each called from one ``read`` arm;
-- ``fork_free_chain``: one protocol of ``n`` refined messages, each sent on, with no ``read``.
+- ``fork_free_chain``: one protocol of ``n`` refined messages, each sent on, with no ``read``;
+- ``many_roles``: one protocol of ``n`` participants, each making one message and sending it on.
 
 ``tests/test_scaling.py`` and ``tests/differential.py`` use them.
 """
@@ -70,4 +71,18 @@ def fork_free_chain(n: int) -> tuple[str, str]:
     return text, "".join(f"m{i} = {i}\n" for i in range(n))
 
 
-SHAPES = {f.__name__: f for f in (call_chain, parametric_chain, wide_variant, many_params, fork_free_chain)}
+def many_roles(n: int) -> tuple[str, str]:
+    """``n`` roles, all participants of one protocol; role ``R{i}`` makes ``m{i}`` and
+    sends it to the next role, the last to the first."""
+    roles = [f"R{i}" for i in range(n)]
+    lines = []
+    for i, role in enumerate(roles):
+        lines += [f"  msg m{i} : Int by {role};", f"  send m{i} {role} -> {roles[(i + 1) % n]};"]
+    text = (f"roles {', '.join(roles)}\n\nprotocol P [{', '.join(roles)}] {{\n" + "\n".join(lines)
+            + "\n  end\n}\n\nentry P\n")
+    return text, "".join(f"m{i} = {i}\n" for i in range(n))
+
+
+SHAPES = {
+    f.__name__: f for f in (call_chain, parametric_chain, wide_variant, many_params, fork_free_chain, many_roles)
+}

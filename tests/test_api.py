@@ -15,9 +15,11 @@ HOMES = {
     "diagnostics": ["Diagnostic", "CODES"],
     "model": ["EMPTY_INDEX", "DuplicateVar", "KnowledgeIndex", "KnowledgeItem", "RoleId", "Span", "UnknownVar",
               "VarId", "all_know", "free_vars", "introduce", "knows", "learn", "overlapping"],
-    "parser": ["ParseFailure", "parse", "parse_trace"],
-    "printer": ["format_ref", "format_source", "format_type", "format_value"],
+    "parser": ["ParseFailure", "parse"],
+    "printer": ["format_source"],
     "simulator": ["EvalError", "RunReport", "eval_ref", "run_trace"],
+    "terms": ["format_ref", "format_type", "format_value"],
+    "traces": ["parse_trace"],
 }
 PUBLIC = [(module, name) for module, names in HOMES.items() for name in names]
 
@@ -40,11 +42,30 @@ def test_star_import_and_dir_give_every_public_name():
     assert set(sessioncheck.__all__) <= set(dir(sessioncheck))
 
 
+# Names that left a module for one that fewer commands load, and the
+# module paths they keep resolving at.
+MOVED = [("parser", "parse_trace", "traces")] + [
+    ("printer", name, "terms") for name in ["binder_name", "format_pattern", "format_ref", "format_type", "format_value"]
+]
+
+
+@pytest.mark.parametrize("module, name, home", MOVED, ids=[f"{m}.{n}" for m, n, _ in MOVED])
+def test_a_moved_name_still_resolves_at_its_old_module_path(module, name, home):
+    old = importlib.import_module(f"sessioncheck.{module}")
+    assert name in old.__all__
+    assert getattr(old, name) is getattr(importlib.import_module(f"sessioncheck.{home}"), name)
+    namespace: dict = {}
+    exec(f"from sessioncheck.{module} import {name}", namespace)
+    assert namespace[name] is getattr(old, name)
+
+
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         sessioncheck.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         exec("from sessioncheck import no_such_name", {})
+    with pytest.raises(ImportError):
+        exec("from sessioncheck.parser import no_such_name", {})
 
 
 def test_the_package_loads_a_submodule_only_when_a_name_needs_it():

@@ -25,7 +25,8 @@ import workloads  # noqa: E402
 
 from sessioncheck import cli  # noqa: E402
 from sessioncheck.lexer import tokenize  # noqa: E402
-from sessioncheck.parser import parse, parse_trace  # noqa: E402
+from sessioncheck.parser import parse  # noqa: E402
+from sessioncheck.traces import parse_trace  # noqa: E402
 from sessioncheck.printer import format_source, format_value  # noqa: E402
 from sessioncheck.syntax import NewDepMsg, NewMsg, ReadCase  # noqa: E402
 

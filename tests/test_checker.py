@@ -383,6 +383,20 @@ entry Main
     assert codes(check_source(src)) == ["E008"]
 
 
+UNBOUND_IN_R = "protocol R<y : protocol[A, B]> [A, B] { send nope A -> B; end }\n"
+CALLS_R = "protocol P<x : protocol[A, B]> [A, B] { call R(Leaf) }\n"
+
+
+@pytest.mark.parametrize("order", [(CALLS_R, UNBOUND_IN_R), (UNBOUND_IN_R, CALLS_R)], ids=["caller_first", "callee_first"])
+def test_an_instantiation_made_by_an_uninstantiated_protocol_is_checked(order):
+    # No ground protocol instantiates P or R. P's body instantiates R<Leaf>;
+    # whichever is declared first, R's body is checked, and its fault, found
+    # again in R<Leaf>, is reported once.
+    src = "roles A, B\nprotocol Leaf [A, B] { end }\n" + "".join(order) + "entry Leaf\n"
+    unbound = "message variable 'nope' is not bound on this path"
+    assert [(d.code, d.message) for d in check_source(src).diagnostics] == [("E009", unbound)]
+
+
 def test_parametric_argument_must_be_ground():
     src = """roles A, B
 protocol G<p : protocol[A]> [A] { call p }

@@ -12,6 +12,7 @@ import shutil
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -644,17 +645,23 @@ def test_a_text_check_leaves_the_json_writers_unloaded(corpus):
 TCP = str(CORPUS / "tcp.ssn")
 
 
+def ours(*names: str) -> set[str]:
+    return {f"sessioncheck.{name}" for name in names}
+
+
 @pytest.mark.parametrize(
-    "argv, unloaded",
+    "argv, loaded, unloaded",
     [
-        (["check", TCP], {"sessioncheck.simulator", "sessioncheck.jsonout", "json", "argparse"}),
-        (["explain", TCP], {"sessioncheck.simulator", "argparse"}),
-        (["fmt", "--check", TCP], {"sessioncheck.checker", "sessioncheck.simulator", "argparse"}),
-        (["simulate", TCP, "--trace", str(CORPUS / "tcp_good.trace")], {"sessioncheck.jsonout", "argparse"}),
+        (["check", TCP], ours("checker", "terms"),
+         ours("simulator", "jsonout", "traces", "printer", "reports") | {"json", "argparse"}),
+        (["explain", TCP], ours("checker", "printer", "reports"), ours("simulator", "jsonout", "traces") | {"argparse"}),
+        (["fmt", "--check", TCP], ours("printer"), ours("checker", "simulator", "traces", "reports") | {"argparse"}),
+        (["simulate", TCP, "--trace", str(CORPUS / "tcp_good.trace")], ours("simulator", "traces", "reports"),
+         ours("jsonout", "printer") | {"argparse"}),
     ],
     ids=["check", "explain", "fmt", "simulate"],
 )
-def test_each_command_loads_only_the_modules_it_runs(argv, unloaded):
+def test_each_command_loads_only_the_modules_it_runs(argv, loaded, unloaded):
     # A cold `python -m sessioncheck argv`, then its exit code and every module loaded.
     out = fresh_python(
         "import runpy, sys\n"
@@ -666,8 +673,65 @@ def test_each_command_loads_only_the_modules_it_runs(argv, unloaded):
     )
     code, *modules = out.splitlines()[-1].split()
     assert code == "0"
-    assert {"sessioncheck.cli", "sessioncheck.parser"} <= set(modules)
+    assert ours("cli", "parser") | loaded <= set(modules)
     assert set(modules) & unloaded == set()
+
+
+# A cold run, then a plain import: the collector's setting as each
+# sessioncheck module is first looked for, and once the run or import is
+# over, and whether anything was frozen out of the collection at exit.
+COLLECTOR_AT_IMPORT = """
+import gc, runpy, sys
+
+frozen = gc.get_freeze_count()  # not 0 at start on Python 3.12.1
+
+class Watch:
+    seen = []
+
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name.startswith("sessioncheck"):
+            cls.seen.append((name, gc.isenabled()))
+        return None
+
+sys.meta_path.insert(0, Watch)
+if sys.argv[1] == "run":
+    sys.argv[1:] = ["check", sys.argv[2]]
+    try:
+        runpy.run_module("sessioncheck", run_name="__main__", alter_sys=True)
+    except SystemExit as stop:
+        print(stop.code)
+elif sys.argv[1] == "script":
+    # what the installed `sessioncheck` script does
+    sys.argv[1:] = ["check", sys.argv[2]]
+    from sessioncheck.__main__ import run
+    print(run())
+else:
+    import sessioncheck.cli
+    print(None)
+print(*(f"{name}={on}" for name, on in Watch.seen))
+print(gc.isenabled(), gc.get_freeze_count() > frozen)
+"""
+
+
+def test_the_module_entry_turns_the_collector_off_before_it_imports_the_cli():
+    # The installed script enters as `python -m` does.
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert '\nsessioncheck = "sessioncheck.__main__:run"\n' in pyproject
+    for mode in ("run", "script"):
+        code, seen, after = fresh_python(COLLECTOR_AT_IMPORT, mode, TCP).splitlines()
+        assert code == "0"
+        seen = dict(entry.split("=") for entry in seen.split())
+        # the package and its __main__ load before run() imports the rest
+        assert seen["sessioncheck"] == "True" and seen["sessioncheck.__main__"] == "True"
+        assert seen["sessioncheck.cli"] == "False"
+        assert {seen[name] for name in seen if name not in ("sessioncheck", "sessioncheck.__main__")} == {"False"}
+        assert after == "False True"
+
+    code, seen, after = fresh_python(COLLECTOR_AT_IMPORT, "import").splitlines()
+    assert code == "None"
+    assert set(seen.split()) >= {"sessioncheck=True", "sessioncheck.cli=True"}
+    assert after == "True False"
 
 
 def test_an_option_the_plain_reader_does_not_take_goes_to_argparse(capsys):

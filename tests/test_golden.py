@@ -27,7 +27,7 @@ import sys
 
 import pytest
 
-from sessioncheck import check_file, cli, parse
+from sessioncheck import check_file, cli, parse, reports
 
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
@@ -115,13 +115,13 @@ def test_text_explain_formats_each_item_once(inputs, monkeypatch):
     indices = [rec.index_after for rec in result.step_log] + [index for _, index in result.final_indices]
     distinct = {id(item) for index in indices for item in index}
     calls = []
-    format_type = cli.format_type
+    format_type = reports.format_type
 
     def counting_format_type(t):
         calls.append(t)
         return format_type(t)
 
-    monkeypatch.setattr(cli, "format_type", counting_format_type)
+    monkeypatch.setattr(reports, "format_type", counting_format_type)
     monkeypatch.chdir(inputs)
     out, _, code = run(["explain", "deep.ssn"])
     assert code == 0 and out

@@ -19,7 +19,8 @@ from sessioncheck.cli import _explain_json, main
 from sessioncheck.diagnostics import CODES, ERROR, WARNING, Diagnostic
 from sessioncheck.jsonout import write_diagnostics, write_explain, write_report
 from sessioncheck.model import KnowledgeIndex, KnowledgeItem, RoleId, Span, VarId, line_starts
-from sessioncheck.parser import ParseFailure, parse_trace
+from sessioncheck.parser import ParseFailure
+from sessioncheck.traces import parse_trace
 from sessioncheck.simulator import (
     CaseTaken,
     Completed,

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from sessioncheck import lexer, parse, parse_trace
 from sessioncheck.model import IDENT
-from sessioncheck.parser import _parse_trace_tokens
 from sessioncheck.syntax import IntV, StrV
+from sessioncheck.traces import _parse_trace_tokens
 
 from conftest import lexed
 

@@ -25,7 +25,8 @@ from sessioncheck.model import (
     VarId,
     VarRef,
 )
-from sessioncheck.parser import ParseFailure, parse, parse_trace
+from sessioncheck.parser import ParseFailure, parse
+from sessioncheck.traces import parse_trace
 from sessioncheck.syntax import (
     Arm,
     BoolV,

@@ -100,7 +100,8 @@ def test_parse_instructions_tokens_and_statements_grow_linearly():
 @pytest.mark.parametrize(
     "shape, command",
     [("call_chain", "check"), ("call_chain", "run"), ("parametric_chain", "check"), ("parametric_chain", "run"),
-     ("wide_variant", "check"), ("wide_variant", "run"), ("many_params", "check")],
+     ("wide_variant", "check"), ("wide_variant", "run"), ("many_params", "check"), ("many_roles", "check"),
+     ("many_roles", "run")],
 )
 def test_check_and_run_instructions_grow_linearly_on_every_shape(shape, command):
     counts, events = [], []
