@@ -11,13 +11,17 @@ never load the simulator, ``fmt`` loads neither the checker nor the
 simulator, and only ``--format json`` loads the JSON writers (and with
 them both). Only ``simulate`` loads the trace reader, only ``fmt`` and
 ``explain`` the source layout, and only text ``simulate`` and ``explain``
-the text reports. None loads argparse for an argument list that
-``_plain_args`` reads: options written out in full, each value in the
-next word, and one run of files. ``check_file``, ``run_trace``,
-``parse_trace``, ``format_source``, ``_print_report`` and
-``_print_explain`` are thin functions here that import the real one when
-called, so the commands call them, and tests and the benchmark's tracer
-replace them, by their names in this module.
+the text reports. Each function a command calls in one of those layers is
+made here by ``_later``, which imports it at its first call, so the
+commands call it, and tests and the benchmark's tracer replace it, by its
+name in this module.
+
+``_COMMANDS`` is the one statement of the command line: each command's
+help, how many files it takes and its options, as argparse's keywords.
+``_plain_args`` reads from it, without loading argparse, an argument list
+of options spelled out in full, each value in the next word, and one run
+of files. ``_build_parser`` builds argparse from it for any other: help,
+abbreviations, ``--opt=value`` forms and usage errors.
 
 ``main`` runs with the cyclic garbage collector off, because a run's data
 is acyclic (tests/test_cycles.py), and restores the caller's setting;
@@ -32,6 +36,7 @@ import gc
 import os
 import stat
 import sys
+from importlib import import_module
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -42,7 +47,6 @@ if TYPE_CHECKING:  # each command loads the checker and simulator only if it run
     import argparse
 
     from .checker import CheckResult
-    from .simulator import RunReport
 
 __all__ = ["main"]
 
@@ -56,36 +60,31 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def check_file(file, **options):
-    """``checker.check_file``, which the commands call by this name: ``fmt``
-    never loads the checker."""
-    from .checker import check_file as check
+def _later(module: str, name: str):
+    """A function named ``name`` that imports ``name`` from this package's
+    ``module`` at its first call, keeps it, and calls it."""
+    found = None
 
-    return check(file, **options)
+    def call(*args, **kwargs):
+        nonlocal found
+        if found is None:
+            found = getattr(import_module(f".{module}", __package__), name)
+        return found(*args, **kwargs)
 
-
-def run_trace(file, trace, **options):
-    """``simulator.run_trace``, which ``simulate`` calls by this name: only
-    ``simulate`` loads the simulator."""
-    from .simulator import run_trace as run
-
-    return run(file, trace, **options)
-
-
-def parse_trace(text):
-    """``traces.parse_trace``, which ``simulate`` calls by this name: only
-    ``simulate`` loads the trace reader."""
-    from .traces import parse_trace as read
-
-    return read(text)
+    call.__name__ = call.__qualname__ = name
+    return call
 
 
-def format_source(file):
-    """``printer.format_source``, which ``fmt`` calls by this name: only
-    ``fmt`` loads the layout printer."""
-    from .printer import format_source as layout
-
-    return layout(file)
+check_file = _later("checker", "check_file")
+resolve_entry = _later("checker", "resolve_entry")
+run_trace = _later("simulator", "run_trace")
+parse_trace = _later("traces", "parse_trace")
+format_source = _later("printer", "format_source")
+_print_report = _later("reports", "print_report")
+_print_explain = _later("reports", "print_explain")
+write_diagnostics = _later("jsonout", "write_diagnostics")
+write_report = _later("jsonout", "write_report")
+write_explain = _later("jsonout", "write_explain")
 
 
 def _want_color(choice: str, stream) -> bool:
@@ -182,8 +181,6 @@ def _cmd_check(args, color: bool) -> int:
         elif loaded[1].errors:
             worst = max(worst, 1)
     if args.format == "json":
-        from .jsonout import write_diagnostics  # only JSON runs load the writers
-
         write_diagnostics(diags)
     else:
         for d in diags:
@@ -192,8 +189,6 @@ def _cmd_check(args, color: bool) -> int:
 
 
 def _cmd_simulate(args, color: bool) -> int:
-    from .checker import resolve_entry
-
     loaded = _load_checked(args.files[0], _warner(color))
     if loaded is None or loaded[1].errors:
         return 2  # a file that fails the checker is never executed
@@ -207,19 +202,10 @@ def _cmd_simulate(args, color: bool) -> int:
     # Only the JSON report prints each send's index; the text one prints its knowers.
     report = run_trace(file, loaded[1], max_steps=args.max_steps, snapshots=args.format == "json")
     if args.format == "json":
-        from .jsonout import write_report  # only JSON runs load the writers
-
         write_report(report)
     else:
         _print_report(report)
     return 0 if report.completed else 1
-
-
-def _print_report(report: RunReport) -> None:
-    """``reports.print_report``, which text ``simulate`` calls by this name."""
-    from .reports import print_report
-
-    print_report(report)
 
 
 def _cmd_explain(args, color: bool) -> int:
@@ -230,19 +216,10 @@ def _cmd_explain(args, color: bool) -> int:
     if result.errors:
         return 1
     if args.format == "json":
-        from .jsonout import write_explain  # only JSON runs load the writers
-
         write_explain(result)
-        return 0
-    _print_explain(result)
+    else:
+        _print_explain(result)
     return 0
-
-
-def _print_explain(result: CheckResult) -> None:
-    """``reports.print_explain``, which text ``explain`` calls by this name."""
-    from .reports import print_explain
-
-    print_explain(result)
 
 
 def _explain_json(result: CheckResult) -> dict:
@@ -310,6 +287,27 @@ def _cmd_fmt(args, color: bool) -> int:
     return worst
 
 
+_FORMAT = ("--format", {"choices": ["text", "json"], "default": "text"})
+_COLOR = ("--color", {"choices": ["auto", "always", "never"], "default": "auto"})
+# Per command, in help order: its help, how many files it takes, and each
+# option with argparse's keywords for it (an ``action`` is a flag).
+_COMMANDS = {
+    "check": ("statically check session files", "+", [_FORMAT, _COLOR]),
+    "simulate": ("run a checked file against a value trace", 1, [
+        _FORMAT,
+        _COLOR,
+        ("--trace", {"required": True, "help": "trace file of var = value bindings"}),
+        ("--max-steps", {"type": int, "default": 10_000}),
+        ("--report", {"choices": ["text", "json"], "dest": "format", "help": "alias for --format"}),
+    ]),
+    "explain": ("show the knowledge index after every step", 1, [_FORMAT, _COLOR]),
+    "fmt": ("rewrite files in canonical form", "+", [
+        _COLOR,
+        ("--check", {"action": "store_true", "help": "exit 1 if any file would change"}),
+    ]),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built only for an argument list that
@@ -320,59 +318,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ap = argparse.ArgumentParser(prog="sessioncheck", description="Check and simulate value-dependent global session descriptions.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, multi_files: bool, formats: bool = True):
-        p.add_argument("files", nargs="+" if multi_files else 1, help="input .ssn files")
-        if formats:
-            p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--color", choices=["auto", "always", "never"], default="auto")
-
-    p_check = sub.add_parser("check", help="statically check session files")
-    common(p_check, multi_files=True)
-
-    p_sim = sub.add_parser("simulate", help="run a checked file against a value trace")
-    common(p_sim, multi_files=False)
-    p_sim.add_argument("--trace", required=True, help="trace file of var = value bindings")
-    p_sim.add_argument("--max-steps", type=int, default=10_000)
-    p_sim.add_argument("--report", choices=["text", "json"], dest="format", help="alias for --format")
-
-    p_explain = sub.add_parser("explain", help="show the knowledge index after every step")
-    common(p_explain, multi_files=False)
-
-    p_fmt = sub.add_parser("fmt", help="rewrite files in canonical form")
-    common(p_fmt, multi_files=True, formats=False)
-    p_fmt.add_argument("--check", action="store_true", help="exit 1 if any file would change")
-
+    for command, (summary, nargs, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("files", nargs=nargs, help="input .ssn files")
+        for option, spec in options:
+            p.add_argument(option, **spec)
     return ap
 
 
-def _choice(*words: str):
-    return lambda word: word if word in words else None
-
-
-def _steps(word: str) -> int | None:
-    # int() takes any run of up to 640 ASCII digits, whatever its digit limit
-    # is set to (sys.int_info.str_digits_check_threshold). isdigit alone
-    # would pass "²", which int() refuses.
-    return int(word) if word.isascii() and word.isdigit() and len(word) <= 640 else None
-
-
-_FORMAT = ("format", _choice("text", "json"))
-_COLOR = ("color", _choice("auto", "always", "never"))
-# Per command: whether it takes more than one file, the values argparse
-# gives when no option is written, and each option's dest and value reader
-# (None for a flag). A reader returns None for a value it leaves to argparse.
-_PLAIN = {
-    "check": (True, {"format": "text", "color": "auto"}, {"--format": _FORMAT, "--color": _COLOR}),
-    "explain": (False, {"format": "text", "color": "auto"}, {"--format": _FORMAT, "--color": _COLOR}),
-    "simulate": (
-        False,
-        {"format": "text", "color": "auto", "max_steps": 10_000},
-        {"--format": _FORMAT, "--report": _FORMAT, "--color": _COLOR, "--max-steps": ("max_steps", _steps),
-         "--trace": ("trace", lambda word: None if word.startswith("-") else word)},
-    ),
-    "fmt": (True, {"color": "auto", "check": False}, {"--color": _COLOR, "--check": ("check", None)}),
-}
+def _value(spec: dict, word: str):
+    """What argparse gives for ``word`` as the value of an option with the
+    keywords ``spec``, or None for a word that this reader leaves to it."""
+    if "choices" in spec:
+        return word if word in spec["choices"] else None
+    if spec.get("type") is int:
+        # int() takes any run of up to 640 ASCII digits, whatever its digit limit
+        # is set to (sys.int_info.str_digits_check_threshold). isdigit alone
+        # would pass "²", which int() refuses.
+        return int(word) if word.isascii() and word.isdigit() and len(word) <= 640 else None
+    return None if word.startswith("-") else word
 
 
 def _plain_args(argv: list[str]) -> SimpleNamespace | None:
@@ -380,10 +344,16 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     without loading argparse; None for any other, which argparse reads. A
     plain ``argv`` is a command, then options spelled out in full, each value
     in the next word, and one unbroken run of files around them."""
-    if not argv or argv[0] not in _PLAIN:
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    multi, defaults, options = _PLAIN[argv[0]]
-    args = {"command": argv[0], **defaults}
+    _, nargs, options = _COMMANDS[argv[0]]
+    args, named, required = {"command": argv[0]}, {}, set()
+    for option, spec in options:
+        dest = spec.get("dest", option[2:].replace("-", "_"))
+        args.setdefault(dest, spec.get("default", False if "action" in spec else None))  # the first of a dest wins
+        named[option] = dest, spec
+        if spec.get("required"):
+            required.add(option)
     files: list[str] = []
     ended = False  # an option after a file ends the run of files
     words = iter(argv[1:])
@@ -393,15 +363,16 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
                 return None
             files.append(word)
             continue
-        if word not in options:
+        if word not in named:
             return None
-        dest, read = options[word]
-        value = True if read is None else read(next(words, "-"))  # a missing value reads as a bad one
+        dest, spec = named[word]
+        value = True if "action" in spec else _value(spec, next(words, "-"))  # a missing value reads as a bad one
         if value is None:
             return None
         args[dest] = value  # a repeated option: the last wins
+        required.discard(word)
         ended = bool(files)
-    if not files or (len(files) > 1 and not multi) or (argv[0] == "simulate" and "trace" not in args):
+    if not files or (len(files) > 1 and nargs == 1) or required:
         return None
     return SimpleNamespace(**args, files=files)
 

@@ -34,8 +34,8 @@ string with a bad escape or no closing quote and a bad character yield
 no token. A lex error is a ``Diagnostic`` with the ``parse`` code, made
 by ``parse_error`` as the parser's errors are, so the parser adds it to
 its own list as it stands and the CLI reports it as it reports a checker
-finding. The parser's trace reader walks the same scan's tuples (see
-``parser``) and decodes strings with ``string_value``, so a trace has no
+finding. The trace reader walks the same scan's tuples (see
+``traces``) and decodes strings with ``string_value``, so a trace has no
 token syntax of its own.
 """
 

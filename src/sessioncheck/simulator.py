@@ -26,7 +26,7 @@ builds each `ProtocolEvent` once and logs it at every such step.
 
 Events that carry trace values follow a second rule, by value identity,
 kept in the same entry. The trace reader keeps one object per repeated
-flat value and binding (see `parser`), so a loop that binds the same
+flat value and binding (see `traces`), so a loop that binds the same
 value again hands the run the same object. A `msg`/`dep` entry maps the
 id of each value object the node met to the `MsgCreated` it logged for
 it, which it logs again when a binding's value `is` that object, skipping

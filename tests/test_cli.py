@@ -825,6 +825,72 @@ def test_the_plain_reader_gives_what_argparse_gives():
     assert read >= len(argvs) // 5
 
 
+_HELP = (["-h", "--help"], "help", "==SUPPRESS==", None, False, 0, None, "show this help message and exit")
+_FORMAT = (["--format"], "format", "text", ["text", "json"], False, None, None, None)
+_COLOR = (["--color"], "color", "auto", ["auto", "always", "never"], False, None, None, None)
+
+
+def _files(nargs):
+    return ([], "files", None, None, True, nargs, None, "input .ssn files")
+
+
+# Per parser, each action's option strings, dest, default, choices,
+# required, nargs, type and help, in the order argparse lists them.
+ARGPARSE_ACTIONS = {
+    "sessioncheck": [_HELP, ([], "command", None, ["check", "simulate", "explain", "fmt"], True, "A...", None, None)],
+    "check": [_HELP, _files("+"), _FORMAT, _COLOR],
+    "simulate": [
+        _HELP,
+        _files(1),
+        _FORMAT,
+        _COLOR,
+        (["--trace"], "trace", None, None, True, None, None, "trace file of var = value bindings"),
+        (["--max-steps"], "max_steps", 10_000, None, False, None, int, None),
+        (["--report"], "format", None, ["text", "json"], False, None, None, "alias for --format"),
+    ],
+    "explain": [_HELP, _files(1), _FORMAT, _COLOR],
+    "fmt": [
+        _HELP,
+        _files("+"),
+        _COLOR,
+        (["--check"], "check", False, None, False, 0, None, "exit 1 if any file would change"),
+    ],
+}
+
+
+def test_the_argument_parser_states_every_command_as_before():
+    # The parser's structure, not its rendered help, whose layout changes
+    # with the Python version and the terminal's width.
+    from sessioncheck import cli
+
+    def actions(parser):
+        return [
+            (
+                a.option_strings,
+                a.dest,
+                a.default,
+                list(a.choices) if a.choices is not None else None,
+                a.required,
+                a.nargs,
+                a.type,
+                a.help,
+            )
+            for a in parser._actions
+        ]
+
+    top = cli._build_parser()
+    assert (top.prog, top.description) == ("sessioncheck", "Check and simulate value-dependent global session descriptions.")
+    (sub,) = [a for a in top._actions if a.dest == "command"]
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        ("check", "statically check session files"),
+        ("simulate", "run a checked file against a value trace"),
+        ("explain", "show the knowledge index after every step"),
+        ("fmt", "rewrite files in canonical form"),
+    ]
+    got = {"sessioncheck": actions(top), **{name: actions(parser) for name, parser in sub.choices.items()}}
+    assert got == ARGPARSE_ACTIONS
+
+
 @contextlib.contextmanager
 def _collector(on: bool):
     """Run the block with the cyclic collector switched on or off, then put
