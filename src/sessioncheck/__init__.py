@@ -25,7 +25,7 @@ _HOMES = {
     **dict.fromkeys(["ParseFailure", "parse"], "parser"),
     **dict.fromkeys(["format_source"], "printer"),
     **dict.fromkeys(["EvalError", "RunReport", "eval_ref", "run_trace"], "simulator"),
-    **dict.fromkeys(["format_ref", "format_type", "format_value"], "terms"),
+    **dict.fromkeys(["format_ref", "format_type", "format_value"], "syntax"),
     **dict.fromkeys(["parse_trace"], "traces"),
 }
 

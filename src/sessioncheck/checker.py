@@ -46,24 +46,9 @@ from .model import (
 )
 from .records import record
 from .syntax import (
-    Block,
-    Call,
-    CtorPat,
-    End,
-    LitPat,
-    NewDepMsg,
-    NewMsg,
-    ProtocolDecl,
-    ReadCase,
-    Rec,
-    Send,
-    SourceFile,
-    Stmt,
-    WildPat,
-    TERMINATOR_WORDS,
-    VALUE_KINDS,
+    Block, Call, CtorPat, End, LitPat, NewDepMsg, NewMsg, ProtocolDecl, ReadCase, Rec, Send, SourceFile, Stmt, WildPat,
+    TERMINATOR_WORDS, VALUE_KINDS, format_pattern, format_type,
 )
-from .terms import format_pattern, format_type
 
 __all__ = ["CheckResult", "StepRecord", "KindError", "check_file", "kind_of_ref", "resolve_entry"]
 

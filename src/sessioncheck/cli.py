@@ -7,9 +7,9 @@ parsed, or fmt could not write a file back (and, for simulate, a file that
 fails the checker or has no protocol to run).
 
 Each command loads only the modules it runs: ``check`` and ``explain``
-never load the simulator, ``fmt`` loads neither the checker nor the
-simulator, and only ``--format json`` loads the JSON writers (and with
-them both). Only ``simulate`` loads the trace reader, only ``fmt`` and
+never load the simulator, in either format, ``fmt`` loads neither the
+checker nor the simulator, and only ``--format json`` loads the JSON
+writers. Only ``simulate`` loads the trace reader, only ``fmt`` and
 ``explain`` the source layout, and only text ``simulate`` and ``explain``
 the text reports. Each function a command calls in one of those layers is
 made here by ``_later``, which imports it at its first call, so the

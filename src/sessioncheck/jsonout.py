@@ -37,12 +37,14 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .checker import CheckResult, StepRecord
-from .model import KnowledgeIndex
-from .simulator import CaseTaken, MsgCreated, ProtocolEvent, RefinementChecked, RunReport, Sent, status_to_json
-from .syntax import BoolV, ConV, IntV, StrV, TupleV, Value
-from .terms import format_type
+from .syntax import BoolV, ConV, IntV, StrV, TupleV, Value, format_type
+
+if TYPE_CHECKING:
+    from .checker import CheckResult, StepRecord
+    from .model import KnowledgeIndex
+    from .simulator import RunReport
 
 __all__ = ["write_report", "write_explain", "write_diagnostics"]
 
@@ -127,30 +129,6 @@ _CASE_TAKEN = _ELEM_SEP + _shape(_ELEM, "var", "arm", kind="case_taken")
 _PROTOCOL_EVENT = _ELEM_SEP + _shape(_ELEM, "kind", "protocol")
 
 
-def _json_event(e, texts: dict[int, str | None]) -> str:
-    """``simulator._event_json(e)`` after its separator, for an event whose
-    text ``texts`` does not hold; ``texts`` maps the id of an index item or
-    of an event seen before to its text, ``None`` after a first sight."""
-    kind = type(e)
-    if kind is MsgCreated:
-        text = _MSG_CREATED % (_json_str(e.var), _json_value(e.value, _FIELD), _json_str(e.creator))
-    elif kind is RefinementChecked:
-        # As in a dict, a repeated name keeps its first place and its last value.
-        witness = _json_obj(_FIELD, [(k, _json_value(v, _FIELD + "  ")) for k, v in dict(e.witness).items()])
-        verdict = "true" if e.verdict else "false"
-        text = _REFINEMENT_CHECKED % (_json_str(e.var), _json_str(e.predicate), verdict, witness)
-    elif kind is Sent:
-        text = _SENT % (_json_str(e.var), _json_str(e.sender), _json_str(e.receiver), _json_index(e.index_after, texts))
-    elif kind is CaseTaken:
-        text = _CASE_TAKEN % (_json_str(e.var), _json_str(e.arm))
-    elif kind is ProtocolEvent:
-        text = _PROTOCOL_EVENT % (_json_str(e.kind), _json_str(e.protocol))
-    else:
-        raise TypeError(f"not an event: {e!r}")
-    texts[id(e)] = text if id(e) in texts else None
-    return text
-
-
 def _json_record(record, indent: str) -> str:
     """``json.dumps(record, indent=2)`` of plain data, on a line that starts
     with ``indent``: a diagnostic's JSON record (``Diagnostic.to_json``)
@@ -189,10 +167,40 @@ def _write_json_list(texts, sep: str) -> None:
 
 
 def write_report(report: RunReport) -> None:
-    """``simulate --format json``: ``report.to_json()``."""
+    """``simulate --format json``: ``report.to_json()``.
+
+    Only this writer needs the simulator's records, so ``check`` and
+    ``explain`` load no simulator; it imports them when it runs."""
+    from .simulator import CaseTaken, MsgCreated, ProtocolEvent, RefinementChecked, Sent, status_to_json
+
+    def json_event(e) -> str:
+        """``simulator._event_json(e)`` after its separator, for an event
+        whose text ``texts`` does not hold; ``texts`` maps the id of an
+        index item or of an event seen before to its text, ``None`` after
+        a first sight."""
+        kind = type(e)
+        if kind is MsgCreated:
+            text = _MSG_CREATED % (_json_str(e.var), _json_value(e.value, _FIELD), _json_str(e.creator))
+        elif kind is RefinementChecked:
+            # As in a dict, a repeated name keeps its first place and its last value.
+            witness = _json_obj(_FIELD, [(k, _json_value(v, _FIELD + "  ")) for k, v in dict(e.witness).items()])
+            verdict = "true" if e.verdict else "false"
+            text = _REFINEMENT_CHECKED % (_json_str(e.var), _json_str(e.predicate), verdict, witness)
+        elif kind is Sent:
+            index = _json_index(e.index_after, texts)
+            text = _SENT % (_json_str(e.var), _json_str(e.sender), _json_str(e.receiver), index)
+        elif kind is CaseTaken:
+            text = _CASE_TAKEN % (_json_str(e.var), _json_str(e.arm))
+        elif kind is ProtocolEvent:
+            text = _PROTOCOL_EVENT % (_json_str(e.kind), _json_str(e.protocol))
+        else:
+            raise TypeError(f"not an event: {e!r}")
+        texts[id(e)] = text if id(e) in texts else None
+        return text
+
     texts: dict[int, str | None] = {}
     sys.stdout.write('{\n  "status": ' + _json_record(status_to_json(report.status), _TOP) + ',\n  "events": ')
-    _write_json_list((texts.get(id(e)) or _json_event(e, texts) for e in report.events), _ELEM_SEP)
+    _write_json_list((texts.get(id(e)) or json_event(e) for e in report.events), _ELEM_SEP)
     sys.stdout.write("\n}\n")
 
 

@@ -47,9 +47,9 @@ from itertools import accumulate, compress, count
 from operator import add, not_, sub
 
 from .diagnostics import ERROR, Diagnostic
-from .model import IDENT, Span, line_starts, position
+from .model import IDENT, Span, line_starts
 
-__all__ = ["KEYWORDS", "line_starts", "parse_error", "position", "string_value", "tokenize"]
+__all__ = ["KEYWORDS", "parse_error", "string_value", "tokenize"]
 
 KEYWORDS = frozenset(
     [

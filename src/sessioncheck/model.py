@@ -326,8 +326,8 @@ RefExpr = Union[IntLit, BoolLit, StrLit, VarRef, BinderRef, Proj, UnwrapDep, Ari
 # Binary refinement operators by precedence level, loosest first; every
 # level is left-associative, and postfix `.N` / `!` bind tighter than all.
 # This is the only encoding of precedence: the parser builds its operator
-# loop from it (`_Parser.parse_binary`) and the printer derives where it
-# needs parentheses from it (`terms._PREC`).
+# loop from it (`_Parser.parse_binary`) and `format_ref` derives where it
+# needs parentheses from it (`syntax._PREC`).
 BINARY_OPS = (("or",), ("and",), ("==", "!=", "<", "<="), ("+", "-"), ("*",))
 
 

@@ -109,17 +109,7 @@ from .syntax import (
     TERMINATORS,
 )
 
-__all__ = ["ParseFailure", "parse", "parse_trace"]
-
-
-def __getattr__(name: str):
-    # The trace reader lives in ``traces``, which only ``simulate`` loads.
-    if name == "parse_trace":
-        from .traces import parse_trace
-
-        return parse_trace
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+__all__ = ["ParseFailure", "parse"]
 
 _TOP_KEYWORDS = ("roles", "type", "protocol", "entry")
 _PATTERN_STARTS = ("int", "string", "true", "false", "_", "-")

@@ -1,7 +1,7 @@
 """Canonical formatter: parse(format_source(f)) is structurally equal to f.
 
-The term printers live in ``terms``, which ``check`` loads without this
-layout; this module re-exports them.
+This is the layout of a whole file; it prints each term through the
+printers beside the AST in ``syntax``, which ``check`` loads without it.
 """
 
 from __future__ import annotations
@@ -9,10 +9,10 @@ from __future__ import annotations
 from .model import TupleType, VariantDecl
 from .syntax import (
     TERMINATOR_WORDS, Arm, Block, Call, End, NewDepMsg, NewMsg, ProtocolDecl, ReadCase, Rec, Send, SourceFile, Stmt,
+    format_pattern, format_type,
 )
-from .terms import binder_name, format_pattern, format_ref, format_type, format_value
 
-__all__ = ["format_source", "format_type", "format_ref", "binder_name", "format_value", "format_pattern", "format_stmt"]
+__all__ = ["format_source", "format_stmt"]
 
 
 def format_stmt(s: Stmt) -> str:

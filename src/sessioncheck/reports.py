@@ -11,8 +11,7 @@ from __future__ import annotations
 import sys
 from typing import TYPE_CHECKING
 
-from .syntax import TERMINATOR_WORDS, Call, End, Rec
-from .terms import format_type, format_value
+from .syntax import TERMINATOR_WORDS, Call, End, Rec, format_type, format_value
 
 if TYPE_CHECKING:
     from .checker import CheckResult

@@ -73,28 +73,10 @@ from .model import (
 )
 from .records import quiet, record
 from .syntax import (
-    BoolV,
-    Call,
-    ConV,
-    CtorPat,
-    End,
-    IntV,
-    NewDepMsg,
-    NewMsg,
-    ProtocolDecl,
-    ReadCase,
-    Rec,
-    Send,
-    SourceFile,
-    StrV,
-    Trace,
-    TraceBinding,
-    TupleV,
-    Value,
-    WildPat,
-    VALUE_KINDS,
+    BoolV, Call, ConV, CtorPat, End, IntV, NewDepMsg, NewMsg, ProtocolDecl, ReadCase, Rec, Send, SourceFile, StrV,
+    Trace, TraceBinding, TupleV, Value, WildPat, VALUE_KINDS, binder_name, format_pattern, format_ref, format_type,
+    format_value,
 )
-from .terms import binder_name, format_pattern, format_ref, format_type, format_value
 
 __all__ = [
     "EvalError",

@@ -43,7 +43,8 @@ class Tok(NamedTuple):
 
 def lexed(text: str) -> tuple[list[Tok], list]:
     """The tokens of ``text``, one ``Tok`` each, and its lex errors."""
-    from sessioncheck.lexer import position, tokenize
+    from sessioncheck.lexer import tokenize
+    from sessioncheck.model import position
 
     kinds, texts, offsets, errors, starts = tokenize(text)
     tokens = [Tok(k, t, *position(starts, o), o) for k, t, o in zip(kinds, texts, offsets)]

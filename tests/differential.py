@@ -4,8 +4,10 @@ It writes the inputs to a temporary directory: the corpus, 100
 ``tests/gen.py`` files at a fixed seed, each corpus file cut after every
 line, the seed-1 inputs of the three benchmark workloads (from
 ``perfbench/workloads.py``), each shape of ``tests/shapes.py`` at
-``SHAPE_SIZE`` with its trace, files with lex, parse, nesting,
-long-literal, non-UTF-8 and operator-budget errors, traces at each point
+``SHAPE_SIZE`` (or at its ``shapes.CAPPED_SIZES``) with its trace,
+files with lex, parse, nesting, long-literal, non-UTF-8 and
+operator-budget errors, the three forms of a participant-order error
+(E008), traces at each point
 where the direct trace reader gives up and a CRLF trace, CRLF and
 tab-indented copies of ``corpus/server.ssn`` (run against the corpus's
 server traces too), and long operator chains, flat and in parentheses,
@@ -105,6 +107,18 @@ ERRORS = {
     "double_eq.trace": "x == 1\n",
     "eq_minus.trace": "x =- 1\n",
 }
+# E008: a callee's participants out of order, a protocol argument whose
+# participants differ from its parameter's, and the same argument beside a
+# knowledge error (E003) in the parametric body, which the refused
+# instantiation leaves to be checked as declared.
+PARTICIPANTS = {
+    "order.ssn": "roles A, B\nprotocol Sub [B, A] { end }\nprotocol P [A, B] { call Sub }\nentry P\n",
+    "argument.ssn": "roles A, B\nprotocol Q [B, A] { end }\nprotocol R<X : protocol[A, B]> [A, B] { call X }\n"
+    "protocol P [A, B] { call R(Q) }\nentry P\n",
+    "instance.ssn": "roles A, B\nprotocol Q [B, A] { end }\n"
+    "protocol R<X : protocol[A, B]> [A, B] { msg m : Int by A; send m B -> A; call X }\n"
+    "protocol P [A, B] { call R(Q) }\nentry P\n",
+}
 
 TRACE = ["--trace", "tcp_good.trace"]
 ARGUMENTS = [
@@ -169,10 +183,13 @@ def write_inputs(root: Path, full: bool = True) -> list[list[str]]:
                     runs.append(argv)
                     simulate(*(a for a in argv if a.endswith((".ssn", ".trace"))))
         for name, make in shapes.SHAPES.items():
-            text, trace = make(SHAPE_SIZE)
-            simulate(put(f"shapes/{name}.ssn", text), put(f"shapes/{name}.trace", trace))
+            for n in shapes.CAPPED_SIZES.get(name, (SHAPE_SIZE,)):
+                text, trace = make(n)
+                simulate(put(f"shapes/{name}_{n}.ssn", text), put(f"shapes/{name}_{n}.trace", trace))
         for name, text in ERRORS.items():
             put(f"errors/{name}", text)
+        for name, text in PARTICIPANTS.items():
+            put(f"participants/{name}", text)
         put("errors/utf8.ssn", b"roles A\n\xff\xfe\n")
         put("errors/utf8.trace", b"x = \xff\n")
         put("errors/crlf.trace", (CORPUS / "tcp_good.trace").read_bytes().replace(b"\n", b"\r\n"))

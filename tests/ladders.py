@@ -32,8 +32,7 @@ from sessioncheck.model import (
     VarRef,
 )
 from sessioncheck.simulator import _OPERATORS, EvalError
-from sessioncheck.syntax import BoolV, IntV, StrV, TupleV
-from sessioncheck.terms import _PREC, _PREC_POSTFIX, _escape, format_type, format_value
+from sessioncheck.syntax import _PREC, _PREC_POSTFIX, BoolV, IntV, StrV, TupleV, _escape, format_type, format_value
 
 
 def eval_ref(expr, bindings, binder_value):

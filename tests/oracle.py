@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from sessioncheck import format_value
 from sessioncheck.checker import KindError, kind_of_ref
 from sessioncheck.model import BaseType, NamedType, RefinedType, free_vars_ordered
-from sessioncheck.printer import format_value
 from sessioncheck.syntax import (
     Call,
     CtorPat,

@@ -9,7 +9,12 @@ copy that scans what came before would make a command quadratic:
 - ``wide_variant``: a ``read`` over a type of ``n`` constructors;
 - ``many_params``: a protocol of ``n`` parameters, each called from one ``read`` arm;
 - ``fork_free_chain``: one protocol of ``n`` refined messages, each sent on, with no ``read``;
-- ``many_roles``: one protocol of ``n`` participants, each making one message and sending it on.
+- ``many_roles``: one protocol of ``n`` participants, each making one message and sending it on;
+- ``nested_reads``: ``n`` ``read``s, each in an arm of the one before;
+- ``rec_loop``: one ``read`` whose arm recurses, and a trace that goes round it ``n`` times.
+
+Each ``read`` nests one level, so ``nested_reads`` is run at the sizes
+of ``CAPPED_SIZES``, under the parser's 100-level cap.
 
 ``tests/test_scaling.py`` and ``tests/differential.py`` use them.
 """
@@ -83,6 +88,28 @@ def many_roles(n: int) -> tuple[str, str]:
     return text, "".join(f"m{i} = {i}\n" for i in range(n))
 
 
+def nested_reads(n: int) -> tuple[str, str]:
+    """``m0`` … ``m{n-1}``, each made, sent and read inside the ``0`` arm of the
+    ``read`` before; every other arm ends, and the trace takes each ``0`` arm."""
+    body = "end"
+    for i in reversed(range(n)):
+        body = f"msg m{i} : Int by A; send m{i} A -> B; read m{i} {{ 0 => {body}; _ => end }}"
+    return HEAD + f"protocol P [A, B] {{\n  {body}\n}}\n\nentry P\n", "".join(f"m{i} = 0\n" for i in range(n))
+
+
+def rec_loop(n: int) -> tuple[str, str]:
+    """One message made, sent and read per round: ``1`` recurses and ``0`` ends,
+    and the trace goes round ``n`` times before it ends."""
+    text = HEAD + "protocol P [A, B] {\n" + SEND + "  read m {\n    0 => end;\n    _ => rec\n  }\n}\n\nentry P\n"
+    return text, "m = 1\n" * n + "m = 0\n"
+
+
 SHAPES = {
-    f.__name__: f for f in (call_chain, parametric_chain, wide_variant, many_params, fork_free_chain, many_roles)
+    f.__name__: f
+    for f in (
+        call_chain, parametric_chain, wide_variant, many_params, fork_free_chain, many_roles, nested_reads, rec_loop
+    )
 }
+
+# The sizes to run a shape at that the parser's nesting cap bounds.
+CAPPED_SIZES = {"nested_reads": (20, 40, 80)}

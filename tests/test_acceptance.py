@@ -21,9 +21,8 @@ from test_cli import DIAGNOSTICS_SCHEMA, validate_report
 from test_mutation import MINIMAL
 from sessioncheck import check_file, format_source, parse, parse_trace
 from sessioncheck.model import EMPTY_INDEX, RoleId, overlapping
-from sessioncheck.printer import format_value
 from sessioncheck.simulator import Completed, RefinementViolated, run_trace
-from sessioncheck.syntax import StrV
+from sessioncheck.syntax import StrV, format_value
 
 
 def _report(n: int, text: str) -> None:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
+import inspect
+import pkgutil
 
 import pytest
 
@@ -18,7 +21,7 @@ HOMES = {
     "parser": ["ParseFailure", "parse"],
     "printer": ["format_source"],
     "simulator": ["EvalError", "RunReport", "eval_ref", "run_trace"],
-    "terms": ["format_ref", "format_type", "format_value"],
+    "syntax": ["format_ref", "format_type", "format_value"],
     "traces": ["parse_trace"],
 }
 PUBLIC = [(module, name) for module, names in HOMES.items() for name in names]
@@ -42,21 +45,43 @@ def test_star_import_and_dir_give_every_public_name():
     assert set(sessioncheck.__all__) <= set(dir(sessioncheck))
 
 
-# Names that left a module for one that fewer commands load, and the
-# module paths they keep resolving at.
-MOVED = [("parser", "parse_trace", "traces")] + [
-    ("printer", name, "terms") for name in ["binder_name", "format_pattern", "format_ref", "format_type", "format_value"]
-]
+SUBMODULES = [module.name for module in pkgutil.iter_modules(sessioncheck.__path__)]
 
 
-@pytest.mark.parametrize("module, name, home", MOVED, ids=[f"{m}.{n}" for m, n, _ in MOVED])
-def test_a_moved_name_still_resolves_at_its_old_module_path(module, name, home):
-    old = importlib.import_module(f"sessioncheck.{module}")
-    assert name in old.__all__
-    assert getattr(old, name) is getattr(importlib.import_module(f"sessioncheck.{home}"), name)
-    namespace: dict = {}
-    exec(f"from sessioncheck.{module} import {name}", namespace)
-    assert namespace[name] is getattr(old, name)
+def imported_names(module) -> set[str]:
+    """The names that a module's top level, ``if`` blocks included, binds by import."""
+    names, nodes = set(), ast.parse(inspect.getsource(module)).body
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.If):
+            nodes += node.body + node.orelse
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return names
+
+
+# One home per name: a submodule exports only what it defines, and no
+# submodule forwards another's names, but for the ``json`` that ``cli``
+# resolves for perfbench/tracing.py.
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_a_submodule_exports_only_what_it_defines(module):
+    mod = importlib.import_module(f"sessioncheck.{module}")
+    exported = set(getattr(mod, "__all__", ()))
+    assert exported <= set(vars(mod))
+    assert exported & imported_names(mod) == set()
+    assert ("__getattr__" in vars(mod)) == (module == "cli")
+
+
+# Module paths that resolved a name defined elsewhere; each name is now
+# found only at its home and at ``sessioncheck``.
+RETIRED = ["import sessioncheck.terms", "from sessioncheck.parser import parse_trace",
+           "from sessioncheck.printer import format_value", "from sessioncheck.lexer import position"]
+
+
+@pytest.mark.parametrize("statement", RETIRED)
+def test_a_retired_module_path_is_an_import_error(statement):
+    with pytest.raises(ImportError):
+        exec(statement, {})
 
 
 def test_an_unknown_name_is_an_attribute_error():

@@ -27,8 +27,8 @@ from sessioncheck import cli  # noqa: E402
 from sessioncheck.lexer import tokenize  # noqa: E402
 from sessioncheck.parser import parse  # noqa: E402
 from sessioncheck.traces import parse_trace  # noqa: E402
-from sessioncheck.printer import format_source, format_value  # noqa: E402
-from sessioncheck.syntax import NewDepMsg, NewMsg, ReadCase  # noqa: E402
+from sessioncheck.printer import format_source  # noqa: E402
+from sessioncheck.syntax import NewDepMsg, NewMsg, ReadCase, format_value  # noqa: E402
 
 # Hooks on the pure knowledge-index functions, which the checker and the
 # simulator no longer import; the harness reports them as not traced.

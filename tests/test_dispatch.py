@@ -16,9 +16,8 @@ import gen
 import ladders
 from sessioncheck.checker import KindError, kind_of_ref
 from sessioncheck.model import BaseType, NamedType, RefinedType, TupleType, free_vars_ordered
-from sessioncheck.printer import format_ref
 from sessioncheck.simulator import EvalError, eval_ref
-from sessioncheck.syntax import BoolV, ConV, IntV, StrV, TupleV
+from sessioncheck.syntax import BoolV, ConV, IntV, StrV, TupleV, format_ref
 
 VARS = ["a", "b", "c"]
 SEEDS, PER_SEED = 4, 500

@@ -7,8 +7,10 @@ of the eight corpus traces, JSON ``check`` of the four corpus protocols,
 text ``explain`` of a 60-pair ``deep_path`` protocol, and the error paths:
 text, JSON and coloured ``check`` of three files with parse errors between
 two corpus protocols (which pins the order of parse and checker
-diagnostics), ``explain`` and ``fmt --check`` of one of them, and
-``simulate`` against a trace that does not parse. The JSON files
+diagnostics), ``explain`` and ``fmt --check`` of one of them,
+``simulate`` against a trace that does not parse, and text and JSON
+``check`` of the three participant-order (E008) inputs of
+``differential.PARTICIPANTS``. The JSON files
 pin the writers' bytes apart from the reference builders they are tested
 against elsewhere. After an intended change of the output, rewrite the
 files with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -36,6 +38,7 @@ CORPUS = HERE.parent / "corpus"
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 
 import workloads  # noqa: E402
+from differential import PARTICIPANTS  # noqa: E402
 
 PROTOCOLS = ("tcp", "server", "hoppy", "charlie")
 
@@ -68,6 +71,8 @@ RUNS = {
     "explain_escape": ["explain", "escape.ssn"],
     "fmt_check_escape": ["fmt", "--check", "escape.ssn"],
     "simulate_bad_trace": ["simulate", "tcp.ssn", "--trace", "bad_tuple.trace"],
+    "check_participants": ["check", *PARTICIPANTS],
+    "check_json_participants": ["check", "--format", "json", *PARTICIPANTS],
 }
 
 
@@ -82,7 +87,7 @@ def write_inputs(directory: pathlib.Path) -> None:
         if path.suffix in (".ssn", ".trace"):
             shutil.copy(path, directory / path.name)
     (directory / "deep.ssn").write_text(deep_text(), encoding="utf-8")
-    for name, text in BAD_INPUTS.items():
+    for name, text in {**BAD_INPUTS, **PARTICIPANTS}.items():
         (directory / name).write_text(text, encoding="utf-8")
 
 

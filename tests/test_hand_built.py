@@ -18,7 +18,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from sessioncheck import check_file, cli, jsonout, parse, parse_trace, printer, simulator
+from sessioncheck import check_file, cli, jsonout, parse, parse_trace, printer, simulator, syntax
 from sessioncheck.checker import kind_of_ref
 from sessioncheck.diagnostics import Diagnostic
 from sessioncheck.model import (
@@ -120,13 +120,16 @@ CASES = {
     "value_to_json": (lambda: simulator.value_to_json(NODE), TypeError(f"not a value: {NODE!r}")),
     "event_json": (lambda: simulator.RunReport([NODE], simulator.Completed()).to_json(), TypeError(f"not an event: {NODE!r}")),
     "status_to_json": (lambda: simulator.status_to_json(NODE), TypeError(f"not a status: {NODE!r}")),
-    "format_value": (lambda: printer.format_value(NODE), TypeError(f"not a value: {NODE!r}")),
-    "format_type": (lambda: printer.format_type(NODE), TypeError(f"unprintable type: {NODE!r}")),
-    "format_ref": (lambda: printer.format_ref(NODE), TypeError(f"unprintable refinement: {NODE!r}")),
-    "format_pattern": (lambda: printer.format_pattern(NODE), TypeError(f"not a pattern: {NODE!r}")),
+    "format_value": (lambda: syntax.format_value(NODE), TypeError(f"not a value: {NODE!r}")),
+    "format_type": (lambda: syntax.format_type(NODE), TypeError(f"unprintable type: {NODE!r}")),
+    "format_ref": (lambda: syntax.format_ref(NODE), TypeError(f"unprintable refinement: {NODE!r}")),
+    "format_pattern": (lambda: syntax.format_pattern(NODE), TypeError(f"not a pattern: {NODE!r}")),
     "format_stmt": (lambda: printer.format_stmt(NODE), TypeError(f"not a statement: {NODE!r}")),
     "json_value": (lambda: jsonout._json_value(TupleV((NODE,)), ""), TypeError(f"not a value: {NODE!r}")),
-    "json_event": (lambda: jsonout._json_event(NODE, {}), TypeError(f"not an event: {NODE!r}")),
+    "json_event": (
+        lambda: json_bytes(simulator.RunReport([NODE], simulator.Completed())),
+        TypeError(f"not an event: {NODE!r}"),
+    ),
     "json_record": (lambda: jsonout._json_record({"x": [NODE]}, ""), TypeError(f"not JSON data: {NODE!r}")),
 }
 

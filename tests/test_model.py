@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from sessioncheck.model import (
     EMPTY_INDEX,
@@ -260,6 +261,87 @@ def test_add_knower_then_freeze_equals_learn(sends):
         assert [it.origin for it in snapshot] == [it.origin for it in idx]
         for it in snapshot:
             assert KnowledgeItem(it.var, it.type, it.knowers, it.origin) == it  # passes the skipped check
+
+
+VARIABLES = [M1, M2, VarId("m3")]
+
+
+class WorkingIndexMachine(RuleBasedStateMachine):
+    """The working map that the checker and the run update in place
+    (``add_item``, ``add_knower``, ``freeze`` and a fork by ``dict.copy()``)
+    against the pure algebra (``introduce``, ``learn`` and ``knows``).
+
+    Each fork is a working map, the pure index it must equal and the origin
+    of each of its variables, which ``introduce`` does not take. Every
+    snapshot keeps its pure index and origins and is checked again after
+    every later step: an item is replaced, never changed, so no step on one
+    fork may reach a snapshot or another fork that shares the item."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.forks = [({}, EMPTY_INDEX, {})]
+        self.snapshots = []
+
+    @rule(at=st.integers(0, 7), var=st.sampled_from(VARIABLES), type=st.sampled_from([INT, PACKET_INT]),
+          creator=roles, start=st.integers(0, 99))
+    def make(self, at, var, type, creator, start):
+        at %= len(self.forks)
+        working, index, origins = self.forks[at]
+        origin = Span(start, 1)
+        try:
+            index = introduce(index, var, type, creator)
+        except DuplicateVar:
+            with pytest.raises(DuplicateVar):
+                add_item(working, var, type, creator, origin)
+            return
+        add_item(working, var, type, creator, origin)
+        self.forks[at] = (working, index, {**origins, var.name: origin})
+
+    @rule(at=st.integers(0, 7), var=st.sampled_from(VARIABLES), role=roles)
+    def send(self, at, var, role):
+        at %= len(self.forks)
+        working, index, origins = self.forks[at]
+        try:
+            index = learn(index, var, role)
+        except UnknownVar:
+            with pytest.raises(UnknownVar):
+                add_knower(working, var, role)
+            return
+        add_knower(working, var, role)
+        self.forks[at] = (working, index, origins)
+
+    @rule(at=st.integers(0, 7))
+    def snapshot(self, at):
+        working, index, origins = self.forks[at % len(self.forks)]
+        self.snapshots.append((freeze(working), index, origins))
+
+    @rule(at=st.integers(0, 7))
+    def fork(self, at):
+        working, index, origins = self.forks[at % len(self.forks)]
+        self.forks.append((working.copy(), index, origins))
+
+    @invariant()
+    def each_map_and_snapshot_is_its_pure_index(self):
+        for working, index, origins in self.forks:
+            assert tuple(working.values()) == index.items
+            for var in VARIABLES:
+                for role in (ALICE, BOB, CHARLIE):
+                    assert knows(index, var, role) == (var.name in working and role in working[var.name].knowers)
+            self.check(freeze(working), index, origins)
+        for snapshot, index, origins in self.snapshots:
+            self.check(snapshot, index, origins)
+
+    @staticmethod
+    def check(snapshot, index, origins):
+        assert snapshot == index and hash(snapshot) == hash(index)
+        assert all(it.origin is origins[it.var.name] for it in snapshot)
+        for it in snapshot:  # built without their checks, which they pass
+            checked = KnowledgeItem(it.var, it.type, it.knowers, it.origin)
+            assert type(it) is KnowledgeItem and it == checked and hash(it) == hash(checked)
+
+
+TestWorkingIndex = WorkingIndexMachine.TestCase
+TestWorkingIndex.settings = settings(max_examples=100, stateful_step_count=30, derandomize=True, deadline=None)
 
 
 def test_item_invariants():

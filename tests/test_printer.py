@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gen import gen_printable_file
 from sessioncheck import format_source, parse
-from sessioncheck.printer import format_ref, format_type
+from sessioncheck.syntax import format_ref, format_type
 from sessioncheck.model import (
     INT,
     Arith,

@@ -24,8 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gen import gen_checkable_file, gen_printable_file
-from sessioncheck.lexer import line_starts, position
-from sessioncheck.model import Span, VariantDecl
+from sessioncheck.model import Span, VariantDecl, line_starts, position
 from sessioncheck.parser import ParseFailure, parse
 from sessioncheck.printer import format_source
 from sessioncheck.syntax import Call, End, NewDepMsg, NewMsg, ProtocolDecl, ReadCase, Rec, Send

@@ -21,9 +21,8 @@ from conftest import CORPUS
 from sessioncheck import cli, lexer
 from sessioncheck.jsonout import write_report
 from sessioncheck.parser import ParseFailure, _MAX_NESTING, parse
-from sessioncheck.printer import format_value
 from sessioncheck.simulator import run_trace
-from sessioncheck.syntax import BoolV, ConV, IntV, StrV, TupleV
+from sessioncheck.syntax import BoolV, ConV, IntV, StrV, TupleV, format_value
 from sessioncheck.traces import _parse_trace_tokens, _read_trace, parse_trace
 
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
